@@ -8,6 +8,7 @@ from .cbg import (
     MetaEdge,
     build_cbg,
     cbg_to_tsv,
+    crossing_pairs,
     weight_d,
     weight_e,
     weight_h,
@@ -32,8 +33,8 @@ from .engine import (
     format_tuples,
 )
 from .kspec import Composition, KSpec, parse_spec, render, validate_spec
-from .matching import MatchedPairs, brute_force_match, max_flow_match
-from .model import MLN, InterLayerEdges, LayerGraph, add_interlayer, add_layer, neighbors
+from .matching import MatchedPairs, max_flow_match
+from .model import MLN, InterLayerEdges, LayerGraph
 
 __version__ = "0.1.0"
 
@@ -41,9 +42,6 @@ __all__ = [
     "MLN",
     "LayerGraph",
     "InterLayerEdges",
-    "add_layer",
-    "add_interlayer",
-    "neighbors",
     "CommunityId",
     "CommunitySummary",
     "Membership",
@@ -54,12 +52,12 @@ __all__ = [
     "MetaEdge",
     "build_cbg",
     "cbg_to_tsv",
+    "crossing_pairs",
     "weight_e",
     "weight_d",
     "weight_h",
     "MatchedPairs",
     "max_flow_match",
-    "brute_force_match",
     "KSpec",
     "Composition",
     "parse_spec",

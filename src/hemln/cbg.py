@@ -8,8 +8,10 @@ expanded set of crossing links. Three weight metrics are provided:
 * ``d`` - density(left) * edge fraction * density(right);
 * ``h`` - hub participation ratio on each side times the edge fraction.
 
-Meta edges whose ``h`` weight is exactly zero (no hub participates on some
-side) are dropped from the graph and kept in ``dropped`` for diagnostics.
+Meta edges whose weight is exactly zero are dropped from the graph and kept
+in ``dropped`` for diagnostics. Under ``h`` that happens when no hub
+participates on some side; under ``d`` when a community of two or more
+nodes has no internal edges, which loaded memberships allow.
 """
 from __future__ import annotations
 
@@ -28,7 +30,6 @@ class MetaEdge:
     left: CommunityId
     right: CommunityId
     pairs: frozenset  # crossing inter-layer links (left node, right node)
-    raw_weight: float
     weight: float
 
 
@@ -41,9 +42,6 @@ class CommunityBipartiteGraph:
     edges: Tuple[MetaEdge, ...]
     metric: str
     dropped: Tuple[MetaEdge, ...] = field(default=())
-
-    def edge_map(self) -> Dict[Tuple[CommunityId, CommunityId], MetaEdge]:
-        return {(e.left, e.right): e for e in self.edges}
 
 
 def weight_e(raw_pairs: int, cbg_max: int) -> float:
@@ -74,22 +72,38 @@ def weight_h(left: CommunitySummary, right: CommunitySummary,
     return (len(h_lr) / len(left.hubs)) * fraction * (len(h_rl) / len(right.hubs))
 
 
-def build_cbg(mln: MLN,
-              left: str,
+Buckets = Mapping[Tuple[CommunityId, CommunityId], frozenset]
+
+
+def crossing_pairs(mln: MLN, left: str, right: str,
+                   membership_left: Membership,
+                   membership_right: Membership) -> Buckets:
+    """Inter-layer links oriented (left node, right node), keyed by the
+    (left community, right community) pair they cross. A composition step
+    scans the links only here and shares the buckets."""
+    if not mln.has_interlayer(left, right):
+        raise NoInterLayerEdges(f"no inter-layer edges between {left} and {right}")
+    of_left, of_right = membership_left.assignment, membership_right.assignment
+    buckets: Dict[Tuple[int, int], set] = {}
+    for a, b in mln.interlayer_links(left, right):
+        buckets.setdefault((of_left[a], of_right[b]), set()).add((a, b))
+    return {(CommunityId(membership_left.layer, cl),
+             CommunityId(membership_right.layer, cr)): frozenset(pairs)
+            for (cl, cr), pairs in buckets.items()}
+
+
+def build_cbg(left: str,
               right: str,
+              buckets: Buckets,
               u_left: Iterable[CommunityId],
               u_right: Iterable[CommunityId],
-              membership_left: Membership,
-              membership_right: Membership,
               summaries_left: Mapping[CommunityId, CommunitySummary],
               summaries_right: Mapping[CommunityId, CommunitySummary],
-              metric: str = "e") -> CommunityBipartiteGraph:
-    """Collect expanded edge sets between the offered community sets and
+              metric: str) -> CommunityBipartiteGraph:
+    """Keep the crossing-pair buckets between the offered community sets and
     weight them with the chosen metric."""
     if metric not in METRICS:
         raise ValueError(f"metric must be one of {METRICS}, got {metric!r}")
-    if not mln.has_interlayer(left, right):
-        raise NoInterLayerEdges(f"no inter-layer edges between {left} and {right}")
     u_left = frozenset(u_left)
     u_right = frozenset(u_right)
     for cid, summaries, layer in ((u_left, summaries_left, left),
@@ -98,26 +112,19 @@ def build_cbg(mln: MLN,
             if c.layer != layer or c not in summaries:
                 raise UnknownCommunity(f"{c} is not a community of layer {layer}")
 
-    buckets: Dict[Tuple[CommunityId, CommunityId], set] = {}
-    for a, b in mln.interlayer_links(left, right):
-        cl = membership_left.community_of(a)
-        cr = membership_right.community_of(b)
-        if cl in u_left and cr in u_right:
-            buckets.setdefault((cl, cr), set()).add((a, b))
-
+    kept = sorted(key for key in buckets if key[0] in u_left and key[1] in u_right)
     edges = []
     dropped = []
-    max_pairs = max((len(p) for p in buckets.values()), default=0)
-    for (cl, cr) in sorted(buckets):
-        pairs = frozenset(buckets[(cl, cr)])
-        raw = float(len(pairs))
+    max_pairs = max((len(buckets[key]) for key in kept), default=0)
+    for cl, cr in kept:
+        pairs = buckets[(cl, cr)]
         if metric == "e":
             w = weight_e(len(pairs), max_pairs)
         elif metric == "d":
             w = weight_d(summaries_left[cl], summaries_right[cr], len(pairs))
         else:
             w = weight_h(summaries_left[cl], summaries_right[cr], pairs)
-        edge = MetaEdge(cl, cr, pairs, raw, w)
+        edge = MetaEdge(cl, cr, pairs, w)
         if w > 0.0:
             edges.append(edge)
         else:
@@ -127,9 +134,9 @@ def build_cbg(mln: MLN,
 
 
 def cbg_to_tsv(cbg: CommunityBipartiteGraph) -> str:
-    """Debug export: left community, right community, raw pair count, weight."""
+    """Debug export: left community, right community, pair count, weight."""
     lines = []
     for e in cbg.edges:
-        lines.append(f"{e.left.index}\t{e.right.index}\t{int(e.raw_weight)}\t"
+        lines.append(f"{e.left.index}\t{e.right.index}\t{len(e.pairs)}\t"
                      f"{e.weight!r}")
     return "\n".join(lines) + ("\n" if lines else "")

@@ -15,11 +15,11 @@ from pathlib import Path
 from typing import Dict, List, Optional
 
 from . import engine, fileio, imdb
-from .cbg import build_cbg, cbg_to_tsv
+from .cbg import build_cbg, cbg_to_tsv, crossing_pairs
 from .community import detect_communities, summarize
-from .engine import KCommunityResult, KTuple, detect_k_community
-from .errors import HemlnError, UnknownKey
-from .kspec import Composition, KSpec, parse_spec, validate_spec
+from .engine import KTuple, detect_k_community
+from .errors import HemlnError, InvariantViolation, ParseError, UnknownKey
+from .kspec import parse_spec, validate_spec
 from .model import MLN
 
 EXIT_OK = 0
@@ -84,19 +84,28 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _number(kind, name: str, text: str):
+    try:
+        return kind(text)
+    except ValueError:
+        raise InvariantViolation(
+            f"{name} must be {kind.__name__}, got {text!r}") from None
+
+
 def _settings(args) -> fileio.RunConfig:
     defaults: Dict[str, str] = {}
     if getattr(args, "config", None):
         defaults = fileio.load_config(args.config)
     seed = args.seed
     if seed is None:
-        seed = int(defaults.get("seed", 0))
+        seed = _number(int, "seed", defaults.get("seed", "0"))
     if "MLN_SEED" in os.environ:
-        seed = int(os.environ["MLN_SEED"])
+        seed = _number(int, "MLN_SEED", os.environ["MLN_SEED"])
     metric = getattr(args, "metric", None) or defaults.get("metric", "e")
     quantile = args.hub_quantile
     if quantile is None:
-        quantile = float(defaults.get("hub_quantile", 0.8))
+        quantile = _number(float, "hub_quantile",
+                           defaults.get("hub_quantile", "0.8"))
     spec_text = getattr(args, "spec", None) or defaults.get("spec", "")
     return fileio.RunConfig(default_metric=metric, seed=seed,
                             hub_quantile=quantile, spec_text=spec_text)
@@ -125,10 +134,7 @@ def _cmd_detect(args) -> int:
 
 def _specs_from_args(args, cfg: fileio.RunConfig) -> List[str]:
     if args.spec_file:
-        texts = []
-        for _, line in fileio._lines(args.spec_file):
-            texts.append(line)
-        return texts
+        return [line for _, line in fileio._lines(args.spec_file, fileio.COMMENT)]
     if cfg.spec_text:
         return [cfg.spec_text]
     raise HemlnError("kcommunity needs --spec or --spec-file")
@@ -172,55 +178,50 @@ def _cmd_cbg(args) -> int:
     memberships = _memberships_for(mln, (left, right), cfg, args.memberships)
     summaries = {lid: summarize(mln.layer(lid), memberships[lid], cfg.hub_quantile)
                  for lid in (left, right)}
-    cbg = build_cbg(mln, left, right,
+    buckets = crossing_pairs(mln, left, right, memberships[left], memberships[right])
+    cbg = build_cbg(left, right, buckets,
                     sorted(summaries[left]), sorted(summaries[right]),
-                    memberships[left], memberships[right],
                     summaries[left], summaries[right], cfg.default_metric)
     sys.stdout.write(cbg_to_tsv(cbg))
     return EXIT_OK
 
 
-def _load_result_jsonl(path) -> KCommunityResult:
+def _load_result_jsonl(path) -> List[KTuple]:
     tuples = []
-    steps: List[Composition] = []
-    layers: List[str] = []
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+    for lineno, raw in enumerate(fileio._read_text(path).splitlines(), start=1):
         if not raw.strip():
             continue
-        rec = json.loads(raw)
-        layers = [s["layer"] for s in rec["slots"]]
-        communities = tuple(s["community"] for s in rec["slots"])
-        while len(steps) < len(rec["x"]):
-            steps.append(Composition("?", "?"))
-        for j, x in enumerate(rec["x"]):
-            if x is not None:
-                steps[j] = Composition(x["step"][0], x["step"][1])
-        x_slots = tuple(
-            frozenset(map(tuple, x["pairs"])) if x is not None else None
-            for x in rec["x"])
-        tuples.append(KTuple(tuple(layers), communities, x_slots))
-    spec = KSpec(layers[0] if layers else "", tuple(steps), tuple(layers), ())
-    return KCommunityResult(spec, tuple(layers), tuple(steps),
-                            tuple(tuples), ())
+        try:
+            rec = json.loads(raw)
+            layers = tuple(str(s["layer"]) for s in rec["slots"])
+            communities = tuple(int(s["community"]) for s in rec["slots"])
+            x_slots = tuple(
+                frozenset(map(tuple, x["pairs"])) if x is not None else None
+                for x in rec["x"])
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ParseError(f"malformed result record: {exc}", lineno) from None
+        tuples.append(KTuple(layers, communities, x_slots))
+    return tuples
 
 
 def _cmd_rank(args) -> int:
     cfg = _settings(args)
-    result = _load_result_jsonl(args.result)
+    tuples = _load_result_jsonl(args.result)
     if args.key not in engine.RANK_KEYS:
         raise UnknownKey(f"rank key must be one of {engine.RANK_KEYS}")
     if args.key == "sum_raw_pairs":
-        summaries: Dict = {lid: {} for lid in result.layers}
+        summaries: Dict = {}
     else:
         if not args.mln:
             raise HemlnError(f"key {args.key} needs --mln (and optionally "
                              "--memberships) to compute community statistics")
         mln = fileio.load_mln(args.mln)
-        memberships = _memberships_for(mln, result.layers, cfg, args.memberships)
+        layers = sorted({lid for t in tuples for lid in t.layers})
+        memberships = _memberships_for(mln, layers, cfg, args.memberships)
         summaries = {lid: summarize(mln.layer(lid), memberships[lid],
                                     cfg.hub_quantile)
-                     for lid in result.layers}
-    for t in engine.rank(result, summaries, args.key):
+                     for lid in layers}
+    for t in engine.rank(tuples, summaries, args.key):
         cs = ", ".join(f"c_{l}^{c}" if c != 0 else "0"
                        for l, c in zip(t.layers, t.communities))
         sys.stdout.write(f"< {cs} >\n")
@@ -252,7 +253,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except HemlnError as exc:
+    except (HemlnError, OSError) as exc:  # OSError: unreadable or unwritable path
         print(f"hemln: {exc}", file=sys.stderr)
         return EXIT_DATA
 

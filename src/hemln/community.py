@@ -51,9 +51,6 @@ class Membership:
             groups.setdefault(c, set()).add(n)
         return {c: frozenset(s) for c, s in groups.items()}
 
-    def community_ids(self) -> List[CommunityId]:
-        return [CommunityId(self.layer, i) for i in sorted(set(self.assignment.values()))]
-
 
 @dataclass(frozen=True)
 class CommunitySummary:

@@ -1,9 +1,10 @@
 """Serial k-community composition engine.
 
-Runs the composition plan step by step: builds the community bipartite
-graph for each step, matches communities one-to-one by maximal flow, and
-extends (new layer) or updates (cycle step) the result tuples according to
-the consistent / no / inconsistent match outcomes. Each tuple pairs one
+Runs the composition plan step by step: buckets the step's inter-layer
+links by the community pair they cross, offers meta nodes, builds the
+community bipartite graph, matches communities one-to-one by maximal flow,
+and extends (new layer) or updates (cycle step) the result tuples according
+to the consistent / no / inconsistent match outcomes. Each tuple pairs one
 community id per visited layer (0 = none) with one expanded edge set per
 composition step (None = empty placeholder), which is enough to
 reconstruct the matched sub-network exactly.
@@ -12,13 +13,12 @@ from __future__ import annotations
 
 import json
 import logging
-import time
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .cbg import build_cbg
+from .cbg import Buckets, build_cbg, crossing_pairs
 from .community import CommunityId, CommunitySummary, Membership
-from .errors import InternalCaseError, UnknownKey
+from .errors import UnknownCommunity, UnknownKey
 from .kspec import CASE_CYCLE, CASE_NEW_LAYER, Composition, KSpec
 from .matching import max_flow_match
 from .model import MLN
@@ -63,56 +63,37 @@ class StepDiagnostics:
     u_right_size: int
     cbg_edge_count: int
     mp_size: int
-    seconds: float  # reported via logs, never serialized (reproducibility)
 
 
 @dataclass(frozen=True)
 class KCommunityResult:
-    spec: KSpec
-    layers: Tuple[str, ...]         # visit order; one community slot each
-    steps: Tuple[Composition, ...]  # one x slot each
+    spec: KSpec  # its layers give the community slots, its steps the x slots
     tuples: Tuple[KTuple, ...]
     diagnostics: Tuple[StepDiagnostics, ...]
 
 
-def select_u(step: Composition, case: str, tuples: List[KTuple],
-             memberships: Mapping[str, Membership],
-             mln: MLN) -> Tuple[List[CommunityId], List[CommunityId]]:
+def select_u(step: Composition, case: str, tuples: Optional[List[KTuple]],
+             buckets: Buckets) -> Tuple[List[CommunityId], List[CommunityId]]:
     """Choose the meta-node sets for a composition step.
 
-    A processed layer offers exactly the non-zero community ids occupying
-    its slot across the current tuples; a new layer offers every community
-    with at least one inter-layer link to the other side's offer.
+    ``tuples`` is None on the base step, where each layer offers every
+    community with a crossing link. Otherwise a processed layer offers
+    exactly the non-zero community ids occupying its slot across the
+    current tuples, and a new layer offers every community with at least
+    one crossing link to the left offer.
     """
+    if tuples is None:
+        return sorted({cl for cl, _ in buckets}), sorted({cr for _, cr in buckets})
+
     def processed(layer: str) -> List[CommunityId]:
         ids = {t.slot(layer) for t in tuples} - {0}
         return [CommunityId(layer, i) for i in sorted(ids)]
 
     u_left = processed(step.left)
     if case == CASE_CYCLE:
-        u_right = processed(step.right)
-    else:
-        left_set = set(u_left)
-        m_left = memberships[step.left]
-        m_right = memberships[step.right]
-        linked = set()
-        for a, b in mln.interlayer_links(step.left, step.right):
-            if m_left.community_of(a) in left_set:
-                linked.add(m_right.community_of(b))
-        u_right = sorted(linked)
-    return u_left, u_right
-
-
-def _base_u(mln: MLN, step: Composition,
-            memberships: Mapping[str, Membership]):
-    """Base case offers: every community with at least one link for the pair."""
-    m_left = memberships[step.left]
-    m_right = memberships[step.right]
-    u_left, u_right = set(), set()
-    for a, b in mln.interlayer_links(step.left, step.right):
-        u_left.add(m_left.community_of(a))
-        u_right.add(m_right.community_of(b))
-    return sorted(u_left), sorted(u_right)
+        return u_left, processed(step.right)
+    left_set = set(u_left)
+    return u_left, sorted({cr for cl, cr in buckets if cl in left_set})
 
 
 def detect_k_community(mln: MLN,
@@ -121,54 +102,39 @@ def detect_k_community(mln: MLN,
                        spec: KSpec,
                        default_metric: str = "e") -> KCommunityResult:
     """Execute the composition plan and return the set of result tuples."""
-    tuples: List[KTuple] = []
+    tuples: Optional[List[KTuple]] = None  # None until the base step has run
     diagnostics: List[StepDiagnostics] = []
-    layer_order: List[str] = [spec.first_layer]
 
     for idx, (step, case) in enumerate(zip(spec.steps, spec.cases)):
-        started = time.perf_counter()
-        metric = step.metric or default_metric
-        if idx == 0:
-            u_left, u_right = _base_u(mln, step, memberships)
-        else:
-            u_left, u_right = select_u(step, case, tuples, memberships, mln)
-        cbg = build_cbg(mln, step.left, step.right, u_left, u_right,
-                        memberships[step.left], memberships[step.right],
-                        summaries[step.left], summaries[step.right], metric)
+        buckets = crossing_pairs(mln, step.left, step.right,
+                                 memberships[step.left], memberships[step.right])
+        u_left, u_right = select_u(step, case, tuples, buckets)
+        cbg = build_cbg(step.left, step.right, buckets, u_left, u_right,
+                        summaries[step.left], summaries[step.right],
+                        step.metric or default_metric)
         mp = max_flow_match(cbg)
-        edge_map = cbg.edge_map()
         matched_right = mp.as_dict()
 
-        if idx == 0:
-            layer_order.append(step.right)
-            for cl, cr in mp.pairs:
-                pairs = edge_map[(cl, cr)].pairs
-                tuples.append(KTuple((step.left, step.right),
-                                     (cl.index, cr.index), (pairs,)))
+        if tuples is None:
+            tuples = [KTuple((step.left, step.right), (cl.index, cr.index),
+                             (buckets[(cl, cr)],))
+                      for cl, cr in mp.pairs]
         elif case == CASE_NEW_LAYER:
-            layer_order.append(step.right)
-            tuples = [_extend(t, step, matched_right, edge_map) for t in tuples]
-        elif case == CASE_CYCLE:
-            tuples = [_update(t, step, matched_right, edge_map) for t in tuples]
-        else:  # pragma: no cover - parse guarantees "i" or "ii"
-            raise InternalCaseError(f"unknown step case {case!r}")
+            tuples = [_extend(t, step, matched_right, buckets) for t in tuples]
+        else:
+            tuples = [_update(t, step, matched_right, buckets) for t in tuples]
 
-        elapsed = time.perf_counter() - started
-        diagnostics.append(StepDiagnostics(idx, step.left, step.right,
-                                           CASE_NEW_LAYER if idx == 0 else case,
+        diagnostics.append(StepDiagnostics(idx, step.left, step.right, case,
                                            len(u_left), len(u_right),
-                                           len(cbg.edges), len(mp.pairs), elapsed))
-        log.debug("step %d (%s,%s): %d pairs in %.4fs",
-                  idx, step.left, step.right, len(mp.pairs), elapsed)
+                                           len(cbg.edges), len(mp.pairs)))
 
-    tuples.sort(key=KTuple.sort_key)
-    return KCommunityResult(spec, tuple(layer_order), spec.steps,
-                            tuple(tuples), tuple(diagnostics))
+    tuples = sorted(tuples or (), key=KTuple.sort_key)
+    return KCommunityResult(spec, tuple(tuples), tuple(diagnostics))
 
 
 def _extend(t: KTuple, step: Composition,
             matched: Dict[CommunityId, CommunityId],
-            edge_map) -> KTuple:
+            buckets: Buckets) -> KTuple:
     """Case i: append a community slot for the new right layer plus an x slot."""
     left_idx = t.slot(step.left)
     layers = t.layers + (step.right,)
@@ -176,14 +142,14 @@ def _extend(t: KTuple, step: Composition,
         cl = CommunityId(step.left, left_idx)
         cr = matched.get(cl)
         if cr is not None:
-            pairs = edge_map[(cl, cr)].pairs
-            return KTuple(layers, t.communities + (cr.index,), t.x_slots + (pairs,))
+            return KTuple(layers, t.communities + (cr.index,),
+                          t.x_slots + (buckets[(cl, cr)],))
     return KTuple(layers, t.communities + (0,), t.x_slots + (None,))
 
 
 def _update(t: KTuple, step: Composition,
             matched: Dict[CommunityId, CommunityId],
-            edge_map) -> KTuple:
+            buckets: Buckets) -> KTuple:
     """Case ii: both layers processed; append an x slot only."""
     left_idx = t.slot(step.left)
     right_idx = t.slot(step.right)
@@ -191,8 +157,7 @@ def _update(t: KTuple, step: Composition,
         cl = CommunityId(step.left, left_idx)
         cr = CommunityId(step.right, right_idx)
         if matched.get(cl) == cr:
-            pairs = edge_map[(cl, cr)].pairs
-            return KTuple(t.layers, t.communities, t.x_slots + (pairs,))
+            return KTuple(t.layers, t.communities, t.x_slots + (buckets[(cl, cr)],))
         if cl in matched:
             log.debug("inconsistent match for %s at step (%s,%s)",
                       cl, step.left, step.right)
@@ -206,7 +171,7 @@ def classify(result: KCommunityResult):
     return total, partial
 
 
-def rank(result: KCommunityResult,
+def rank(tuples: Sequence[KTuple],
          summaries: Mapping[str, Mapping[CommunityId, CommunitySummary]],
          key: str) -> List[KTuple]:
     """Stable descending order by the chosen key.
@@ -219,7 +184,10 @@ def rank(result: KCommunityResult,
         raise UnknownKey(f"rank key must be one of {RANK_KEYS}, got {key!r}")
 
     def summary(layer: str, idx: int) -> CommunitySummary:
-        return summaries[layer][CommunityId(layer, idx)]
+        cid = CommunityId(layer, idx)
+        if cid not in summaries.get(layer, {}):
+            raise UnknownCommunity(f"{cid} is not a community of layer {layer}")
+        return summaries[layer][cid]
 
     def value(t: KTuple):
         if key == "sum_raw_pairs":  # needs no summaries
@@ -231,14 +199,13 @@ def rank(result: KCommunityResult,
             return (0 if has_zero else 1, min(sizes) if sizes else 0)
         if key == "sum_size":
             return (0, sum(sizes))
-        if key == "min_density":
-            dens = [summary(l, c).density
-                    for l, c in zip(t.layers, t.communities) if c != 0]
-            return (0 if has_zero else 1, min(dens) if dens else 0.0)
-        raise UnknownKey(key)  # unreachable: validated above
+        # min_density
+        dens = [summary(l, c).density
+                for l, c in zip(t.layers, t.communities) if c != 0]
+        return (0 if has_zero else 1, min(dens) if dens else 0.0)
 
-    return sorted(result.tuples, key=lambda t: (tuple(-v for v in value(t)),
-                                                t.sort_key()))
+    return sorted(tuples, key=lambda t: (tuple(-v for v in value(t)),
+                                         t.sort_key()))
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +221,7 @@ def format_tuples(result: KCommunityResult) -> str:
                        for l, c in zip(t.layers, t.communities))
         xs = ", ".join(
             f"x_{{{s.left},{s.right}}}" if x is not None else "phi"
-            for s, x in zip(result.steps, t.x_slots))
+            for s, x in zip(result.spec.steps, t.x_slots))
         lines.append(f"< {cs} ; {xs} >")
     return "\n".join(lines) + ("\n" if lines else "")
 
@@ -267,7 +234,7 @@ def to_jsonl(result: KCommunityResult) -> str:
                       for l, c in zip(t.layers, t.communities)],
             "x": [{"step": [s.left, s.right],
                    "pairs": [list(p) for p in sorted(x)]} if x is not None else None
-                  for s, x in zip(result.steps, t.x_slots)],
+                  for s, x in zip(result.spec.steps, t.x_slots)],
             "total": t.total,
         }
         lines.append(json.dumps(record, separators=(",", ":"), sort_keys=True))
@@ -276,7 +243,7 @@ def to_jsonl(result: KCommunityResult) -> str:
 
 def diagnostics_tsv(result: KCommunityResult) -> str:
     """Per-step diagnostics. Wall times are deliberately left out so that
-    identical runs produce byte-identical files; timings go to the log."""
+    identical runs produce byte-identical files."""
     lines = ["step\tleft\tright\tcase\tu_left\tu_right\tcbg_edges\tmp_size"]
     for d in result.diagnostics:
         lines.append(f"{d.step_index}\t{d.left}\t{d.right}\t{d.case}\t"

@@ -71,12 +71,6 @@ class EmptyCbg(HemlnError):
     """Weight normalization requested on a bipartite graph with no edges."""
 
 
-# --- matching --------------------------------------------------------------
-
-class TooLarge(HemlnError):
-    """Brute-force oracle guard exceeded."""
-
-
 # --- spec parsing ----------------------------------------------------------
 
 class SpecError(HemlnError):
@@ -113,10 +107,6 @@ class DisconnectedSpec(SpecError):
 
 
 # --- engine ----------------------------------------------------------------
-
-class InternalCaseError(HemlnError):
-    """A tuple matched no row of the extend/update case table (a bug)."""
-
 
 class UnknownKey(HemlnError):
     pass

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import logging
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -42,7 +42,6 @@ class RunConfig:
     seed: int = 0
     hub_quantile: float = 0.8
     spec_text: str = ""
-    paths: Dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.default_metric not in ("e", "d", "h"):
@@ -53,7 +52,7 @@ class RunConfig:
 
 def load_config(path: os.PathLike) -> Dict[str, str]:
     values: Dict[str, str] = {}
-    for lineno, line in _lines(path):
+    for lineno, line in _lines(path, COMMENT):
         if "=" not in line:
             raise ParseError(f"expected key=value, got {line!r}", lineno)
         key, _, value = line.partition("=")
@@ -61,14 +60,20 @@ def load_config(path: os.PathLike) -> Dict[str, str]:
     return values
 
 
-def _lines(path: os.PathLike) -> Iterator[Tuple[int, str]]:
+def _read_text(path: os.PathLike) -> str:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise IoError(str(exc)) from exc
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    except UnicodeDecodeError as exc:
+        raise IoError(f"{path}: {exc}") from None
+
+
+def _lines(path: os.PathLike, comment: str) -> Iterator[Tuple[int, str]]:
+    """Numbered non-blank lines, stripped, without ``comment`` lines."""
+    for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith(COMMENT):
+        if not line or line.startswith(comment):
             continue
         yield lineno, line
 
@@ -82,7 +87,7 @@ def load_layer(path: os.PathLike) -> LayerGraph:
     nodes: set = set()
     edges: List[Tuple[int, int]] = []
     seen_edges: set = set()
-    for lineno, line in _lines(path):
+    for lineno, line in _lines(path, COMMENT):
         fields = line.split("\t")
         if layer_id is None:
             if len(fields) != 2 or fields[0] != "layer":
@@ -119,7 +124,7 @@ def save_layer(g: LayerGraph, path: os.PathLike) -> None:
 def load_interlayer(path: os.PathLike) -> InterLayerEdges:
     header: Optional[Tuple[str, str]] = None
     links: List[Tuple[int, int]] = []
-    for lineno, line in _lines(path):
+    for lineno, line in _lines(path, COMMENT):
         fields = line.split("\t")
         if header is None:
             if len(fields) != 3 or fields[0] != "interlayer":
@@ -186,14 +191,7 @@ def save_membership_tsv(m: Membership, path: os.PathLike) -> None:
 
 def load_membership_tsv(g: LayerGraph, path: os.PathLike) -> Membership:
     rows: List[Tuple[int, int]] = []
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise IoError(str(exc)) from exc
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in _lines(path, "#"):
         fields = line.split("\t")
         if len(fields) != 2:
             raise ParseError("expected 'node <TAB> community'", lineno)

@@ -23,7 +23,7 @@ from itertools import combinations
 from pathlib import Path
 from typing import Dict, FrozenSet, Optional, Set, Tuple
 
-from .errors import EmptyInput, ParseError, ReferentialIntegrity
+from .errors import EmptyInput, IoError, ParseError, ReferentialIntegrity
 from .model import MLN, InterLayerEdges, LayerGraph
 
 RATING_CLASS_COUNT = 5
@@ -157,27 +157,36 @@ _MISSING = ("", r"\N")
 
 def load_imdb_tsvs(movies_path, people_path, acts_path, directs_path) -> ImdbRecords:
     records = ImdbRecords()
-    for row, lineno in _tsv_rows(movies_path):
+    for row, lineno in _tsv_rows(movies_path, ("tconst",)):
+        key = row["tconst"]
+        raw_rating = row.get("averageRating", "")
+        genres = tuple(g for g in row.get("genres", "").split(",")
+                       if g and g not in _MISSING)
         try:
-            key = row["tconst"]
-            raw_genres = row.get("genres", "")
-            raw_rating = row.get("averageRating", "")
-        except KeyError as exc:
-            raise ParseError(f"missing column {exc}", lineno) from None
-        genres = tuple(g for g in raw_genres.split(",") if g and g not in _MISSING)
-        rating = None if raw_rating in _MISSING else float(raw_rating)
+            rating = None if raw_rating in _MISSING else float(raw_rating)
+            if rating is not None:
+                rating_class(rating)
+        except ValueError as exc:
+            raise ParseError(f"averageRating {raw_rating!r}: {exc}", lineno) from None
         records.movies[key] = Movie(row.get("primaryTitle", key), genres, rating)
-    for row, lineno in _tsv_rows(people_path):
+    for row, _ in _tsv_rows(people_path, ("nconst",)):
         records.people[row["nconst"]] = row.get("primaryName", row["nconst"])
-    for row, _ in _tsv_rows(acts_path):
+    for row, _ in _tsv_rows(acts_path, ("nconst", "tconst")):
         records.acts_in.add((row["nconst"], row["tconst"]))
-    for row, _ in _tsv_rows(directs_path):
+    for row, _ in _tsv_rows(directs_path, ("nconst", "tconst")):
         records.directs.add((row["nconst"], row["tconst"]))
     return records
 
 
-def _tsv_rows(path):
-    with Path(path).open(encoding="utf-8", newline="") as handle:
-        reader = csv.DictReader(handle, delimiter="\t")
-        for lineno, row in enumerate(reader, start=2):
-            yield row, lineno
+def _tsv_rows(path, required: Tuple[str, ...]):
+    """Rows as dicts with their line numbers; short rows read as empty fields."""
+    try:
+        with Path(path).open(encoding="utf-8", newline="") as handle:
+            reader = csv.DictReader(handle, delimiter="\t", restval="")
+            for column in required:
+                if column not in (reader.fieldnames or ()):
+                    raise ParseError(f"{path}: missing column {column!r}", 1)
+            for lineno, row in enumerate(reader, start=2):
+                yield row, lineno
+    except UnicodeDecodeError as exc:
+        raise IoError(f"{path}: {exc}") from None

@@ -13,27 +13,17 @@ order receives an extra 2^(E-1-t) on top of weight * 2^E. Every matching
 then has a distinct integer objective whose maximization is exactly
 "maximum weight, then lexicographically smallest pair set", so the
 augmenting-path optimum needs no separate tie-break pass.
-
-A plain unit-capacity augmenting pass (Edmonds-Karp on the same network,
-weights ignored) is kept as a cardinality cross-check; disagreement is
-logged, not fatal, since a weight-maximal matching need not be a
-maximum-cardinality one.
 """
 from __future__ import annotations
 
-import logging
 from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from .cbg import CommunityBipartiteGraph
 from .community import CommunityId
-from .errors import TooLarge
-
-log = logging.getLogger(__name__)
 
 WEIGHT_SCALE = 10 ** 9
-BRUTE_FORCE_NODE_LIMIT = 16
 
 
 @dataclass(frozen=True)
@@ -43,9 +33,6 @@ class MatchedPairs:
 
     def as_dict(self) -> Dict[CommunityId, CommunityId]:
         return dict(self.pairs)
-
-    def __len__(self) -> int:
-        return len(self.pairs)
 
 
 def _scaled(w: float) -> int:
@@ -131,93 +118,4 @@ def max_flow_match(cbg: CommunityBipartiteGraph) -> MatchedPairs:
     float_w = {(lefts[l], rights[r]): w for l, r, w in edges}
     pairs = sorted((lefts[l], rights[r]) for l, r in enumerate(match_l) if r != -1)
     total = sum(float_w[p] for p in pairs)
-
-    cardinality = _edmonds_karp_cardinality(n_left, n_right, [(l, r) for l, r, _ in edges])
-    if cardinality != len(pairs):
-        # expected whenever one heavy pair beats two light ones; informational
-        log.debug(
-            "weight-maximal matching has %d pairs but unit-capacity max flow "
-            "carries %d on CBG(%s,%s)", len(pairs), cardinality,
-            cbg.left_layer, cbg.right_layer)
     return MatchedPairs(tuple(pairs), total)
-
-
-def _edmonds_karp_cardinality(n_left: int, n_right: int,
-                              edges: List[Tuple[int, int]]) -> int:
-    """Maximum cardinality via BFS augmenting paths on the unit network."""
-    adj: List[List[int]] = [[] for _ in range(n_left)]
-    for l, r in edges:
-        adj[l].append(r)
-    match_l = [-1] * n_left
-    match_r = [-1] * n_right
-
-    def bfs_augment(start: int) -> bool:
-        parent_r = {}
-        queue = deque([start])
-        seen_l = {start}
-        while queue:
-            l = queue.popleft()
-            for r in adj[l]:
-                if r in parent_r:
-                    continue
-                parent_r[r] = l
-                if match_r[r] == -1:
-                    while True:
-                        l2 = parent_r[r]
-                        prev = match_l[l2]
-                        match_l[l2] = r
-                        match_r[r] = l2
-                        if prev == -1:
-                            return True
-                        r = prev
-                if match_r[r] not in seen_l:
-                    seen_l.add(match_r[r])
-                    queue.append(match_r[r])
-        return False
-
-    flow = 0
-    for l in range(n_left):
-        if bfs_augment(l):
-            flow += 1
-    return flow
-
-
-def brute_force_match(cbg: CommunityBipartiteGraph) -> MatchedPairs:
-    """Exhaustive oracle: same objective and tie-break as max_flow_match."""
-    lefts, rights, edges = _indexed_edges(cbg)
-    if len(lefts) + len(rights) > BRUTE_FORCE_NODE_LIMIT:
-        raise TooLarge(
-            f"{len(lefts)}+{len(rights)} meta nodes exceed the oracle guard "
-            f"of {BRUTE_FORCE_NODE_LIMIT}")
-    by_left: Dict[int, List[Tuple[int, float]]] = {}
-    for l, r, w in edges:
-        by_left.setdefault(l, []).append((r, w))
-
-    best: List = [None]  # (int total, sorted pair tuple, float total)
-
-    def consider(chosen: List[Tuple[int, int]], total_int: int, total_f: float):
-        key_pairs = tuple(sorted((lefts[l], rights[r]) for l, r in chosen))
-        cand = (total_int, key_pairs, total_f)
-        cur = best[0]
-        if cur is None or cand[0] > cur[0] or (cand[0] == cur[0] and cand[1] < cur[1]):
-            best[0] = cand
-
-    used_r: set = set()
-
-    def walk(i: int, chosen: List[Tuple[int, int]], total_int: int, total_f: float):
-        if i == len(lefts):
-            consider(chosen, total_int, total_f)
-            return
-        walk(i + 1, chosen, total_int, total_f)  # leave left i unmatched
-        for r, w in by_left.get(i, ()):
-            if r in used_r:
-                continue
-            used_r.add(r)
-            chosen.append((i, r))
-            walk(i + 1, chosen, total_int + _scaled(w), total_f + w)
-            chosen.pop()
-            used_r.discard(r)
-
-    walk(0, [], 0, 0.0)
-    total_int, pairs, total_f = best[0]
-    return MatchedPairs(pairs, total_f)

@@ -187,12 +187,6 @@ class MLN:
         """All registered unordered layer pairs, sorted."""
         return sorted(self._inter)
 
-    def layer_of(self, n: NodeId) -> str:
-        try:
-            return self._node_layer[n]
-        except KeyError:
-            raise UnknownNode(f"node {n} not in any layer") from None
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MLN):
             return NotImplemented
@@ -201,15 +195,3 @@ class MLN:
     def __repr__(self) -> str:
         return (f"MLN(layers={sorted(self.layers)}, "
                 f"interlayer={sorted(self._inter)})")
-
-
-def add_layer(mln: MLN, g: LayerGraph) -> MLN:
-    return mln.add_layer(g)
-
-
-def add_interlayer(mln: MLN, x: InterLayerEdges) -> MLN:
-    return mln.add_interlayer(x)
-
-
-def neighbors(g: LayerGraph, n: NodeId) -> frozenset:
-    return g.neighbors(n)

@@ -12,9 +12,9 @@ from hemln import (
     CommunityId,
     InterLayerEdges,
     LayerGraph,
-    brute_force_match,
     build_cbg,
     classify,
+    crossing_pairs,
     detect_communities,
     detect_k_community,
     load_membership,
@@ -28,6 +28,7 @@ from hemln.cbg import CommunityBipartiteGraph, MetaEdge
 from hemln.cli import main as cli_main
 from hemln.fileio import save_mln
 from hemln.imdb import ImdbRecords, Movie, ingest_imdb
+from oracle import brute_force_match
 
 
 def criterion(label):
@@ -56,7 +57,7 @@ def random_cbg(rng):
             if rng.random() < 0.5:
                 w = rng.uniform(0.05, 1.0)
                 edges.append(MetaEdge(CommunityId("A", l), CommunityId("D", r),
-                                      frozenset({(l, 100 + r)}), w, w))
+                                      frozenset({(l, 100 + r)}), w))
     lefts = frozenset(CommunityId("A", i) for i in range(1, nl + 1))
     rights = frozenset(CommunityId("D", i) for i in range(1, nr + 1))
     return CommunityBipartiteGraph("A", "D", lefts, rights, tuple(edges), "e")
@@ -84,9 +85,10 @@ def clique_instance(rng, left_sizes, right_sizes, links):
     mln.add_interlayer(InterLayerEdges.build("A", "D", links))
     mln.freeze()
     sl, sr = summarize(gl, ml), summarize(gr, mr)
+    buckets = crossing_pairs(mln, "A", "D", ml, mr)
     def cbg(metric):
-        return build_cbg(mln, "A", "D", sorted(sl), sorted(sr),
-                         ml, mr, sl, sr, metric)
+        return build_cbg("A", "D", buckets, sorted(sl), sorted(sr),
+                         sl, sr, metric)
     return cbg
 
 
@@ -200,8 +202,9 @@ def test_03_clique_hub_product_equality():
         mln.add_interlayer(InterLayerEdges.build("A", "D", links))
         mln.freeze()
         sl, sr = summarize(gl, ml), summarize(gr, mr)
-        cd = build_cbg(mln, "A", "D", sorted(sl), sorted(sr), ml, mr, sl, sr, "d")
-        ch = build_cbg(mln, "A", "D", sorted(sl), sorted(sr), ml, mr, sl, sr, "h")
+        buckets = crossing_pairs(mln, "A", "D", ml, mr)
+        cd = build_cbg("A", "D", buckets, sorted(sl), sorted(sr), sl, sr, "d")
+        ch = build_cbg("A", "D", buckets, sorted(sl), sorted(sr), sl, sr, "h")
         assert {(e.left, e.right) for e in cd.edges} == \
             {(e.left, e.right) for e in ch.edges}
         hw = {(e.left, e.right): e.weight for e in ch.edges}

@@ -7,6 +7,7 @@ from hemln import (
     LayerGraph,
     build_cbg,
     cbg_to_tsv,
+    crossing_pairs,
     load_membership,
     summarize,
     weight_d,
@@ -32,10 +33,10 @@ def two_layer_mln(links, a_groups, d_groups, a_edges=(), d_edges=()):
 
 
 def build(mln, ma, md, sa, sd, metric="e", u_left=None, u_right=None):
-    return build_cbg(mln, "A", "D",
+    return build_cbg("A", "D", crossing_pairs(mln, "A", "D", ma, md),
                      u_left if u_left is not None else sorted(sa),
                      u_right if u_right is not None else sorted(sd),
-                     ma, md, sa, sd, metric)
+                     sa, sd, metric)
 
 
 def test_direct_collection():
@@ -67,7 +68,7 @@ def test_missing_interlayer_raises():
     sa = summarize(mln.layer("A"), ma)
     sd = summarize(mln.layer("D"), md)
     with pytest.raises(NoInterLayerEdges):
-        build_cbg(mln, "A", "D", sorted(sa), sorted(sd), ma, md, sa, sd, "e")
+        crossing_pairs(mln, "A", "D", ma, md)
 
 
 def test_unknown_community_raises():
@@ -166,7 +167,8 @@ def test_weight_h_zero_dropped():
     sa = summarize(a, ma, hub_quantile=1.0)
     sd = summarize(d, md)
     assert sa[CommunityId("A", 1)].hubs == {1}
-    cbg = build_cbg(mln, "A", "D", sorted(sa), sorted(sd), ma, md, sa, sd, "h")
+    cbg = build_cbg("A", "D", crossing_pairs(mln, "A", "D", ma, md),
+                    sorted(sa), sorted(sd), sa, sd, "h")
     assert cbg.edges == ()
     assert len(cbg.dropped) == 1 and cbg.dropped[0].weight == 0.0
 

@@ -1,10 +1,11 @@
+import hashlib
 import json
 
 import pytest
 
 from hemln import MLN, InterLayerEdges, LayerGraph
 from hemln.cli import main
-from hemln.fileio import save_layer, save_mln
+from hemln.fileio import save_layer, save_membership_tsv, save_mln
 
 
 def triangle(a, b, c):
@@ -161,3 +162,142 @@ def test_ingest_imdb_command(tmp_path):
                  "inter_A_D.tsv", "inter_A_M.tsv", "inter_D_M.tsv",
                  "node_ids.tsv"):
         assert (out / name).exists()
+
+
+PINNED_SPECS = {
+    "acyclic": "G1 #(G1,G2) G2 #(G2,G3):d G3",
+    "cyclic": "G1 #(G1,G2):h G2 #(G2,G3) G3 #(G3,G1):d G1",
+}
+
+# sha256 of every kcommunity output file on the fixture network: a change
+# that moves any output byte fails here.
+_MEMBERSHIP_DIGESTS = {
+    "membership_G1.tsv": "a44261bbe056c27248a4a8157ec60c24f4ad01567baf303cdb78929d75a8972b",
+    "membership_G2.tsv": "0c07ae3b8d3676951e49d8ae768b6f6cf6899060070ebcc55887c72a2d3ea6f7",
+    "membership_G3.tsv": "191e0b7c46d0a4f9a927ebda4ebc4ab198247776f9a1d2f7c33d260e6efcaea7",
+}
+PINNED_DIGESTS = {
+    "acyclic": {
+        **_MEMBERSHIP_DIGESTS,
+        "diagnostics.tsv": "cbe93ca642e132e81868e2c54ea9129a203731ca13035d0fe91251c898630c09",
+        "result.jsonl": "3f914eeb27c50341f7b242c760aa358ee87afb2742d7cd3c1475a0f586767777",
+        "result.txt": "83e699ead99da24f9d16d5d0c76858c6c8f0601f452746f7c1ac62ab7ab1b563",
+    },
+    "cyclic": {
+        **_MEMBERSHIP_DIGESTS,
+        "diagnostics.tsv": "f404a38046f73881422c810900aa9cc13328f1f7ea28695ec66a1d3df4307689",
+        "result.jsonl": "fd0d84a599a899cad07004e0d1366c0e637e6e73810db90425d224821cec17a8",
+        "result.txt": "645f44dc6d7cb9f17a041f205ddcbc0a85e3323a3975a8df3fc94dfdd7f386ee",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SPECS))
+def test_kcommunity_output_bytes_pinned(three_layer_mln, tmp_path, name):
+    mln, memberships, _ = three_layer_mln
+    mln_dir, member_dir = tmp_path / "mln", tmp_path / "memberships"
+    save_mln(mln, mln_dir)
+    member_dir.mkdir()
+    for lid, m in memberships.items():
+        save_membership_tsv(m, member_dir / f"membership_{lid}.tsv")
+    out = tmp_path / "run"
+    assert main(["kcommunity", "--mln", str(mln_dir), "--memberships",
+                 str(member_dir), "--spec", PINNED_SPECS[name],
+                 "--out", str(out)]) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in sorted(out.iterdir())}
+    assert digests == PINNED_DIGESTS[name]
+
+
+NOT_UTF8 = b"\xff\xfe not utf-8\n"
+IMDB_TSVS = {
+    "movies": "tconst\tprimaryTitle\tgenres\taverageRating\nt1\tOne\tDrama\t7.9\n",
+    "people": "nconst\tprimaryName\np1\tAnn\np2\tBob\n",
+    "acts": "nconst\ttconst\np1\tt1\n",
+    "directs": "nconst\ttconst\np2\tt1\n",
+}
+
+
+def _kcommunity(mln_dir, tmp_path, *extra):
+    return ["kcommunity", "--mln", str(mln_dir), "--spec", "G1 #(G1,G2) G2",
+            "--out", str(tmp_path / "out"), *extra]
+
+
+def _config(mln_dir, tmp_path, content):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(content)
+    return _kcommunity(mln_dir, tmp_path, "--config", str(cfg))
+
+
+def _not_utf8_in_mln(mln_dir, tmp_path, name):
+    (mln_dir / name).write_bytes(NOT_UTF8)
+    return _kcommunity(mln_dir, tmp_path)
+
+
+def _membership_not_utf8(mln_dir, tmp_path):
+    memberships = tmp_path / "memberships"
+    memberships.mkdir()
+    (memberships / "membership_G1.tsv").write_bytes(NOT_UTF8)
+    return _kcommunity(mln_dir, tmp_path, "--memberships", str(memberships))
+
+
+def _out_is_a_file(mln_dir, tmp_path):
+    (tmp_path / "out").write_text("in the way\n")
+    return _kcommunity(mln_dir, tmp_path)
+
+
+def _rank(tmp_path, jsonl):
+    result = tmp_path / "result.jsonl"
+    result.write_text(jsonl)
+    return ["rank", "--result", str(result), "--key", "sum_raw_pairs"]
+
+
+def _imdb(tmp_path, **replaced):
+    argv = ["ingest-imdb", "--out", str(tmp_path / "imdb-mln")]
+    for name, text in {**IMDB_TSVS, **replaced}.items():
+        path = tmp_path / f"{name}.tsv"
+        path.write_text(text)
+        argv += [f"--{name}", str(path)]
+    return argv
+
+
+BAD_INPUTS = {
+    "env-seed": (lambda d, t: _kcommunity(d, t), "MLN_SEED"),
+    "config-seed": (lambda d, t: _config(d, t, b"seed = x\n"), "seed"),
+    "config-hub-quantile": (lambda d, t: _config(d, t, b"hub_quantile = high\n"),
+                            "hub_quantile"),
+    "config-not-utf8": (lambda d, t: _config(d, t, NOT_UTF8), "utf-8"),
+    "layer-not-utf8": (lambda d, t: _not_utf8_in_mln(d, t, "layer_G1.tsv"), "utf-8"),
+    "inter-not-utf8": (lambda d, t: _not_utf8_in_mln(d, t, "inter_G1_G2.tsv"),
+                       "utf-8"),
+    "membership-not-utf8": (_membership_not_utf8, "utf-8"),
+    "out-not-writable": (_out_is_a_file, "out"),
+    "rank-not-json": (lambda d, t: _rank(t, "{not json\n"), "line 1"),
+    "rank-bad-record": (lambda d, t: _rank(t, '\n{"slots": 3, "x": []}\n'), "line 2"),
+    "imdb-rating-not-a-number": (lambda d, t: _imdb(t, movies=IMDB_TSVS["movies"]
+                                                    .replace("7.9", "good")),
+                                 "line 2"),
+    "imdb-rating-out-of-range": (lambda d, t: _imdb(t, movies=IMDB_TSVS["movies"]
+                                                    .replace("7.9", "10.5")),
+                                 "line 2"),
+    "imdb-people-no-nconst": (lambda d, t: _imdb(t, people="id\tprimaryName\np1\tAnn\n"),
+                              "nconst"),
+    "imdb-acts-no-tconst": (lambda d, t: _imdb(t, acts="nconst\tmovie\np1\tt1\n"),
+                            "tconst"),
+    "imdb-directs-no-nconst": (lambda d, t: _imdb(t, directs="who\ttconst\np2\tt1\n"),
+                               "nconst"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_is_one_line_exit_2(mln_dir, tmp_path, capsys, monkeypatch, case):
+    make_argv, expected = BAD_INPUTS[case]
+    if case == "env-seed":
+        monkeypatch.setenv("MLN_SEED", "abc")
+    argv = make_argv(mln_dir, tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("hemln: ") and err.count("\n") == 1
+    assert expected in err

@@ -97,7 +97,7 @@ def test_commutativity_of_base_case(three_layer_mln):
 def test_slot_consistency(three_layer_mln):
     mln, memberships, _ = three_layer_mln
     result = run(three_layer_mln, CYCLIC)
-    step_layers = [(s.left, s.right) for s in result.steps]
+    step_layers = [(s.left, s.right) for s in result.spec.steps]
     for t in result.tuples:
         for (left, right), x in zip(step_layers, t.x_slots):
             if x is None:
@@ -121,7 +121,7 @@ def test_determinism(three_layer_mln):
 def test_classify_empty():
     from hemln.engine import KCommunityResult
     from hemln.kspec import KSpec
-    empty = KCommunityResult(KSpec("A", (), ("A",), ()), ("A",), (), (), ())
+    empty = KCommunityResult(KSpec("A", (), ("A",), ()), (), ())
     assert classify(empty) == ((), ())
 
 
@@ -129,7 +129,7 @@ def test_rank_total_before_partial(three_layer_mln):
     _, _, summaries = three_layer_mln
     result = run(three_layer_mln, ACYCLIC)
     for key in ("min_size", "min_density"):
-        ordered = rank(result, summaries, key)
+        ordered = rank(result.tuples, summaries, key)
         assert ordered[0].total
         assert not ordered[1].total and not ordered[2].total
 
@@ -154,15 +154,15 @@ def test_rank_min_size_values():
     }
     steps = (Composition("A", "B"), Composition("B", "C"))
     spec = KSpec("A", steps, layers, ("i", "i"))
-    result = KCommunityResult(spec, layers, steps, (t1, t2), ())
-    ordered = rank(result, summaries, "min_size")
+    result = KCommunityResult(spec, (t1, t2), ())
+    ordered = rank(result.tuples, summaries, "min_size")
     assert ordered[0] is t2 and ordered[1] is t1
 
 
 def test_rank_sum_raw_pairs(three_layer_mln):
     _, _, summaries = three_layer_mln
     result = run(three_layer_mln, ACYCLIC)
-    ordered = rank(result, summaries, "sum_raw_pairs")
+    ordered = rank(result.tuples, summaries, "sum_raw_pairs")
     counts = [sum(len(x) for x in t.x_slots if x is not None) for t in ordered]
     assert counts == sorted(counts, reverse=True)
 
@@ -171,7 +171,7 @@ def test_rank_unknown_key(three_layer_mln):
     _, _, summaries = three_layer_mln
     result = run(three_layer_mln, ACYCLIC)
     with pytest.raises(UnknownKey):
-        rank(result, summaries, "banana")
+        rank(result.tuples, summaries, "banana")
 
 
 def test_jsonl_schema(three_layer_mln):

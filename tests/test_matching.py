@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hemln import CommunityId, MatchedPairs, brute_force_match, max_flow_match
+from hemln import CommunityId, MatchedPairs, max_flow_match
 from hemln.cbg import CommunityBipartiteGraph, MetaEdge
-from hemln.errors import TooLarge
+from oracle import TooLarge, brute_force_match
 
 A = lambda i: CommunityId("A", i)
 D = lambda i: CommunityId("D", i)
@@ -14,7 +14,7 @@ D = lambda i: CommunityId("D", i)
 
 def make_cbg(weighted_edges, extra_left=(), extra_right=()):
     """weighted_edges: list of (left idx, right idx, weight)."""
-    edges = tuple(MetaEdge(A(l), D(r), frozenset({(l, 100 + r)}), w, w)
+    edges = tuple(MetaEdge(A(l), D(r), frozenset({(l, 100 + r)}), w)
                   for l, r, w in weighted_edges)
     lefts = frozenset(e.left for e in edges) | frozenset(A(i) for i in extra_left)
     rights = frozenset(e.right for e in edges) | frozenset(D(i) for i in extra_right)
@@ -109,3 +109,24 @@ def test_scaling_invariance(raw_edges, scale):
     base = make_cbg([(l, r, w) for (l, r), w in dedup.items()])
     scaled = make_cbg([(l, r, w * scale) for (l, r), w in dedup.items()])
     assert max_flow_match(base).pairs == max_flow_match(scaled).pairs
+
+
+@pytest.mark.parametrize("n_left,n_right,grid", [
+    (50, 70, None), (160, 120, None), (120, 150, 20), (300, 260, None)])
+def test_total_weight_matches_linear_sum_assignment(n_left, n_right, grid):
+    # past the brute-force oracle's guard: compare the optimum with scipy's
+    # assignment solver, where a missing meta edge is a zero-weight cell
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = random.Random(n_left * 1000 + n_right)
+    weights = [[0.0] * n_right for _ in range(n_left)]
+    edges = []
+    for l in range(n_left):
+        for r in rng.sample(range(n_right), 8):
+            w = rng.randint(1, grid) / grid if grid else rng.uniform(0.05, 1.0)
+            weights[l][r] = w
+            edges.append((l + 1, r + 1, w))
+    mp = max_flow_match(make_cbg(edges, extra_left=range(1, n_left + 1),
+                                 extra_right=range(1, n_right + 1)))
+    rows, cols = optimize.linear_sum_assignment(weights, maximize=True)
+    best = sum(weights[l][r] for l, r in zip(rows, cols))
+    assert mp.total_weight == pytest.approx(best, abs=1e-6)

@@ -1,6 +1,6 @@
 import pytest
 
-from hemln import MLN, InterLayerEdges, LayerGraph, neighbors
+from hemln import MLN, InterLayerEdges, LayerGraph
 from hemln.errors import (
     DuplicateLayer,
     DuplicatePair,
@@ -67,12 +67,12 @@ def test_interlayer_unknown_layer_and_duplicate_pair():
 
 def test_neighbors():
     path = LayerGraph.build("P", [1, 2, 3], [(1, 2), (2, 3)])
-    assert neighbors(path, 2) == {1, 3}
+    assert path.neighbors(2) == {1, 3}
     isolated = LayerGraph.build("I", [5], [])
-    assert neighbors(isolated, 5) == frozenset()
+    assert isolated.neighbors(5) == frozenset()
     k4 = LayerGraph.build("K", [1, 2, 3, 4],
                           [(u, v) for u in range(1, 5) for v in range(u + 1, 5)])
-    assert neighbors(k4, 1) == {2, 3, 4}
+    assert k4.neighbors(1) == {2, 3, 4}
     with pytest.raises(UnknownNode):
         path.neighbors(99)
 
