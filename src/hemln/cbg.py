@@ -85,7 +85,10 @@ def crossing_pairs(mln: MLN, left: str, right: str,
         raise NoInterLayerEdges(f"no inter-layer edges between {left} and {right}")
     of_left, of_right = membership_left.assignment, membership_right.assignment
     buckets: Dict[Tuple[int, int], set] = {}
-    for a, b in mln.interlayer_links(left, right):
+    stored = mln.stored_interlayer(left, right)
+    links = (stored.links if stored.from_layer == left
+             else ((b, a) for a, b in stored.links))  # swap, no reversed copy
+    for a, b in links:
         buckets.setdefault((of_left[a], of_right[b]), set()).add((a, b))
     return {(CommunityId(membership_left.layer, cl),
              CommunityId(membership_right.layer, cr)): frozenset(pairs)

@@ -69,7 +69,7 @@ def _build_parser() -> _Parser:
                        help="rank result tuples from a JSONL result file")
     p.add_argument("--result", required=True)
     p.add_argument("--key", required=True)
-    p.add_argument("--mln", help="needed for size/density keys")
+    p.add_argument("--mln", help="with --memberships, needed for size/density keys")
     p.add_argument("--memberships")
 
     p = sub.add_parser("ingest-imdb", parents=[common],
@@ -212,9 +212,9 @@ def _cmd_rank(args) -> int:
     if args.key == "sum_raw_pairs":
         summaries: Dict = {}
     else:
-        if not args.mln:
-            raise HemlnError(f"key {args.key} needs --mln (and optionally "
-                             "--memberships) to compute community statistics")
+        if not (args.mln and args.memberships):
+            raise HemlnError(f"key {args.key} needs --mln and --memberships, the "
+                             "kcommunity --out directory with membership_<layer>.tsv")
         mln = fileio.load_mln(args.mln)
         layers = sorted({lid for t in tuples for lid in t.layers})
         memberships = _memberships_for(mln, layers, cfg, args.memberships)

@@ -182,7 +182,8 @@ def _tsv_rows(path, required: Tuple[str, ...]):
     """Rows as dicts with their line numbers; short rows read as empty fields."""
     try:
         with Path(path).open(encoding="utf-8", newline="") as handle:
-            reader = csv.DictReader(handle, delimiter="\t", restval="")
+            reader = csv.DictReader(handle, delimiter="\t", restval="",
+                                    quoting=csv.QUOTE_NONE)
             for column in required:
                 if column not in (reader.fieldnames or ()):
                     raise ParseError(f"{path}: missing column {column!r}", 1)

@@ -170,15 +170,18 @@ class MLN:
     def has_interlayer(self, l1: str, l2: str) -> bool:
         return self._pair_key(l1, l2) in self._inter
 
+    def stored_interlayer(self, l1: str, l2: str) -> InterLayerEdges:
+        """The pair's registered links in their stored orientation, uncopied."""
+        return self._inter[self._pair_key(l1, l2)]
+
     def interlayer_links(self, l1: str, l2: str) -> frozenset:
         """Links oriented (node in l1, node in l2); symmetric under reversal."""
         for lid in (l1, l2):
             if lid not in self.layers:
                 raise UnknownLayer(f"layer {lid} not in MLN")
-        key = self._pair_key(l1, l2)
-        if key not in self._inter:
+        if not self.has_interlayer(l1, l2):
             return frozenset()
-        stored = self._inter[key]
+        stored = self.stored_interlayer(l1, l2)
         if stored.from_layer == l1:
             return stored.links
         return frozenset((b, a) for a, b in stored.links)

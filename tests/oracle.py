@@ -1,12 +1,16 @@
-"""Exhaustive matching oracle for the tests.
+"""Matching oracles for the tests.
 
-It enumerates every one-to-one matching of a small community bipartite
-graph and keeps the one with the largest scaled integer weight, ties broken
-by the lexicographically smallest pair sequence: the objective that
-``hemln.matching.max_flow_match`` computes by augmenting paths.
+Both compute the objective of ``hemln.matching.max_flow_match``: the
+largest scaled integer weight, ties broken by the lexicographically
+smallest pair sequence. ``brute_force_match`` enumerates every one-to-one
+matching of a small community bipartite graph. ``composite_reference_match``
+reaches any size: it runs successive augmenting paths on one composite
+integer per meta edge, weight in the high bits and a tie-break bit per edge
+in the low bits, so every matching has a distinct objective.
 """
 from __future__ import annotations
 
+from collections import deque
 from typing import Dict, List, Tuple
 
 from hemln.cbg import CommunityBipartiteGraph
@@ -58,3 +62,74 @@ def brute_force_match(cbg: CommunityBipartiteGraph) -> MatchedPairs:
     walk(0, [], 0, 0.0)
     total_int, pairs, total_f = best[0]
     return MatchedPairs(pairs, total_f)
+
+
+def composite_reference_match(cbg: CommunityBipartiteGraph) -> MatchedPairs:
+    """One-pass reference: successive longest augmenting paths on the
+    composite integers ``scaled(w) << E | 2^(E-1-t)`` over all E edges."""
+    lefts, rights, edges = _indexed_edges(cbg)
+    n_left, n_right = len(lefts), len(rights)
+    n_edges = len(edges)
+    if n_edges == 0:
+        return MatchedPairs((), 0.0)
+
+    # composite integer objective: weight dominates, bonus breaks ties
+    comp: Dict[Tuple[int, int], int] = {}
+    for t, (l, r, w) in enumerate(edges):
+        comp[(l, r)] = (_scaled(w) << n_edges) + (1 << (n_edges - 1 - t))
+    adj: List[List[Tuple[int, int]]] = [[] for _ in range(n_left)]
+    for (l, r), cw in comp.items():
+        adj[l].append((r, cw))
+
+    match_l = [-1] * n_left
+    match_r = [-1] * n_right
+    while True:
+        dist_l: List = [None] * n_left
+        dist_r: List = [None] * n_right
+        parent_r = [-1] * n_right
+        queue = deque()
+        in_queue = [False] * n_left
+        for l in range(n_left):
+            if match_l[l] == -1:
+                dist_l[l] = 0
+                queue.append(l)
+                in_queue[l] = True
+        while queue:
+            l = queue.popleft()
+            in_queue[l] = False
+            dl = dist_l[l]
+            for r, cw in adj[l]:
+                if match_l[l] == r:
+                    continue
+                nd = dl + cw
+                if dist_r[r] is None or nd > dist_r[r]:
+                    dist_r[r] = nd
+                    parent_r[r] = l
+                    l2 = match_r[r]
+                    if l2 != -1:
+                        back = nd - comp[(l2, r)]
+                        if dist_l[l2] is None or back > dist_l[l2]:
+                            dist_l[l2] = back
+                            if not in_queue[l2]:
+                                queue.append(l2)
+                                in_queue[l2] = True
+        best_r, best_gain = -1, 0
+        for r in range(n_right):
+            if match_r[r] == -1 and dist_r[r] is not None and dist_r[r] > best_gain:
+                best_r, best_gain = r, dist_r[r]
+        if best_r == -1:
+            break
+        r = best_r
+        while True:
+            l = parent_r[r]
+            prev_r = match_l[l]
+            match_l[l] = r
+            match_r[r] = l
+            if prev_r == -1:
+                break
+            r = prev_r
+
+    float_w = {(lefts[l], rights[r]): w for l, r, w in edges}
+    pairs = sorted((lefts[l], rights[r]) for l, r in enumerate(match_l) if r != -1)
+    total = sum(float_w[p] for p in pairs)
+    return MatchedPairs(tuple(pairs), total)

@@ -71,6 +71,19 @@ def test_missing_interlayer_raises():
         crossing_pairs(mln, "A", "D", ma, md)
 
 
+def test_crossing_pairs_against_stored_orientation(monkeypatch):
+    # links are stored (A, D); asking for (D, A) swaps each link while
+    # bucketing instead of asking the network for a reversed copy
+    mln, ma, md, _, _ = two_layer_mln([(1, 10), (2, 11), (3, 11)],
+                                      [(1, 2), (3,)], [(10,), (11,)])
+    forward = crossing_pairs(mln, "A", "D", ma, md)
+    monkeypatch.setattr(MLN, "interlayer_links", None)
+    backward = crossing_pairs(mln, "D", "A", md, ma)
+    assert backward == {(cr, cl): frozenset((b, a) for a, b in pairs)
+                        for (cl, cr), pairs in forward.items()}
+    assert backward[(CommunityId("D", 2), CommunityId("A", 1))] == {(11, 2)}
+
+
 def test_unknown_community_raises():
     mln, ma, md, sa, sd = two_layer_mln([(1, 10)], [(1,)], [(10,)])
     with pytest.raises(UnknownCommunity):

@@ -246,10 +246,10 @@ def _out_is_a_file(mln_dir, tmp_path):
     return _kcommunity(mln_dir, tmp_path)
 
 
-def _rank(tmp_path, jsonl):
+def _rank(tmp_path, jsonl, key="sum_raw_pairs", *extra):
     result = tmp_path / "result.jsonl"
     result.write_text(jsonl)
-    return ["rank", "--result", str(result), "--key", "sum_raw_pairs"]
+    return ["rank", "--result", str(result), "--key", key, *extra]
 
 
 def _imdb(tmp_path, **replaced):
@@ -274,6 +274,10 @@ BAD_INPUTS = {
     "out-not-writable": (_out_is_a_file, "out"),
     "rank-not-json": (lambda d, t: _rank(t, "{not json\n"), "line 1"),
     "rank-bad-record": (lambda d, t: _rank(t, '\n{"slots": 3, "x": []}\n'), "line 2"),
+    # summaries must describe the result's communities, not a re-detection
+    "rank-size-key-no-memberships": (lambda d, t: _rank(t, "", "min_size",
+                                                        "--mln", str(d)),
+                                     "--memberships"),
     "imdb-rating-not-a-number": (lambda d, t: _imdb(t, movies=IMDB_TSVS["movies"]
                                                     .replace("7.9", "good")),
                                  "line 2"),

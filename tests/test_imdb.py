@@ -112,6 +112,20 @@ def write_tsvs(tmp_path):
             tmp_path / "acts.tsv", tmp_path / "directs.tsv")
 
 
+def test_title_starting_with_a_quote_keeps_later_rows(tmp_path):
+    # IMDb files are unquoted: a leading '"' is part of the title
+    movies, people, acts, directs = write_tsvs(tmp_path)
+    movies.write_text(
+        "tconst\tprimaryTitle\tgenres\taverageRating\n"
+        "t1\t\"Quoted start\tDrama\t7.9\n"
+        "t2\tTwo\tDrama\t8.1\n"
+        "t3\tThree\tComedy\t\\N\n")
+    records = load_imdb_tsvs(movies, people, acts, directs)
+    assert sorted(records.movies) == ["t1", "t2", "t3"]
+    assert records.movies["t1"].title == '"Quoted start'
+    assert records.movies["t2"].rating == 8.1
+
+
 def test_load_imdb_tsvs(tmp_path):
     records = load_imdb_tsvs(*write_tsvs(tmp_path))
     assert records.movies["t1"].genres == ("Drama", "Crime")

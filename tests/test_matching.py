@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 
 from hemln import CommunityId, MatchedPairs, max_flow_match
 from hemln.cbg import CommunityBipartiteGraph, MetaEdge
-from oracle import TooLarge, brute_force_match
+from hemln.errors import InvariantViolation
+from hemln.matching import _Network
+from oracle import TooLarge, brute_force_match, composite_reference_match
 
 A = lambda i: CommunityId("A", i)
 D = lambda i: CommunityId("D", i)
@@ -112,7 +114,8 @@ def test_scaling_invariance(raw_edges, scale):
 
 
 @pytest.mark.parametrize("n_left,n_right,grid", [
-    (50, 70, None), (160, 120, None), (120, 150, 20), (300, 260, None)])
+    (50, 70, None), (160, 120, None), (120, 150, 20), (300, 260, None),
+    (500, 500, 20)])
 def test_total_weight_matches_linear_sum_assignment(n_left, n_right, grid):
     # past the brute-force oracle's guard: compare the optimum with scipy's
     # assignment solver, where a missing meta edge is a zero-weight cell
@@ -130,3 +133,38 @@ def test_total_weight_matches_linear_sum_assignment(n_left, n_right, grid):
     rows, cols = optimize.linear_sum_assignment(weights, maximize=True)
     best = sum(weights[l][r] for l, r in zip(rows, cols))
     assert mp.total_weight == pytest.approx(best, abs=1e-6)
+
+
+WEIGHT_GRIDS = ((1 / 3, 2 / 3, 1.0), (0.5, 1.0), None)  # None: continuous
+
+
+def random_wide_cbg(seed):
+    """20-200 meta nodes per side, sides of unequal size, some meta nodes
+    without edges, and tie-heavy weights on two of every three seeds."""
+    rng = random.Random(seed)
+    n_left, n_right = rng.randint(20, 200), rng.randint(20, 200)
+    grid = WEIGHT_GRIDS[seed % 3]
+    degree = rng.randint(1, 6)
+    edges = [(l, r, rng.choice(grid) if grid else rng.uniform(0.05, 1.0))
+             for l in range(1, n_left + 1) if rng.random() > 0.1
+             for r in rng.sample(range(1, n_right + 1), min(degree, n_right))]
+    return make_cbg(edges, extra_left=range(1, n_left + 1),
+                    extra_right=range(1, n_right + 1))
+
+
+def test_equals_composite_reference_past_brute_force_guard():
+    # the one-pass composite-integer matcher reaches past the 16-node guard;
+    # the two-phase matcher must return the same pairs and float total
+    for seed in range(300):
+        cbg = random_wide_cbg(seed)
+        assert max_flow_match(cbg) == composite_reference_match(cbg), seed
+
+
+def test_price_certificate_rejects_a_matching_short_of_maximum():
+    # left 0 is matched to right 1 (weight 3) although right 0 pays 5
+    net = _Network(1, 2, [(0, 0, 5), (0, 1, 3)])
+    net.match_l, net.match_r = [1], [-1, 0]
+    with pytest.raises(InvariantViolation):
+        net.prices()
+    net.match_l, net.match_r = [0], [0, -1]
+    assert net.prices() == ([5], [0, 0])
