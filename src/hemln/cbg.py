@@ -56,18 +56,12 @@ def weight_d(left: CommunitySummary, right: CommunitySummary, n_pairs: int) -> f
     return left.density * fraction * right.density
 
 
-def participating_hubs(summary: CommunitySummary, pairs: Iterable[Tuple[int, int]],
-                       side: int) -> frozenset:
-    """Hubs of one community that have at least one link across this pair.
-    ``side`` selects which element of each link belongs to the community."""
-    endpoints = {p[side] for p in pairs}
-    return frozenset(h for h in summary.hubs if h in endpoints)
-
-
 def weight_h(left: CommunitySummary, right: CommunitySummary,
              pairs: frozenset) -> float:
-    h_lr = participating_hubs(left, pairs, 0)
-    h_rl = participating_hubs(right, pairs, 1)
+    """Share of each side's hubs with a link across this pair, times the
+    pair fraction."""
+    h_lr = left.hubs & {a for a, _ in pairs}
+    h_rl = right.hubs & {b for _, b in pairs}
     fraction = len(pairs) / (left.node_count * right.node_count)
     return (len(h_lr) / len(left.hubs)) * fraction * (len(h_rl) / len(right.hubs))
 

@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Subcommands: detect, kcommunity, cbg, rank, ingest-imdb. Exit codes:
-0 success, 1 usage error, 2 data error (details on stderr). The
-MLN_SEED environment variable overrides --seed, and --config points to a
-key=value file supplying defaults for metric, seed, hub_quantile and spec.
+0 success, 1 usage error, 2 data error (details on stderr). Each command
+takes only the options it reads. Where --seed exists, the MLN_SEED
+environment variable overrides it; --config points to a key=value file
+supplying defaults for the command's metric, seed, hub_quantile and spec.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from pathlib import Path
 from typing import Dict, List, Optional
 
 from . import engine, fileio, imdb
-from .cbg import build_cbg, cbg_to_tsv, crossing_pairs
+from .cbg import METRICS, build_cbg, cbg_to_tsv, crossing_pairs
 from .community import detect_communities, summarize
 from .engine import KTuple, detect_k_community
 from .errors import HemlnError, InvariantViolation, ParseError, UnknownKey
@@ -37,42 +38,45 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="hemln", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="key=value file with flag defaults")
-    common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--hub-quantile", type=float, default=None)
+    # one parent parser per shared option, listed by the commands that read it
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", help="key=value file with flag defaults")
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=None)
+    quantile = argparse.ArgumentParser(add_help=False)
+    quantile.add_argument("--hub-quantile", type=float, default=None)
 
-    p = sub.add_parser("detect", parents=[common],
+    p = sub.add_parser("detect", parents=[config, seed],
                        help="community detection for one layer file")
     p.add_argument("--layer", required=True)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("kcommunity", parents=[common],
+    p = sub.add_parser("kcommunity", parents=[config, seed, quantile],
                        help="run a k-community specification over an MLN directory")
     p.add_argument("--mln", required=True)
     p.add_argument("--spec", help="specification string")
     p.add_argument("--spec-file", help="file with one specification per line")
-    p.add_argument("--metric", choices=("e", "d", "h"), default=None)
+    p.add_argument("--metric", choices=METRICS, default=None)
     p.add_argument("--memberships",
                    help="directory of membership_<layer>.tsv files to use "
                         "instead of running detection")
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("cbg", parents=[common],
+    p = sub.add_parser("cbg", parents=[config, seed, quantile],
                        help="export the community bipartite graph of a layer pair")
     p.add_argument("--mln", required=True)
     p.add_argument("--pair", required=True, metavar="L1,L2")
-    p.add_argument("--metric", choices=("e", "d", "h"), default=None)
+    p.add_argument("--metric", choices=METRICS, default=None)
     p.add_argument("--memberships")
 
-    p = sub.add_parser("rank", parents=[common],
+    p = sub.add_parser("rank", parents=[config, quantile],
                        help="rank result tuples from a JSONL result file")
     p.add_argument("--result", required=True)
     p.add_argument("--key", required=True)
     p.add_argument("--mln", help="with --memberships, needed for size/density keys")
     p.add_argument("--memberships")
 
-    p = sub.add_parser("ingest-imdb", parents=[common],
+    p = sub.add_parser("ingest-imdb",
                        help="build an MLN directory from IMDb-style TSVs")
     p.add_argument("--movies", required=True)
     p.add_argument("--people", required=True)
@@ -94,24 +98,27 @@ def _number(kind, name: str, text: str):
 
 def _settings(args) -> fileio.RunConfig:
     defaults: Dict[str, str] = {}
-    if getattr(args, "config", None):
+    if args.config:
         defaults = fileio.load_config(args.config)
-    seed = args.seed
-    if seed is None:
-        seed = _number(int, "seed", defaults.get("seed", "0"))
-    if "MLN_SEED" in os.environ:
-        seed = _number(int, "MLN_SEED", os.environ["MLN_SEED"])
+    seed, quantile = 0, 0.8
+    if hasattr(args, "seed"):  # only commands with --seed read MLN_SEED
+        seed = args.seed
+        if seed is None:
+            seed = _number(int, "seed", defaults.get("seed", "0"))
+        if "MLN_SEED" in os.environ:
+            seed = _number(int, "MLN_SEED", os.environ["MLN_SEED"])
+    if hasattr(args, "hub_quantile"):
+        quantile = args.hub_quantile
+        if quantile is None:
+            quantile = _number(float, "hub_quantile",
+                               defaults.get("hub_quantile", "0.8"))
     metric = getattr(args, "metric", None) or defaults.get("metric", "e")
-    quantile = args.hub_quantile
-    if quantile is None:
-        quantile = _number(float, "hub_quantile",
-                           defaults.get("hub_quantile", "0.8"))
     spec_text = getattr(args, "spec", None) or defaults.get("spec", "")
     return fileio.RunConfig(default_metric=metric, seed=seed,
                             hub_quantile=quantile, spec_text=spec_text)
 
 
-def _memberships_for(mln: MLN, layers, cfg: fileio.RunConfig,
+def _memberships_for(mln: MLN, layers, seed: int,
                      memberships_dir: Optional[str]):
     memberships = {}
     for lid in layers:
@@ -120,8 +127,13 @@ def _memberships_for(mln: MLN, layers, cfg: fileio.RunConfig,
             path = Path(memberships_dir) / f"membership_{lid}.tsv"
             memberships[lid] = fileio.load_membership_tsv(g, path)
         else:
-            memberships[lid] = detect_communities(g, cfg.seed)
+            memberships[lid] = detect_communities(g, seed)
     return memberships
+
+
+def _summaries(mln: MLN, memberships, hub_quantile: float):
+    return {lid: summarize(mln.layer(lid), m, hub_quantile)
+            for lid, m in memberships.items()}
 
 
 def _cmd_detect(args) -> int:
@@ -149,9 +161,8 @@ def _cmd_kcommunity(args) -> int:
 
     specs = [validate_spec(parse_spec(t), mln) for t in spec_texts]
     layers = sorted({l for s in specs for l in s.layers})
-    memberships = _memberships_for(mln, layers, cfg, args.memberships)
-    summaries = {lid: summarize(mln.layer(lid), memberships[lid], cfg.hub_quantile)
-                 for lid in layers}
+    memberships = _memberships_for(mln, layers, cfg.seed, args.memberships)
+    summaries = _summaries(mln, memberships, cfg.hub_quantile)
     for lid in layers:
         fileio.save_membership_tsv(memberships[lid], out / f"membership_{lid}.tsv")
 
@@ -175,9 +186,8 @@ def _cmd_cbg(args) -> int:
         left, right = args.pair.split(",")
     except ValueError:
         raise HemlnError(f"--pair expects 'L1,L2', got {args.pair!r}") from None
-    memberships = _memberships_for(mln, (left, right), cfg, args.memberships)
-    summaries = {lid: summarize(mln.layer(lid), memberships[lid], cfg.hub_quantile)
-                 for lid in (left, right)}
+    memberships = _memberships_for(mln, (left, right), cfg.seed, args.memberships)
+    summaries = _summaries(mln, memberships, cfg.hub_quantile)
     buckets = crossing_pairs(mln, left, right, memberships[left], memberships[right])
     cbg = build_cbg(left, right, buckets,
                     sorted(summaries[left]), sorted(summaries[right]),
@@ -217,10 +227,8 @@ def _cmd_rank(args) -> int:
                              "kcommunity --out directory with membership_<layer>.tsv")
         mln = fileio.load_mln(args.mln)
         layers = sorted({lid for t in tuples for lid in t.layers})
-        memberships = _memberships_for(mln, layers, cfg, args.memberships)
-        summaries = {lid: summarize(mln.layer(lid), memberships[lid],
-                                    cfg.hub_quantile)
-                     for lid in layers}
+        memberships = _memberships_for(mln, layers, cfg.seed, args.memberships)
+        summaries = _summaries(mln, memberships, cfg.hub_quantile)
     for t in engine.rank(tuples, summaries, args.key):
         cs = ", ".join(f"c_{l}^{c}" if c != 0 else "0"
                        for l, c in zip(t.layers, t.communities))

@@ -42,9 +42,6 @@ class Membership:
     layer: str
     assignment: Dict[NodeId, int]
 
-    def community_of(self, n: NodeId) -> CommunityId:
-        return CommunityId(self.layer, self.assignment[n])
-
     def communities(self) -> Dict[int, frozenset]:
         groups: Dict[int, set] = {}
         for n, c in self.assignment.items():
@@ -170,7 +167,8 @@ def _renumber(layer: str, raw: Dict[NodeId, int]) -> Membership:
 
 def load_membership(g: LayerGraph, rows: Iterable[Tuple[NodeId, int]]) -> Membership:
     """Build a membership from (node, raw community index) rows; indices are
-    normalized to 1..K in order of first appearance."""
+    normalized to 1..K in order of first appearance, not by detection's rule,
+    so a file written from a detected membership can load back renumbered."""
     seen: Dict[NodeId, int] = {}
     normalize: Dict[int, int] = {}
     assignment: Dict[NodeId, int] = {}

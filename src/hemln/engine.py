@@ -113,7 +113,7 @@ def detect_k_community(mln: MLN,
                         summaries[step.left], summaries[step.right],
                         step.metric or default_metric)
         mp = max_flow_match(cbg)
-        matched_right = mp.as_dict()
+        matched_right = dict(mp.pairs)
 
         if tuples is None:
             tuples = [KTuple((step.left, step.right), (cl.index, cr.index),

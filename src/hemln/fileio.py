@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple
 
+from .cbg import METRICS
 from .community import Membership, load_membership
 from .errors import InvariantViolation, IoError, ParseError
 from .model import MLN, InterLayerEdges, LayerGraph
@@ -44,7 +45,7 @@ class RunConfig:
     spec_text: str = ""
 
     def __post_init__(self):
-        if self.default_metric not in ("e", "d", "h"):
+        if self.default_metric not in METRICS:
             raise InvariantViolation(f"bad metric {self.default_metric!r}")
         if not (0.0 < self.hub_quantile <= 1.0):
             raise InvariantViolation(f"bad hub_quantile {self.hub_quantile}")

@@ -13,7 +13,7 @@ Layers built from movie/people/credit records:
 Inter-layer links: director-actor (directed that actor in some movie),
 director-movie, actor-movie. Node ids are dense integers assigned in a
 fixed order (actors, directors, movies; each sorted by external key), so
-ingestion is deterministic; the original keys are kept as node labels.
+ingestion is deterministic; ``ingest_imdb`` returns the key -> id map.
 """
 from __future__ import annotations
 
@@ -108,8 +108,7 @@ def ingest_imdb(records: ImdbRecords,
     for members in cast.values():
         for u, v in combinations(sorted(members), 2):
             a_edges.add((aid[u], aid[v]))
-    layer_a = LayerGraph.build("A", aid.values(), a_edges,
-                               {aid[a]: records.people[a] for a in actors})
+    layer_a = LayerGraph.build("A", aid.values(), a_edges)
 
     # layer D: aggregated genre overlap
     genres: Dict[str, FrozenSet[str]] = {
@@ -119,8 +118,7 @@ def ingest_imdb(records: ImdbRecords,
     for u, v in combinations(directors, 2):
         if genre_overlap(genres[u], genres[v], overlap_mode) >= genre_overlap_threshold:
             d_edges.add((did[u], did[v]))
-    layer_d = LayerGraph.build("D", did.values(), d_edges,
-                               {did[d]: records.people[d] for d in directors})
+    layer_d = LayerGraph.build("D", did.values(), d_edges)
 
     # layer M: shared rating class
     by_class: Dict[int, list] = {}
@@ -132,8 +130,7 @@ def ingest_imdb(records: ImdbRecords,
     for group in by_class.values():
         for u, v in combinations(group, 2):
             m_edges.add((mid[u], mid[v]))
-    layer_m = LayerGraph.build("M", mid.values(), m_edges,
-                               {mid[m]: records.movies[m].title for m in movies})
+    layer_m = LayerGraph.build("M", mid.values(), m_edges)
 
     l_ad = {(aid[a], did[d])
             for d, ms in movies_of_director.items()

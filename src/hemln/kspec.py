@@ -16,7 +16,7 @@ the run-level default for that composition only.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .errors import (
@@ -49,8 +49,18 @@ class Composition:
 class KSpec:
     first_layer: str
     steps: Tuple[Composition, ...]
-    layers: Tuple[str, ...] = field(default=())   # distinct, in visit order
-    cases: Tuple[str, ...] = field(default=())    # "i" or "ii" per step
+
+    @property
+    def layers(self) -> Tuple[str, ...]:
+        """Distinct layers in visit order."""
+        return tuple(dict.fromkeys([self.first_layer] + [s.right for s in self.steps]))
+
+    @property
+    def cases(self) -> Tuple[str, ...]:
+        """Per step: CASE_CYCLE if its right layer was visited before it."""
+        visits = [self.first_layer] + [s.right for s in self.steps]
+        return tuple(CASE_CYCLE if s.right in visits[:i + 1] else CASE_NEW_LAYER
+                     for i, s in enumerate(self.steps))
 
     @property
     def k(self) -> int:
@@ -58,19 +68,7 @@ class KSpec:
 
     @property
     def cycle_steps(self) -> int:
-        return sum(1 for c in self.cases if c == CASE_CYCLE)
-
-
-def _derive(first_layer: str, steps: List[Composition]) -> KSpec:
-    visited = [first_layer]
-    cases = []
-    for step in steps:
-        if step.right in visited:
-            cases.append(CASE_CYCLE)
-        else:
-            cases.append(CASE_NEW_LAYER)
-            visited.append(step.right)
-    return KSpec(first_layer, tuple(steps), tuple(visited), tuple(cases))
+        return self.cases.count(CASE_CYCLE)
 
 
 def parse_spec(text: str) -> KSpec:
@@ -122,12 +120,12 @@ def parse_spec(text: str) -> KSpec:
         visited.add(right)
         prev_layer = following
         i += 2
-    return _derive(first, steps)
+    return KSpec(first, tuple(steps))
 
 
 def validate_spec(spec: KSpec, mln: MLN) -> KSpec:
     """Check the spec against an MLN: layers exist, every composition has a
-    registered inter-layer edge set. Returns the (already annotated) spec."""
+    registered inter-layer edge set. Returns the spec unchanged."""
     for lid in spec.layers:
         if lid not in mln.layers:
             raise UnknownLayer(f"spec references unknown layer {lid}")

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from .cbg import CommunityBipartiteGraph
 from .community import CommunityId
@@ -34,9 +34,6 @@ _UNREACHED = float("-inf")
 class MatchedPairs:
     pairs: Tuple[Tuple[CommunityId, CommunityId], ...]  # sorted
     total_weight: float
-
-    def as_dict(self) -> Dict[CommunityId, CommunityId]:
-        return dict(self.pairs)
 
 
 def _scaled(w: float) -> int:

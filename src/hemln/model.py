@@ -6,9 +6,9 @@ inter-layer edge sets, one per unordered layer pair.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Iterable, Mapping, Optional, Set, Tuple
+from typing import Dict, Iterable, Set, Tuple
 
 from .errors import (
     DuplicateLayer,
@@ -30,18 +30,16 @@ def _canon_edge(u: NodeId, v: NodeId) -> Edge:
 
 @dataclass(frozen=True)
 class LayerGraph:
-    """One layer: a simple undirected graph with optional node labels."""
+    """One layer: a simple undirected graph."""
 
     id: str
     nodes: frozenset
     edges: frozenset
-    labels: Mapping[NodeId, str] = field(default_factory=dict)
 
     @staticmethod
     def build(layer_id: str,
               nodes: Iterable[NodeId],
-              edges: Iterable[Edge],
-              labels: Optional[Mapping[NodeId, str]] = None) -> "LayerGraph":
+              edges: Iterable[Edge]) -> "LayerGraph":
         """Normalize and validate raw node/edge collections."""
         if not layer_id:
             raise MalformedGraph("layer id must be nonempty")
@@ -57,7 +55,7 @@ class LayerGraph:
                 raise MalformedGraph(
                     f"edge ({u},{v}) references a node outside layer {layer_id}")
             canon.add(_canon_edge(u, v))
-        return LayerGraph(layer_id, node_set, frozenset(canon), dict(labels or {}))
+        return LayerGraph(layer_id, node_set, frozenset(canon))
 
     @cached_property
     def _adjacency(self) -> Dict[NodeId, frozenset]:

@@ -47,6 +47,19 @@ def test_cyclic_running_example(three_layer_mln):
         assert t.x_slots[1] is None and t.x_slots[2] is None
 
 
+def test_hand_built_spec_equals_parsed(three_layer_mln):
+    # layers and cases come from the steps, so a spec built by hand runs
+    # every step, as the parsed one does
+    from hemln.kspec import KSpec
+    mln, memberships, summaries = three_layer_mln
+    for text in (ACYCLIC, CYCLIC, REVERSED):
+        parsed = parse_spec(text)
+        by_hand = KSpec(parsed.first_layer, parsed.steps)
+        assert by_hand == parsed
+        assert (detect_k_community(mln, memberships, summaries, by_hand).tuples
+                == run(three_layer_mln, text).tuples)
+
+
 def test_arity_law(three_layer_mln):
     for text in (ACYCLIC, CYCLIC, REVERSED):
         mln, memberships, summaries = three_layer_mln
@@ -121,7 +134,7 @@ def test_determinism(three_layer_mln):
 def test_classify_empty():
     from hemln.engine import KCommunityResult
     from hemln.kspec import KSpec
-    empty = KCommunityResult(KSpec("A", (), ("A",), ()), (), ())
+    empty = KCommunityResult(KSpec("A", ()), (), ())
     assert classify(empty) == ((), ())
 
 
@@ -153,7 +166,7 @@ def test_rank_min_size_values():
         "C": dict([summary("C", 1, 3), summary("C", 2, 4)]),
     }
     steps = (Composition("A", "B"), Composition("B", "C"))
-    spec = KSpec("A", steps, layers, ("i", "i"))
+    spec = KSpec("A", steps)
     result = KCommunityResult(spec, (t1, t2), ())
     ordered = rank(result.tuples, summaries, "min_size")
     assert ordered[0] is t2 and ordered[1] is t1

@@ -77,6 +77,13 @@ def test_ingest_dense_deterministic_ids():
     assert ids == again
 
 
+def test_ingested_mln_equals_its_save_load(tmp_path):
+    from hemln.fileio import load_mln, save_mln
+    mln, _ = ingest_imdb(records_fixture())
+    save_mln(mln, tmp_path / "mln")
+    assert load_mln(tmp_path / "mln") == mln
+
+
 def test_ingest_referential_integrity():
     r = records_fixture()
     r.acts_in.add(("p1", "t999"))

@@ -80,6 +80,20 @@ def test_membership_roundtrip(tmp_path):
     assert load_membership_tsv(g, path).assignment == m.assignment
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="load_membership numbers communities by first "
+                          "appearance, not by size as detection does")
+def test_detected_membership_survives_save_load(tmp_path):
+    # node 0 lies in the smaller community, which detection numbers 2
+    g = LayerGraph.build("A", range(8), [(0, 1), (1, 2), (0, 2)]
+                         + [(u, v) for u in range(3, 8) for v in range(u + 1, 8)])
+    m = detect_communities(g, 0)
+    assert m.assignment[0] == 2
+    path = tmp_path / "membership_A.tsv"
+    save_membership_tsv(m, path)
+    assert load_membership_tsv(g, path) == m
+
+
 def test_config_parse(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("; defaults\nmetric = d\nseed=17\nhub_quantile=0.9\n")
