@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, Mapping, Tuple
 
 from .community import CommunityId, CommunitySummary, Membership
-from .errors import EmptyCbg, NoInterLayerEdges, UnknownCommunity
+from .errors import (EmptyCbg, InvariantViolation, NoInterLayerEdges,
+                     UnknownCommunity)
 from .model import MLN
 
 METRICS = ("e", "d", "h")
@@ -35,12 +36,9 @@ class MetaEdge:
 
 @dataclass(frozen=True)
 class CommunityBipartiteGraph:
-    left_layer: str
-    right_layer: str
     left_nodes: frozenset  # CommunityIds offered on the left
     right_nodes: frozenset
     edges: Tuple[MetaEdge, ...]
-    metric: str
     dropped: Tuple[MetaEdge, ...] = field(default=())
 
 
@@ -100,7 +98,7 @@ def build_cbg(left: str,
     """Keep the crossing-pair buckets between the offered community sets and
     weight them with the chosen metric."""
     if metric not in METRICS:
-        raise ValueError(f"metric must be one of {METRICS}, got {metric!r}")
+        raise InvariantViolation(f"metric must be one of {METRICS}, got {metric!r}")
     u_left = frozenset(u_left)
     u_right = frozenset(u_right)
     for cid, summaries, layer in ((u_left, summaries_left, left),
@@ -126,8 +124,7 @@ def build_cbg(left: str,
             edges.append(edge)
         else:
             dropped.append(edge)
-    return CommunityBipartiteGraph(left, right, u_left, u_right,
-                                   tuple(edges), metric, tuple(dropped))
+    return CommunityBipartiteGraph(u_left, u_right, tuple(edges), tuple(dropped))
 
 
 def cbg_to_tsv(cbg: CommunityBipartiteGraph) -> str:

@@ -9,7 +9,6 @@ supplying defaults for the command's metric, seed, hub_quantile and spec.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -18,8 +17,8 @@ from typing import Dict, List, Optional
 from . import engine, fileio, imdb
 from .cbg import METRICS, build_cbg, cbg_to_tsv, crossing_pairs
 from .community import detect_communities, summarize
-from .engine import KTuple, detect_k_community
-from .errors import HemlnError, InvariantViolation, ParseError, UnknownKey
+from .engine import detect_k_community
+from .errors import HemlnError, InvariantViolation
 from .kspec import parse_spec, validate_spec
 from .model import MLN
 
@@ -69,10 +68,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--metric", choices=METRICS, default=None)
     p.add_argument("--memberships")
 
-    p = sub.add_parser("rank", parents=[config, quantile],
+    p = sub.add_parser("rank",
                        help="rank result tuples from a JSONL result file")
     p.add_argument("--result", required=True)
-    p.add_argument("--key", required=True)
+    p.add_argument("--key", required=True, choices=engine.RANK_KEYS)
     p.add_argument("--mln", help="with --memberships, needed for size/density keys")
     p.add_argument("--memberships")
 
@@ -98,7 +97,7 @@ def _number(kind, name: str, text: str):
 
 def _settings(args) -> fileio.RunConfig:
     defaults: Dict[str, str] = {}
-    if args.config:
+    if getattr(args, "config", None):
         defaults = fileio.load_config(args.config)
     seed, quantile = 0, 0.8
     if hasattr(args, "seed"):  # only commands with --seed read MLN_SEED
@@ -196,29 +195,9 @@ def _cmd_cbg(args) -> int:
     return EXIT_OK
 
 
-def _load_result_jsonl(path) -> List[KTuple]:
-    tuples = []
-    for lineno, raw in enumerate(fileio._read_text(path).splitlines(), start=1):
-        if not raw.strip():
-            continue
-        try:
-            rec = json.loads(raw)
-            layers = tuple(str(s["layer"]) for s in rec["slots"])
-            communities = tuple(int(s["community"]) for s in rec["slots"])
-            x_slots = tuple(
-                frozenset(map(tuple, x["pairs"])) if x is not None else None
-                for x in rec["x"])
-        except (ValueError, KeyError, TypeError) as exc:
-            raise ParseError(f"malformed result record: {exc}", lineno) from None
-        tuples.append(KTuple(layers, communities, x_slots))
-    return tuples
-
-
 def _cmd_rank(args) -> int:
-    cfg = _settings(args)
-    tuples = _load_result_jsonl(args.result)
-    if args.key not in engine.RANK_KEYS:
-        raise UnknownKey(f"rank key must be one of {engine.RANK_KEYS}")
+    cfg = _settings(args)  # defaults only: rank keys read no seed and no hubs
+    tuples = engine.from_jsonl(fileio._read_text(args.result))
     if args.key == "sum_raw_pairs":
         summaries: Dict = {}
     else:
@@ -230,9 +209,7 @@ def _cmd_rank(args) -> int:
         memberships = _memberships_for(mln, layers, cfg.seed, args.memberships)
         summaries = _summaries(mln, memberships, cfg.hub_quantile)
     for t in engine.rank(tuples, summaries, args.key):
-        cs = ", ".join(f"c_{l}^{c}" if c != 0 else "0"
-                       for l, c in zip(t.layers, t.communities))
-        sys.stdout.write(f"< {cs} >\n")
+        sys.stdout.write(f"< {engine.format_slots(t)} >\n")
     return EXIT_OK
 
 

@@ -25,8 +25,8 @@ from .model import LayerGraph, NodeId
 
 @dataclass(frozen=True, order=True)
 class CommunityId:
-    """Identifies the index-th community of a layer; index 0 is the null id
-    and only ever appears inside result tuples."""
+    """Identifies the index-th community of a layer, index >= 1. No id with
+    index 0 is ever built: a 0 in a result-tuple slot means "no community"."""
 
     layer: str
     index: int
@@ -51,7 +51,6 @@ class Membership:
 
 @dataclass(frozen=True)
 class CommunitySummary:
-    id: CommunityId
     node_count: int
     internal_edge_count: int
     density: float
@@ -215,6 +214,5 @@ def summarize(g: LayerGraph, m: Membership,
         rank = max(1, math.ceil(hub_quantile * n - 1e-9))
         cutoff = degs[rank - 1]
         hubs = frozenset(v for v in members if g.degree(v) >= cutoff)
-        cid = CommunityId(m.layer, c)
-        out[cid] = CommunitySummary(cid, n, e, density, hubs)
+        out[CommunityId(m.layer, c)] = CommunitySummary(n, e, density, hubs)
     return out

@@ -12,18 +12,15 @@ reconstruct the matched sub-network exactly.
 from __future__ import annotations
 
 import json
-import logging
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .cbg import Buckets, build_cbg, crossing_pairs
 from .community import CommunityId, CommunitySummary, Membership
-from .errors import UnknownCommunity, UnknownKey
+from .errors import ParseError, UnknownCommunity, UnknownKey
 from .kspec import CASE_CYCLE, CASE_NEW_LAYER, Composition, KSpec
 from .matching import max_flow_match
 from .model import MLN
-
-log = logging.getLogger(__name__)
 
 RANK_KEYS = ("min_size", "sum_size", "min_density", "sum_raw_pairs")
 
@@ -55,10 +52,6 @@ class KTuple:
 
 @dataclass(frozen=True)
 class StepDiagnostics:
-    step_index: int
-    left: str
-    right: str
-    case: str
     u_left_size: int
     u_right_size: int
     cbg_edge_count: int
@@ -69,7 +62,7 @@ class StepDiagnostics:
 class KCommunityResult:
     spec: KSpec  # its layers give the community slots, its steps the x slots
     tuples: Tuple[KTuple, ...]
-    diagnostics: Tuple[StepDiagnostics, ...]
+    diagnostics: Tuple[StepDiagnostics, ...]  # [i] measures spec.steps[i]
 
 
 def select_u(step: Composition, case: str, tuples: Optional[List[KTuple]],
@@ -105,7 +98,7 @@ def detect_k_community(mln: MLN,
     tuples: Optional[List[KTuple]] = None  # None until the base step has run
     diagnostics: List[StepDiagnostics] = []
 
-    for idx, (step, case) in enumerate(zip(spec.steps, spec.cases)):
+    for step, case in zip(spec.steps, spec.cases):
         buckets = crossing_pairs(mln, step.left, step.right,
                                  memberships[step.left], memberships[step.right])
         u_left, u_right = select_u(step, case, tuples, buckets)
@@ -124,8 +117,7 @@ def detect_k_community(mln: MLN,
         else:
             tuples = [_update(t, step, matched_right, buckets) for t in tuples]
 
-        diagnostics.append(StepDiagnostics(idx, step.left, step.right, case,
-                                           len(u_left), len(u_right),
+        diagnostics.append(StepDiagnostics(len(u_left), len(u_right),
                                            len(cbg.edges), len(mp.pairs)))
 
     tuples = sorted(tuples or (), key=KTuple.sort_key)
@@ -158,9 +150,6 @@ def _update(t: KTuple, step: Composition,
         cr = CommunityId(step.right, right_idx)
         if matched.get(cl) == cr:
             return KTuple(t.layers, t.communities, t.x_slots + (buckets[(cl, cr)],))
-        if cl in matched:
-            log.debug("inconsistent match for %s at step (%s,%s)",
-                      cl, step.left, step.right)
     return KTuple(t.layers, t.communities, t.x_slots + (None,))
 
 
@@ -212,17 +201,21 @@ def rank(tuples: Sequence[KTuple],
 # serialization
 
 
+def format_slots(t: KTuple) -> str:
+    """A tuple's community slots: ``c_A^2, 0`` with 0 for an empty slot."""
+    return ", ".join(str(CommunityId(l, c)) if c != 0 else "0"
+                     for l, c in zip(t.layers, t.communities))
+
+
 def format_tuples(result: KCommunityResult) -> str:
     """Human-readable tuples: ``< c_A^2, c_D^1 ; x_{A,D} >`` with 0 and phi
     for empty slots."""
     lines = []
     for t in result.tuples:
-        cs = ", ".join(f"c_{l}^{c}" if c != 0 else "0"
-                       for l, c in zip(t.layers, t.communities))
         xs = ", ".join(
             f"x_{{{s.left},{s.right}}}" if x is not None else "phi"
             for s, x in zip(result.spec.steps, t.x_slots))
-        lines.append(f"< {cs} ; {xs} >")
+        lines.append(f"< {format_slots(t)} ; {xs} >")
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -241,12 +234,34 @@ def to_jsonl(result: KCommunityResult) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+def from_jsonl(text: str) -> List[KTuple]:
+    """Tuples from ``to_jsonl`` text; blank lines are skipped and ``total``
+    is derived again, not read."""
+    tuples = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        if not raw.strip():
+            continue
+        try:
+            rec = json.loads(raw)
+            layers = tuple(str(s["layer"]) for s in rec["slots"])
+            communities = tuple(int(s["community"]) for s in rec["slots"])
+            x_slots = tuple(
+                frozenset(map(tuple, x["pairs"])) if x is not None else None
+                for x in rec["x"])
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ParseError(f"malformed result record: {exc}", lineno) from None
+        tuples.append(KTuple(layers, communities, x_slots))
+    return tuples
+
+
 def diagnostics_tsv(result: KCommunityResult) -> str:
     """Per-step diagnostics. Wall times are deliberately left out so that
     identical runs produce byte-identical files."""
     lines = ["step\tleft\tright\tcase\tu_left\tu_right\tcbg_edges\tmp_size"]
-    for d in result.diagnostics:
-        lines.append(f"{d.step_index}\t{d.left}\t{d.right}\t{d.case}\t"
+    spec = result.spec
+    for i, (step, case, d) in enumerate(zip(spec.steps, spec.cases,
+                                            result.diagnostics)):
+        lines.append(f"{i}\t{step.left}\t{step.right}\t{case}\t"
                      f"{d.u_left_size}\t{d.u_right_size}\t"
                      f"{d.cbg_edge_count}\t{d.mp_size}")
     return "\n".join(lines) + "\n"

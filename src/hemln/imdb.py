@@ -188,3 +188,5 @@ def _tsv_rows(path, required: Tuple[str, ...]):
                 yield row, lineno
     except UnicodeDecodeError as exc:
         raise IoError(f"{path}: {exc}") from None
+    except csv.Error as exc:  # e.g. an oversized field; DictReader.line_num lags
+        raise ParseError(f"{path}: {exc}", reader.reader.line_num) from None

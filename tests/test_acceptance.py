@@ -60,7 +60,7 @@ def random_cbg(rng):
                                       frozenset({(l, 100 + r)}), w))
     lefts = frozenset(CommunityId("A", i) for i in range(1, nl + 1))
     rights = frozenset(CommunityId("D", i) for i in range(1, nr + 1))
-    return CommunityBipartiteGraph("A", "D", lefts, rights, tuple(edges), "e")
+    return CommunityBipartiteGraph(lefts, rights, tuple(edges))
 
 
 def clique_layer(lid, sizes, offset):

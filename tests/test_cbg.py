@@ -126,8 +126,8 @@ def test_weight_d_hand_value():
     # left density 0.5 (2 nodes would force 0 or 1, so use 4 nodes / 3 edges
     # scaled: here 2 nodes, 1 edge has density 1; construct summaries directly)
     from hemln import CommunitySummary
-    left = CommunitySummary(CommunityId("A", 1), 2, 0, 0.5, frozenset({1}))
-    right = CommunitySummary(CommunityId("D", 1), 3, 3, 1.0, frozenset({10}))
+    left = CommunitySummary(2, 0, 0.5, frozenset({1}))
+    right = CommunitySummary(3, 3, 1.0, frozenset({10}))
     assert weight_d(left, right, 2) == pytest.approx(0.5 * (2 / 6) * 1.0)
     assert weight_d(left, right, 2) == pytest.approx(1 / 6)
 
@@ -163,8 +163,8 @@ def test_weight_h_single_right_hub():
     # right community of 2 with exactly one hub, which participates:
     # (1/2) * (1/4) * (1/1) = 0.125
     from hemln import CommunitySummary, weight_h
-    left = CommunitySummary(CommunityId("A", 1), 2, 1, 1.0, frozenset({1, 2}))
-    right = CommunitySummary(CommunityId("D", 1), 2, 1, 1.0, frozenset({10}))
+    left = CommunitySummary(2, 1, 1.0, frozenset({1, 2}))
+    right = CommunitySummary(2, 1, 1.0, frozenset({10}))
     assert weight_h(left, right, frozenset({(1, 10)})) == pytest.approx(0.125)
 
 

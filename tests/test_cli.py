@@ -360,6 +360,10 @@ BAD_INPUTS = {
                             "tconst"),
     "imdb-directs-no-nconst": (lambda d, t: _imdb(t, directs="who\ttconst\np2\tt1\n"),
                                "nconst"),
+    # past csv's default field size limit of 131072 characters
+    "imdb-field-too-long": (lambda d, t: _imdb(t, movies=IMDB_TSVS["movies"]
+                                               .replace("One", "x" * 200_000)),
+                            "line 2"),
 }
 
 
@@ -384,6 +388,9 @@ UNREAD_OPTIONS = {
     "ingest-imdb-hub-quantile": ("ingest-imdb", "--hub-quantile", "0.5"),
     "detect-hub-quantile": ("detect", "--hub-quantile", "0.5"),
     "rank-seed": ("rank", "--seed", "1"),
+    # rank keys read no hubs, so rank takes neither option
+    "rank-hub-quantile": ("rank", "--hub-quantile", "0.5"),
+    "rank-config": ("rank", "--config", "run.cfg"),
 }
 
 
@@ -395,6 +402,12 @@ def test_unread_option_exits_1(tmp_path, case):
             "rank": _rank(tmp_path, "")}[command]
     with pytest.raises(SystemExit) as exc:
         main(argv + option)
+    assert exc.value.code == 1
+
+
+def test_rank_bad_key_exits_1(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(_rank(tmp_path, "", "no_such_key"))
     assert exc.value.code == 1
 
 

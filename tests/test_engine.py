@@ -10,8 +10,8 @@ from hemln import (
     format_tuples,
     validate_spec,
 )
-from hemln.engine import KTuple
-from hemln.errors import UnknownKey
+from hemln.engine import KTuple, from_jsonl
+from hemln.errors import InvariantViolation, ParseError, UnknownKey
 
 
 def run(mln_fixture, text, metric="e"):
@@ -158,7 +158,7 @@ def test_rank_min_size_values():
 
     def summary(layer, idx, size):
         cid = CommunityId(layer, idx)
-        return cid, CommunitySummary(cid, size, 0, 1.0, frozenset({0}))
+        return cid, CommunitySummary(size, 0, 1.0, frozenset({0}))
 
     summaries = {
         "A": dict([summary("A", 1, 5), summary("A", 2, 4)]),
@@ -199,6 +199,24 @@ def test_jsonl_schema(three_layer_mln):
     totals = [rec for rec in records if rec["total"]]
     assert len(totals) == 1
     assert totals[0]["x"][0]["pairs"] == [[3, 10], [4, 11]]
+
+
+def test_jsonl_round_trip(three_layer_mln):
+    for text in (ACYCLIC, CYCLIC):
+        result = run(three_layer_mln, text)
+        assert from_jsonl(to_jsonl(result)) == list(result.tuples)
+    with pytest.raises(ParseError, match="line 2"):
+        from_jsonl("\n[]\n")
+
+
+def test_unknown_metric_is_a_hemln_error(three_layer_mln):
+    from hemln.kspec import Composition, KSpec
+    mln, memberships, summaries = three_layer_mln
+    with pytest.raises(InvariantViolation):
+        run(three_layer_mln, ACYCLIC, metric="x")
+    by_hand = KSpec("G1", (Composition("G1", "G2", "x"),))
+    with pytest.raises(InvariantViolation):
+        detect_k_community(mln, memberships, summaries, by_hand)
 
 
 def test_per_step_metric_override(three_layer_mln):

@@ -20,7 +20,7 @@ def make_cbg(weighted_edges, extra_left=(), extra_right=()):
                   for l, r, w in weighted_edges)
     lefts = frozenset(e.left for e in edges) | frozenset(A(i) for i in extra_left)
     rights = frozenset(e.right for e in edges) | frozenset(D(i) for i in extra_right)
-    return CommunityBipartiteGraph("A", "D", lefts, rights, edges, "e")
+    return CommunityBipartiteGraph(lefts, rights, edges)
 
 
 def pairs_idx(mp: MatchedPairs):
