@@ -2,24 +2,28 @@
 
 Among weight-maximal matchings the lexicographically smallest pair sequence
 (sorted by left then right) is returned, so results are reproducible.
-Weights are exact integers (scaled by 1e9, half-even rounding). Each phase
-runs successive longest augmenting paths, found by label correcting.
+Weights are exact integers (scaled by 1e9, half-even rounding). Both phases
+run successive shortest augmenting paths (Jonker & Volgenant 1987, Crouse
+2016): one Dijkstra on reduced costs per left.
 
-1. Maximum weight on the small integers. One more pass, from every free
-   left and matched right at gain 0, prices each right r at its best
-   alternating-path gain ``v_r`` and each left l at ``w(l, m) - v_m`` for
-   its match m; free nodes cost 0. The prices must pass an O(E) optimality
-   certificate (``u >= 0``, ``u_l + v_r >= w_lr``, tight on matched edges).
+1. Maximum weight on the small integers. A label-correcting pass, from
+   every free left and matched right at gain 0, prices each right r at its
+   best alternating-path gain ``v_r`` and each left l at ``w(l, m) - v_m``
+   for its match m; free nodes cost 0. The prices must pass an O(E)
+   optimality certificate (``u >= 0``, ``u_l + v_r >= w_lr``, tight on
+   matched edges).
 2. Tie-break on the tight edges T, ``u_l + v_r == w_lr``. The prices are an
    optimal LP dual, so by complementary slackness every maximum-weight
    matching lies in T, and a matching of T is globally maximal when its
    weight is. Edge t of T (lexicographic order) weighs ``w << |T| | 2^(|T|-1-t)``:
-   the unique best objective is maximum weight, then the smallest pair set.
+   the unique best objective is maximum weight, then the smallest pair set,
+   so any exact kernel returns the same matching.
 """
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import List, Tuple
 
 from .cbg import CommunityBipartiteGraph
@@ -27,7 +31,7 @@ from .community import CommunityId
 from .errors import InvariantViolation
 
 WEIGHT_SCALE = 10 ** 9
-_UNREACHED = float("-inf")
+_INF = float("inf")
 
 
 @dataclass(frozen=True)
@@ -47,8 +51,7 @@ def _indexed_edges(cbg: CommunityBipartiteGraph):
     rights = sorted(cbg.right_nodes)
     lpos = {c: i for i, c in enumerate(lefts)}
     rpos = {c: i for i, c in enumerate(rights)}
-    edges = [(lpos[e.left], rpos[e.right], e.weight)
-             for e in sorted(cbg.edges, key=lambda e: (e.left, e.right))]
+    edges = sorted((lpos[e.left], rpos[e.right], e.weight) for e in cbg.edges)
     return lefts, rights, edges
 
 
@@ -62,14 +65,60 @@ class _Network:
             self.adj[l].append((r, w))
         self.match_l, self.match_r = [-1] * n_left, [-1] * n_right
 
-    def longest_paths(self, dist_l: List, dist_r: List) -> List[int]:
-        """Raise dist_l/dist_r in place to the best alternating-path gains
-        from the reached lefts; return each right node's predecessor."""
+    def augment(self) -> "_Network":
+        """Shortest augmenting paths for cost -w, one left at a time.
+
+        Dijkstra runs on the reduced costs ``-w_lr - u_l - v_r`` (right
+        potentials ``v``, ``u_l = -w_lm - v_m`` for l's match m), which are
+        non-negative past the first hop. It stops at the first free right
+        popped; free rights pop first at equal distance, which ends the
+        search early on tie-heavy weights. Right ``n_right + l`` is left l's
+        private zero-weight right: l stays unmatched when that weighs more.
+        """
         adj, weight = self.adj, self.weight
         match_l, match_r = self.match_l, self.match_r
-        parent_r = [-1] * len(dist_r)
-        in_queue = [d != _UNREACHED for d in dist_l]
-        queue = deque(l for l, reached in enumerate(in_queue) if reached)
+        n_right = len(match_r)
+        v = [0] * n_right
+        dist = [_INF] * (n_right + len(adj))  # reset per search: it costs what it touches
+        parent = [-1] * len(dist)
+        for source in range(len(adj)):
+            done, heap = [], []
+            l, dl, ul = source, 0, 0
+            while True:
+                for r, w in adj[l]:
+                    nd = dl - w - ul - v[r]
+                    if nd < dist[r]:
+                        dist[r], parent[r] = nd, l
+                        heappush(heap, (nd, match_r[r] != -1, r))
+                dist[n_right + l], parent[n_right + l] = dl - ul, l
+                heappush(heap, (dl - ul, False, n_right + l))
+                d, _, r = heappop(heap)
+                while d > dist[r]:
+                    d, _, r = heappop(heap)
+                if r >= n_right or match_r[r] == -1:
+                    break
+                done.append(r)
+                l, dl = match_r[r], d
+                ul = -weight[(l, r)] - v[r]
+            for j in done:
+                v[j] -= d - dist[j]
+            for j in done + [r] + [j for _, _, j in heap]:
+                dist[j] = _INF
+            while r != -1:  # flip the path back to the source
+                l = parent[r]
+                match_l[l], r = (r if r < n_right else -1), match_l[l]
+                if match_l[l] != -1:
+                    match_r[match_l[l]] = l
+        return self
+
+    def prices(self) -> Tuple[List[int], List[int]]:
+        """Optimal dual prices (u, v) of the current matching, certified."""
+        adj, weight = self.adj, self.weight
+        match_l, match_r = self.match_l, self.match_r
+        dist_l = [0 if r == -1 else -weight[(l, r)] for l, r in enumerate(match_l)]
+        dist_r = [-_INF if l == -1 else 0 for l in match_r]
+        in_queue = [True] * len(dist_l)
+        queue = deque(range(len(dist_l)))
         while queue:
             l = queue.popleft()
             in_queue[l] = False
@@ -77,43 +126,18 @@ class _Network:
             for r, w in adj[l]:
                 nd = dl + w
                 if r != own and nd > dist_r[r]:
-                    dist_r[r], parent_r[r] = nd, l
+                    dist_r[r] = nd
                     l2 = match_r[r]
                     if l2 != -1 and nd - weight[(l2, r)] > dist_l[l2]:
                         dist_l[l2] = nd - weight[(l2, r)]
                         if not in_queue[l2]:
                             queue.append(l2)
                             in_queue[l2] = True
-        return parent_r
-
-    def augment(self) -> "_Network":
-        """Successive longest augmenting paths from the empty matching."""
-        match_l, match_r = self.match_l, self.match_r
-        while True:
-            dist_l = [0 if r == -1 else _UNREACHED for r in match_l]
-            dist_r = [_UNREACHED] * len(match_r)
-            parent_r = self.longest_paths(dist_l, dist_r)
-            free = [r for r, d in enumerate(dist_r) if match_r[r] == -1 and d > 0]
-            if not free:
-                return self
-            r = max(free, key=dist_r.__getitem__)  # first of the best gains
-            while r != -1:  # flip the path back to its free left
-                l = parent_r[r]
-                match_l[l], r = r, match_l[l]
-                match_r[match_l[l]] = l
-
-    def prices(self) -> Tuple[List[int], List[int]]:
-        """Optimal dual prices (u, v) of the current matching, certified."""
-        match_l, match_r = self.match_l, self.match_r
-        dist_l = [0 if r == -1 else -self.weight[(l, r)]
-                  for l, r in enumerate(match_l)]
-        dist_r = [_UNREACHED if l == -1 else 0 for l in match_r]
-        self.longest_paths(dist_l, dist_r)
         u = [-d for d in dist_l]
         v = [0 if l == -1 else d for l, d in zip(match_r, dist_r)]
         if min(u, default=0) < 0 or any(
                 u[l] + v[r] < w or (match_l[l] == r and u[l] + v[r] != w)
-                for (l, r), w in self.weight.items()):
+                for (l, r), w in weight.items()):
             raise InvariantViolation("matching duals fail the optimality certificate")
         return u, v
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hemln import CommunityId, MatchedPairs, max_flow_match
 from hemln.cbg import CommunityBipartiteGraph, MetaEdge
 from hemln.errors import InvariantViolation
-from hemln.matching import _Network
+from hemln.matching import _Network, _scaled
 from oracle import TooLarge, brute_force_match, composite_reference_match
 
 A = lambda i: CommunityId("A", i)
@@ -44,6 +44,14 @@ def test_single_edge():
     cbg = make_cbg([(1, 1, 0.37)])
     mp = max_flow_match(cbg)
     assert pairs_idx(mp) == [(1, 1)] and mp.total_weight == pytest.approx(0.37)
+
+
+def test_a_left_stays_unmatched_when_that_weighs_more():
+    # two pairs weigh 1 + 1; the heavier optimum leaves left 2 unmatched,
+    # so a matcher that forces maximum cardinality fails here
+    cbg = make_cbg([(1, 1, 10.0), (1, 2, 1.0), (2, 1, 1.0)])
+    assert pairs_idx(max_flow_match(cbg)) == [(1, 1)]
+    assert brute_force_match(cbg) == max_flow_match(cbg)
 
 
 def test_lexicographic_tie_break():
@@ -138,11 +146,11 @@ def test_total_weight_matches_linear_sum_assignment(n_left, n_right, grid):
 WEIGHT_GRIDS = ((1 / 3, 2 / 3, 1.0), (0.5, 1.0), None)  # None: continuous
 
 
-def random_wide_cbg(seed):
-    """20-200 meta nodes per side, sides of unequal size, some meta nodes
-    without edges, and tie-heavy weights on two of every three seeds."""
+def random_wide_cbg(seed, max_side=200):
+    """20-max_side meta nodes per side, sides of unequal size, some meta
+    nodes without edges, and tie-heavy weights on two of every three seeds."""
     rng = random.Random(seed)
-    n_left, n_right = rng.randint(20, 200), rng.randint(20, 200)
+    n_left, n_right = rng.randint(20, max_side), rng.randint(20, max_side)
     grid = WEIGHT_GRIDS[seed % 3]
     degree = rng.randint(1, 6)
     edges = [(l, r, rng.choice(grid) if grid else rng.uniform(0.05, 1.0))
@@ -168,3 +176,16 @@ def test_price_certificate_rejects_a_matching_short_of_maximum():
         net.prices()
     net.match_l, net.match_r = [0], [0, -1]
     assert net.prices() == ([5], [0, 0])
+
+
+def test_total_weight_matches_networkx():
+    # a second optimum oracle past the brute-force guard: networkx's blossom
+    # matcher on the same scaled integer weights, so the totals compare exactly
+    nx = pytest.importorskip("networkx")
+    for seed in range(30):
+        cbg = random_wide_cbg(seed, max_side=100)
+        scaled = {(e.left, e.right): _scaled(e.weight) for e in cbg.edges}
+        graph = nx.Graph()
+        graph.add_weighted_edges_from((l, r, w) for (l, r), w in scaled.items())
+        best = sum(graph.edges[e]["weight"] for e in nx.max_weight_matching(graph))
+        assert sum(scaled[p] for p in max_flow_match(cbg).pairs) == best, seed
