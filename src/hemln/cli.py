@@ -18,7 +18,7 @@ from . import engine, fileio, imdb
 from .cbg import METRICS, build_cbg, cbg_to_tsv, crossing_pairs
 from .community import detect_communities, summarize
 from .engine import detect_k_community
-from .errors import HemlnError, InvariantViolation
+from .errors import EmptySpec, HemlnError, InvariantViolation
 from .kspec import parse_spec, validate_spec
 from .model import MLN
 
@@ -145,7 +145,10 @@ def _cmd_detect(args) -> int:
 
 def _specs_from_args(args, cfg: fileio.RunConfig) -> List[str]:
     if args.spec_file:
-        return [line for _, line in fileio._lines(args.spec_file, fileio.COMMENT)]
+        specs = [line for _, line in fileio._lines(args.spec_file, fileio.COMMENT)]
+        if not specs:
+            raise EmptySpec(f"spec file {args.spec_file} has no specification")
+        return specs
     if cfg.spec_text:
         return [cfg.spec_text]
     raise HemlnError("kcommunity needs --spec or --spec-file")

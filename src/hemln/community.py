@@ -5,13 +5,23 @@ made fully deterministic: node visit order is the ascending node list
 shuffled by the seed, and among equal-gain moves the target community with
 the smallest current index wins. Precomputed memberships can be loaded
 instead, keeping the per-layer analysis pluggable.
+
+A sweep skips a node whose decision cannot change. A node's decision reads
+only its links into the communities it weighs (its own and its neighbors')
+and those communities' total degrees ``tot``. So a node that stayed put is
+settled until a move changes the ``tot`` of a community it weighed; a
+neighbor's move is such a change, since it leaves and joins weighed
+communities. The skip is exact: every weight is an integer-valued float,
+so the ``tot[c] -= k; tot[c] += k`` of a visit without a move restores
+``tot[c]`` bit for bit, and a skipped visit would have repeated its last
+decision. Sweeps, moves and memberships are those of visiting every node.
 """
 from __future__ import annotations
 
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Set, Tuple
 
 from .errors import (
     DuplicateNode,
@@ -23,10 +33,10 @@ from .errors import (
 from .model import LayerGraph, NodeId
 
 
-@dataclass(frozen=True, order=True)
-class CommunityId:
+class CommunityId(NamedTuple):
     """Identifies the index-th community of a layer, index >= 1. No id with
-    index 0 is ever built: a 0 in a result-tuple slot means "no community"."""
+    index 0 is ever built: a 0 in a result-tuple slot means "no community".
+    A named tuple, so hashing, equality and (layer, index) order run in C."""
 
     layer: str
     index: int
@@ -69,12 +79,16 @@ def _one_level(adj: Dict[int, Dict[int, float]], loops: Dict[int, float],
     comm = {u: i for i, u in enumerate(sorted(adj))}
     k = {u: sum(adj[u].values()) + 2.0 * loops.get(u, 0.0) for u in adj}
     tot = {comm[u]: k[u] for u in adj}
+    settled: Set[int] = set()  # stayed put, nothing it weighed has changed
+    watchers: Dict[int, List[int]] = {}  # community -> nodes that weighed it
 
     moved_any = False
     improved = True
     while improved:
         improved = False
         for u in order:
+            if u in settled:
+                continue
             cu = comm[u]
             ku = k[u]
             # weight of u's edges into each neighboring community, u removed
@@ -82,16 +96,22 @@ def _one_level(adj: Dict[int, Dict[int, float]], loops: Dict[int, float],
             links: Dict[int, float] = {cu: 0.0}
             for v, w in adj[u].items():
                 links[comm[v]] = links.get(comm[v], 0.0) + w
-            best_c, best_gain = cu, links.get(cu, 0.0) - tot[cu] * ku / two_m
-            for c in sorted(links):
+            # highest gain, then smallest index: the same in any visit order
+            best_c, best_gain = cu, links[cu] - tot[cu] * ku / two_m
+            for c in links:
                 gain = links[c] - tot.get(c, 0.0) * ku / two_m
                 if gain > best_gain or (gain == best_gain and c < best_c):
                     best_c, best_gain = c, gain
             comm[u] = best_c
             tot[best_c] = tot.get(best_c, 0.0) + ku
             if best_c != cu:
-                improved = True
-                moved_any = True
+                improved = moved_any = True
+                for c in (cu, best_c):
+                    settled.difference_update(watchers.pop(c, ()))
+            else:
+                settled.add(u)
+                for c in links:
+                    watchers.setdefault(c, []).append(u)
     return comm, moved_any
 
 

@@ -1,20 +1,29 @@
-"""Matching oracles for the tests.
+"""Oracles for the tests.
 
-Both compute the objective of ``hemln.matching.max_flow_match``: the
-largest scaled integer weight, ties broken by the lexicographically
-smallest pair sequence. ``brute_force_match`` enumerates every one-to-one
-matching of a small community bipartite graph. ``composite_reference_match``
-reaches any size: it runs successive augmenting paths on one composite
-integer per meta edge, weight in the high bits and a tie-break bit per edge
-in the low bits, so every matching has a distinct objective.
+``reference_detect_communities`` is the Louvain detection that visits every
+node on every sweep; ``hemln.community.detect_communities`` skips the nodes
+whose decision cannot change and must return the same memberships.
+
+The two matching oracles compute the objective of
+``hemln.matching.max_flow_match``: the largest scaled integer weight, ties
+broken by the lexicographically smallest pair sequence.
+``brute_force_match`` enumerates every one-to-one matching of a small
+community bipartite graph. ``composite_reference_match`` reaches any size:
+it runs successive augmenting paths on one composite integer per meta edge,
+weight in the high bits and a tie-break bit per edge in the low bits, so
+every matching has a distinct objective.
 """
 from __future__ import annotations
 
+import random
 from collections import deque
 from typing import Dict, List, Tuple
 
 from hemln.cbg import CommunityBipartiteGraph
+from hemln.community import Membership, _aggregate, _renumber
+from hemln.errors import EmptyGraph
 from hemln.matching import MatchedPairs, _indexed_edges, _scaled
+from hemln.model import LayerGraph
 
 BRUTE_FORCE_NODE_LIMIT = 16
 
@@ -133,3 +142,68 @@ def composite_reference_match(cbg: CommunityBipartiteGraph) -> MatchedPairs:
     pairs = sorted((lefts[l], rights[r]) for l, r in enumerate(match_l) if r != -1)
     total = sum(float_w[p] for p in pairs)
     return MatchedPairs(tuple(pairs), total)
+
+
+def _reference_one_level(adj: Dict[int, Dict[int, float]], loops: Dict[int, float],
+                         two_m: float, rng: random.Random) -> Tuple[Dict[int, int], bool]:
+    """One local-move phase. Returns (node -> community label, moved_any)."""
+    order = sorted(adj)
+    rng.shuffle(order)
+    comm = {u: i for i, u in enumerate(sorted(adj))}
+    k = {u: sum(adj[u].values()) + 2.0 * loops.get(u, 0.0) for u in adj}
+    tot = {comm[u]: k[u] for u in adj}
+
+    moved_any = False
+    improved = True
+    while improved:
+        improved = False
+        for u in order:
+            cu = comm[u]
+            ku = k[u]
+            # weight of u's edges into each neighboring community, u removed
+            tot[cu] -= ku
+            links: Dict[int, float] = {cu: 0.0}
+            for v, w in adj[u].items():
+                links[comm[v]] = links.get(comm[v], 0.0) + w
+            best_c, best_gain = cu, links.get(cu, 0.0) - tot[cu] * ku / two_m
+            for c in sorted(links):
+                gain = links[c] - tot.get(c, 0.0) * ku / two_m
+                if gain > best_gain or (gain == best_gain and c < best_c):
+                    best_c, best_gain = c, gain
+            comm[u] = best_c
+            tot[best_c] = tot.get(best_c, 0.0) + ku
+            if best_c != cu:
+                improved = True
+                moved_any = True
+    return comm, moved_any
+
+
+def reference_detect_communities(g: LayerGraph, seed: int = 0) -> Membership:
+    """Greedy multi-level modularity maximization, deterministic per seed.
+
+    Community indices are renumbered 1..K by descending size, ties broken by
+    the smallest member node id.
+    """
+    if not g.nodes:
+        raise EmptyGraph(f"layer {g.id} has no nodes")
+    if not g.edges:
+        return _renumber(g.id, {n: i for i, n in enumerate(sorted(g.nodes))})
+
+    rng = random.Random(seed)
+    adj: Dict[int, Dict[int, float]] = {n: {} for n in g.nodes}
+    for u, v in g.edges:
+        adj[u][v] = 1.0
+        adj[v][u] = 1.0
+    loops: Dict[int, float] = {}
+    two_m = 2.0 * len(g.edges)
+
+    node2cur = {n: n for n in g.nodes}  # original node -> current super node
+    while True:
+        comm, moved = _reference_one_level(adj, loops, two_m, rng)
+        if not moved:
+            break
+        adj, loops, relabel = _aggregate(adj, loops, comm)
+        node2cur = {n: relabel[comm[cur]] for n, cur in node2cur.items()}
+        if len(adj) <= 1:
+            break
+    return _renumber(g.id, node2cur)

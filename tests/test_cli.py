@@ -316,6 +316,13 @@ def _out_is_a_file(mln_dir, tmp_path):
     return _kcommunity(mln_dir, tmp_path)
 
 
+def _spec_file(mln_dir, tmp_path, text):
+    spec_file = tmp_path / "specs.txt"
+    spec_file.write_text(text)
+    return ["kcommunity", "--mln", str(mln_dir), "--spec-file", str(spec_file),
+            "--out", str(tmp_path / "out")]
+
+
 def _rank(tmp_path, jsonl, key="sum_raw_pairs", *extra):
     result = tmp_path / "result.jsonl"
     result.write_text(jsonl)
@@ -342,6 +349,8 @@ BAD_INPUTS = {
                        "utf-8"),
     "membership-not-utf8": (_membership_not_utf8, "utf-8"),
     "out-not-writable": (_out_is_a_file, "out"),
+    "spec-file-empty": (lambda d, t: _spec_file(d, t, "; no specs\n\n  \n"),
+                        "no specification"),
     "rank-not-json": (lambda d, t: _rank(t, "{not json\n"), "line 1"),
     "rank-bad-record": (lambda d, t: _rank(t, '\n{"slots": 3, "x": []}\n'), "line 2"),
     # summaries must describe the result's communities, not a re-detection

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -10,6 +11,7 @@ from hemln.errors import (
     MissingNode,
     UnknownNode,
 )
+from oracle import reference_detect_communities
 
 
 def modularity(g: LayerGraph, parts):
@@ -89,6 +91,52 @@ def test_renumbering_by_size_then_smallest_member():
     m = detect_communities(g, seed=0)
     assert m.assignment[0] == 1
     assert m.assignment[3] == 2
+
+
+def erdos_renyi(rng, n):
+    p = rng.uniform(0.03, 0.15)
+    return [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
+
+
+def noisy_planted(rng, n):
+    size = rng.randint(4, 12)
+    p_in, p_out = rng.uniform(0.3, 0.9), rng.uniform(0.01, 0.08)
+    return [(u, v) for u, v in itertools.combinations(range(n), 2)
+            if rng.random() < (p_in if u // size == v // size else p_out)]
+
+
+def preferential_attachment(rng, n):
+    edges, ends = [(0, 1)], [0, 1]
+    for u in range(2, n):
+        for v in {rng.choice(ends) for _ in range(rng.randint(1, 3))}:
+            edges.append((u, v))
+            ends += [u, v]
+    return edges
+
+
+def overlapping_cliques(rng, n):
+    edges, start = [], 0
+    while start < n - 2:
+        size = rng.randint(3, 7)
+        edges += itertools.combinations(range(start, min(n, start + size)), 2)
+        start += size - rng.randint(0, 2)  # share up to two nodes
+    return edges
+
+
+def test_equals_reference_louvain():
+    """The settled-node skip repeats every decision of the full sweeps."""
+    for family in (erdos_renyi, noisy_planted, preferential_attachment,
+                   overlapping_cliques):
+        rng = random.Random(family.__name__)
+        for i in range(25):
+            n = rng.randint(20, 120)
+            isolated = range(n, n + rng.randint(0, 5))
+            g = LayerGraph.build("A", itertools.chain(range(n), isolated),
+                                 family(rng, n))
+            for seed in (0, 1, 7):
+                assert (detect_communities(g, seed).assignment
+                        == reference_detect_communities(g, seed).assignment), \
+                    (family.__name__, i, seed)
 
 
 def test_load_membership_renumbers():
