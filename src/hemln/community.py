@@ -230,9 +230,9 @@ def summarize(g: LayerGraph, m: Membership,
         n = len(members)
         e = internal[c]
         density = 1.0 if n < 2 else 2.0 * e / (n * (n - 1))
-        degs = sorted(g.degree(v) for v in members)
+        degs = sorted(g.degrees[v] for v in members)
         rank = max(1, math.ceil(hub_quantile * n - 1e-9))
         cutoff = degs[rank - 1]
-        hubs = frozenset(v for v in members if g.degree(v) >= cutoff)
+        hubs = frozenset(v for v in members if g.degrees[v] >= cutoff)
         out[CommunityId(m.layer, c)] = CommunitySummary(n, e, density, hubs)
     return out

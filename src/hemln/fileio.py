@@ -13,9 +13,10 @@ Inter-layer file:
     interlayer <TAB> A <TAB> D
     1 <TAB> 10
 
-Both are UTF-8 with ';' comment lines. Membership files are
-``node <TAB> community`` with '#' comments. Saves are canonically sorted
-so save -> load -> save is byte-identical.
+Both are UTF-8 with ';' comment lines. An edge names nodes declared on
+earlier lines, whose tokens a load resolves to ints once. Membership files
+are ``node <TAB> community`` with '#' comments. Saves are canonically
+sorted so save -> load -> save is byte-identical.
 """
 from __future__ import annotations
 
@@ -86,8 +87,8 @@ def _lines(path: os.PathLike, comment: str) -> Iterator[Tuple[int, str]]:
 def load_layer(path: os.PathLike) -> LayerGraph:
     layer_id: Optional[str] = None
     nodes: set = set()
-    edges: List[Tuple[int, int]] = []
-    seen_edges: set = set()
+    ids: Dict[str, int] = {}  # node token -> its int, shared by every edge
+    edges: Dict[Tuple[int, int], None] = {}  # canonical, in file order
     for lineno, line in _lines(path, COMMENT):
         fields = line.split("\t")
         if layer_id is None:
@@ -97,17 +98,19 @@ def load_layer(path: os.PathLike) -> LayerGraph:
         elif fields[0] == "edge":
             if len(fields) != 3:
                 raise ParseError("expected 'edge <TAB> u <TAB> v'", lineno)
-            u, v = _int(fields[1], lineno), _int(fields[2], lineno)
-            if u not in nodes or v not in nodes:
-                raise ParseError(f"edge ({u},{v}) references undeclared node", lineno)
-            canon = (u, v) if u < v else (v, u)
-            if canon in seen_edges:
+            u, v = ids.get(fields[1]), ids.get(fields[2])
+            if u is None or v is None:  # e.g. '07', '+7' or an undeclared node
+                u, v = _int(fields[1], lineno), _int(fields[2], lineno)
+                if u not in nodes or v not in nodes:
+                    raise ParseError(f"edge ({u},{v}) references undeclared node",
+                                     lineno)
+            size = len(edges)
+            edges[(u, v) if u < v else (v, u)] = None
+            if len(edges) == size:
                 log.warning("%s line %d: duplicate edge (%d,%d) ignored",
                             path, lineno, u, v)
-            seen_edges.add(canon)
-            edges.append((u, v))
         elif len(fields) == 1:
-            nodes.add(_int(fields[0], lineno))
+            nodes.add(ids.setdefault(fields[0], _int(fields[0], lineno)))
         else:
             raise ParseError(f"unrecognized line {line!r}", lineno)
     if layer_id is None:
@@ -164,8 +167,8 @@ def save_mln(mln: MLN, directory: os.PathLike) -> None:
     for lid in sorted(mln.layers):
         save_layer(mln.layers[lid], directory / f"layer_{lid}.tsv")
     for l1, l2 in mln.interlayer_pairs():
-        x = InterLayerEdges(l1, l2, mln.interlayer_links(l1, l2))
-        save_interlayer(x, directory / f"inter_{l1}_{l2}.tsv")
+        save_interlayer(mln.stored_interlayer(l1, l2),
+                        directory / f"inter_{l1}_{l2}.tsv")
 
 
 def load_mln(directory: os.PathLike) -> MLN:

@@ -6,9 +6,11 @@ inter-layer edge sets, one per unordered layer pair.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Iterable, Set, Tuple
+from itertools import chain
+from typing import Dict, Iterable, Iterator, Set, Tuple
 
 from .errors import (
     DuplicateLayer,
@@ -22,10 +24,6 @@ from .errors import (
 
 NodeId = int
 Edge = Tuple[NodeId, NodeId]
-
-
-def _canon_edge(u: NodeId, v: NodeId) -> Edge:
-    return (u, v) if u < v else (v, u)
 
 
 @dataclass(frozen=True)
@@ -45,17 +43,27 @@ class LayerGraph:
             raise MalformedGraph("layer id must be nonempty")
         node_set = frozenset(nodes)
         for n in node_set:
-            if not isinstance(n, int) or n < 0:
+            if type(n) is not int or n < 0:  # bool is an int subclass: rejected
                 raise MalformedGraph(f"node id {n!r} is not a non-negative integer")
-        canon = set()
-        for u, v in edges:
-            if u == v:
-                raise MalformedGraph(f"self-loop on node {u} in layer {layer_id}")
-            if u not in node_set or v not in node_set:
-                raise MalformedGraph(
-                    f"edge ({u},{v}) references a node outside layer {layer_id}")
-            canon.add(_canon_edge(u, v))
-        return LayerGraph(layer_id, node_set, frozenset(canon))
+
+        def canonical() -> Iterator[Edge]:  # valid edges as (low, high), uncopied
+            for e in edges:
+                u, v = e
+                if u == v:
+                    raise MalformedGraph(f"self-loop on node {u} in layer {layer_id}")
+                if u not in node_set or v not in node_set:
+                    raise MalformedGraph(
+                        f"edge ({u},{v}) references a node outside layer {layer_id}")
+                yield (v, u) if v < u else (e if type(e) is tuple else (u, v))
+        try:
+            return LayerGraph(layer_id, node_set, frozenset(canonical()))
+        except (TypeError, ValueError):
+            raise MalformedGraph(f"an edge of layer {layer_id} is not a pair") from None
+
+    @cached_property
+    def degrees(self) -> Counter:
+        """Node -> degree, counted once per layer; an isolated node reads 0."""
+        return Counter(chain.from_iterable(self.edges))
 
     @cached_property
     def _adjacency(self) -> Dict[NodeId, frozenset]:
@@ -71,7 +79,9 @@ class LayerGraph:
         return self._adjacency[n]
 
     def degree(self, n: NodeId) -> int:
-        return len(self.neighbors(n))
+        if n not in self.nodes:
+            raise UnknownNode(f"node {n} not in layer {self.id}")
+        return self.degrees[n]
 
 
 @dataclass(frozen=True)
@@ -87,7 +97,11 @@ class InterLayerEdges:
               links: Iterable[Edge]) -> "InterLayerEdges":
         if from_layer == to_layer:
             raise MalformedGraph("inter-layer edges require two distinct layers")
-        return InterLayerEdges(from_layer, to_layer, frozenset(tuple(l) for l in links))
+        try:
+            pairs = frozenset((a, b) for a, b in links)
+        except (TypeError, ValueError):
+            raise MalformedGraph("an inter-layer link is not a node pair") from None
+        return InterLayerEdges(from_layer, to_layer, pairs)
 
     def reversed(self) -> "InterLayerEdges":
         return InterLayerEdges(self.to_layer, self.from_layer,
@@ -123,21 +137,17 @@ class MLN:
                     f"node {n} of layer {g.id} already belongs to layer "
                     f"{self._node_layer[n]}")
         self.layers[g.id] = g
-        for n in g.nodes:
-            self._node_layer[n] = g.id
+        self._node_layer.update(dict.fromkeys(g.nodes, g.id))
         return self
 
     def add_interlayer(self, x: InterLayerEdges) -> "MLN":
         self._check_mutable()
-        for lid in (x.from_layer, x.to_layer):
-            if lid not in self.layers:
-                raise UnknownLayer(f"layer {lid} not in MLN")
+        a_nodes = self.layer(x.from_layer).nodes
+        b_nodes = self.layer(x.to_layer).nodes
         key = self._pair_key(x.from_layer, x.to_layer)
         if key in self._inter:
             raise DuplicatePair(
                 f"inter-layer edges for ({x.from_layer},{x.to_layer}) already set")
-        a_nodes = self.layers[x.from_layer].nodes
-        b_nodes = self.layers[x.to_layer].nodes
         for a, b in x.links:
             if a not in a_nodes:
                 raise EndpointNotInLayer(
@@ -175,14 +185,11 @@ class MLN:
     def interlayer_links(self, l1: str, l2: str) -> frozenset:
         """Links oriented (node in l1, node in l2); symmetric under reversal."""
         for lid in (l1, l2):
-            if lid not in self.layers:
-                raise UnknownLayer(f"layer {lid} not in MLN")
-        if not self.has_interlayer(l1, l2):
+            self.layer(lid)  # raises UnknownLayer
+        stored = self._inter.get(self._pair_key(l1, l2))
+        if stored is None:
             return frozenset()
-        stored = self.stored_interlayer(l1, l2)
-        if stored.from_layer == l1:
-            return stored.links
-        return frozenset((b, a) for a, b in stored.links)
+        return stored.links if stored.from_layer == l1 else stored.reversed().links
 
     def interlayer_pairs(self):
         """All registered unordered layer pairs, sorted."""

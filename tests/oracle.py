@@ -12,16 +12,21 @@ community bipartite graph. ``composite_reference_match`` reaches any size:
 it runs successive augmenting paths on one composite integer per meta edge,
 weight in the high bits and a tie-break bit per edge in the low bits, so
 every matching has a distinct objective.
+
+``reference_load_layer`` is the layer-file loader that parses every edge
+token and keeps an edge list plus a seen-set; ``hemln.fileio.load_layer``
+resolves node tokens once and must return equal graphs, warnings and errors.
 """
 from __future__ import annotations
 
 import random
 from collections import deque
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from hemln.cbg import CommunityBipartiteGraph
 from hemln.community import Membership, _aggregate, _renumber
-from hemln.errors import EmptyGraph
+from hemln.errors import EmptyGraph, ParseError
+from hemln.fileio import COMMENT, _int, _lines, log
 from hemln.matching import MatchedPairs, _indexed_edges, _scaled
 from hemln.model import LayerGraph
 
@@ -207,3 +212,35 @@ def reference_detect_communities(g: LayerGraph, seed: int = 0) -> Membership:
         if len(adj) <= 1:
             break
     return _renumber(g.id, node2cur)
+
+
+def reference_load_layer(path) -> LayerGraph:
+    layer_id: Optional[str] = None
+    nodes: set = set()
+    edges: List[Tuple[int, int]] = []
+    seen_edges: set = set()
+    for lineno, line in _lines(path, COMMENT):
+        fields = line.split("\t")
+        if layer_id is None:
+            if len(fields) != 2 or fields[0] != "layer":
+                raise ParseError("expected header 'layer <TAB> <id>'", lineno)
+            layer_id = fields[1]
+        elif fields[0] == "edge":
+            if len(fields) != 3:
+                raise ParseError("expected 'edge <TAB> u <TAB> v'", lineno)
+            u, v = _int(fields[1], lineno), _int(fields[2], lineno)
+            if u not in nodes or v not in nodes:
+                raise ParseError(f"edge ({u},{v}) references undeclared node", lineno)
+            canon = (u, v) if u < v else (v, u)
+            if canon in seen_edges:
+                log.warning("%s line %d: duplicate edge (%d,%d) ignored",
+                            path, lineno, u, v)
+            seen_edges.add(canon)
+            edges.append((u, v))
+        elif len(fields) == 1:
+            nodes.add(_int(fields[0], lineno))
+        else:
+            raise ParseError(f"unrecognized line {line!r}", lineno)
+    if layer_id is None:
+        raise ParseError("missing layer header", 1)
+    return LayerGraph.build(layer_id, nodes, edges)

@@ -1,0 +1,116 @@
+"""Differential test of the layer-file loader.
+
+``hemln.fileio.load_layer`` resolves each node token once and keeps one
+canonical edge set; ``oracle.reference_load_layer`` parses every token and
+keeps an edge list plus a seen-set. For any file both must return equal
+graphs and log the same duplicate-edge warnings, or raise the same
+exception class with the same message (line number included). The
+hypothesis examples insert lines into valid layer files and mutate their
+bytes; they are derandomized, so the test is reproducible and its cost
+bounded.
+"""
+import logging
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from hemln.fileio import load_layer
+from oracle import reference_load_layer
+from test_fuzz_cli import _mutate
+
+SEEDS = (
+    b"layer\tA\n1\n2\n3\n17\n204\nedge\t1\t2\nedge\t2\t3\nedge\t3\t1\n"
+    b"edge\t17\t204\nedge\t2\t1\n",
+    b"; comment\r\n\r\nlayer\tB\r\n1\r\n2\r\n3\r\n17\r\n204\r\n; between\r\n"
+    b"edge\t1\t2\r\n\r\nedge\t204\t17\r\n",
+)
+
+CASES = {
+    "zero-padded and signed tokens": "layer\tA\n7\n8\nedge\t07\t+8\nedge\t8\t7\n",
+    "zero-padded node lines": "layer\tA\n07\n7\n+8\nedge\t7\t8\nedge\t07\t08\n",
+    "signed self-loop": "layer\tA\n7\nedge\t+7\t7\n",
+    "edge before its node line": "layer\tA\n1\nedge\t1\t2\n2\n",
+    "undeclared padded token": "layer\tA\n1\nedge\t1\t09\n",
+    "self-loop then parse error": "layer\tA\n1\n2\nedge\t1\t1\nedge\t1\tx\n",
+    "self-loop then undeclared node": "layer\tA\n1\n2\nedge\t2\t2\nedge\t1\t3\n",
+    "two self-loops": "layer\tA\n1\n2\n5\nedge\t5\t5\nedge\t1\t2\nedge\t1\t1\n",
+    "repeated self-loop": "layer\tA\n1\nedge\t1\t1\nedge\t1\t1\n",
+    "negative nodes": "layer\tA\n-1\n-2\n3\nedge\t-1\t3\n",
+    "duplicate edges": "layer\tA\n1\n2\n3\nedge\t1\t2\nedge\t2\t1\nedge\t1\t2\n",
+    "crlf with comments and blanks":
+        "; head\r\n\r\nlayer\tA\r\n1\r\n ; not a comment\r\n",
+    "crlf edges": "layer\tA\r\n1\r\n2\r\n\r\n; c\r\nedge\t1\t2\r\nedge\t2\t1\r\n",
+    "spaces inside a token": "layer\tA\n1\n2\nedge\t 1\t2 \nedge\t2\t1\n",
+    "underscore token": "layer\tA\n10\n2\nedge\t1_0\t2\n",
+    "bad edge token": "layer\tA\n1\nedge\t1\tone\n",
+    "short edge line": "layer\tA\n1\nedge\t1\n",
+    "unrecognized line": "layer\tA\n1\t2\n",
+    "missing header": "; only a comment\n",
+    "bad header": "1\n2\n",
+}
+
+
+def _outcome(load, path, caplog):
+    """('ok', graph) or ('error', class, message), with the warnings logged."""
+    caplog.clear()
+    try:
+        result = ("ok", load(path))
+    except Exception as exc:  # compared, not handled: both sides must agree
+        result = ("error", type(exc), str(exc))
+    return result, [r.getMessage() for r in caplog.records]
+
+
+def _assert_same(path, caplog):
+    with caplog.at_level(logging.WARNING, logger="hemln.fileio"):
+        got = _outcome(load_layer, path, caplog)
+        want = _outcome(reference_load_layer, path, caplog)
+    assert got == want
+
+
+@pytest.mark.parametrize("text", CASES.values(), ids=CASES.keys())
+def test_load_layer_matches_reference(tmp_path, caplog, text):
+    path = tmp_path / "layer.tsv"
+    path.write_bytes(text.encode())
+    _assert_same(path, caplog)
+
+
+def test_not_utf8_matches_reference(tmp_path, caplog):
+    path = tmp_path / "layer.tsv"
+    path.write_bytes(b"layer\tA\n1\n\xff\n")
+    _assert_same(path, caplog)
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("layer-fuzz") / "layer.tsv"
+
+
+# well-formed lines over a small token pool: padded, signed, undeclared and
+# negative tokens, so files parse, collide and self-loop often
+TOKENS = st.sampled_from(("1", "2", "3", "17", "204", "01", "+2", "0204", "-1",
+                          "5"))
+LINES = st.one_of(st.builds("edge\t{}\t{}\n".format, TOKENS, TOKENS),
+                  TOKENS.map("{}\n".format),
+                  st.sampled_from(("\n", "; c\n", "\r\n"))).map(str.encode)
+# bytes: mostly layer syntax (with the other characters str.splitlines
+# breaks on), sometimes raw
+CHUNKS = st.text("0123456789\t\n\r+-_ ;edglayrA\x0b\x1c\x85\u2028",
+                 min_size=1, max_size=4).map(str.encode) | st.binary(
+    min_size=1, max_size=3)
+BYTE_MUTATIONS = st.lists(st.tuples(st.sampled_from(("replace", "insert", "delete")),
+                                    st.integers(0, 1 << 8), CHUNKS), max_size=2)
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=st.sampled_from(SEEDS),
+       lines=st.lists(st.tuples(st.integers(0, 1 << 8), LINES), max_size=4),
+       mutations=BYTE_MUTATIONS)
+def test_mutated_layer_files_match_reference(scratch, caplog, seed, lines,
+                                             mutations):
+    rows = seed.splitlines(keepends=True)
+    for at, line in lines:
+        rows.insert(at % (len(rows) + 1), line)
+    scratch.write_bytes(_mutate(b"".join(rows), mutations))
+    _assert_same(scratch, caplog)

@@ -1,0 +1,76 @@
+"""Memory guards for a loaded layer: a layer is held once.
+
+The layer is shaped like the movie layer of an IMDb-style network: a few
+large rating-class cliques plus sparse noise, ~80k edges, written in
+shuffled order with half the edges reversed. Node ids start at 2000, above
+the small ints CPython shares, so object identity is meaningful.
+"""
+import gc
+import random
+import tracemalloc
+from itertools import combinations
+
+import pytest
+
+from hemln import Membership, summarize
+from hemln.fileio import load_layer
+
+MIB = 1 << 20
+
+
+@pytest.fixture(scope="module")
+def clique_layer(tmp_path_factory):
+    """(path, node -> clique index) of a seeded ~80k-edge layer file."""
+    rng = random.Random(5)
+    nodes = list(range(2000, 2750))
+    rng.shuffle(nodes)
+    cliques = [nodes[i:i + 180] for i in range(0, 750, 180)]  # 4 of 180, 1 of 30
+    edges = {e for group in cliques for e in combinations(sorted(group), 2)}
+    while len(edges) < 80_000:
+        u, v = sorted(rng.sample(nodes, 2))
+        edges.add((u, v))
+    rows = [f"edge\t{v}\t{u}" if rng.random() < 0.5 else f"edge\t{u}\t{v}"
+            for u, v in sorted(edges)]
+    rng.shuffle(rows)
+    path = tmp_path_factory.mktemp("memory") / "layer_M.tsv"
+    path.write_text("\n".join(["layer\tM", *map(str, sorted(nodes)), *rows]) + "\n")
+    clique_of = {n: i for i, group in enumerate(cliques, start=1) for n in group}
+    return path, clique_of
+
+
+def _traced(fn):
+    """(result, traced bytes held after fn, traced peak during fn)."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, after - before, peak - before
+
+
+def test_edge_endpoints_are_the_node_set_ints(clique_layer):
+    path, _ = clique_layer
+    g = load_layer(path)
+    assert len(g.edges) >= 80_000
+    own = {n: n for n in g.nodes}  # equal key -> the object g.nodes holds
+    assert all(u is own[u] and v is own[v] for u, v in g.edges)
+
+
+def test_load_peak_at_most_2_1_times_what_it_keeps(clique_layer):
+    path, _ = clique_layer
+    g, kept, peak = _traced(lambda: load_layer(path))
+    assert len(g.edges) >= 80_000
+    assert peak <= 2.1 * kept, (peak / MIB, kept / MIB)
+
+
+def test_summarize_builds_no_adjacency(clique_layer):
+    path, clique_of = clique_layer
+    g = load_layer(path)
+    m = Membership("M", clique_of)
+    summaries, grown, _ = _traced(lambda: summarize(g, m))
+    assert len(summaries) == 5
+    assert "_adjacency" not in g.__dict__
+    assert grown < 1 * MIB, grown / MIB

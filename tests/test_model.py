@@ -37,6 +37,28 @@ def test_self_loop_and_dangling_edge_rejected():
         LayerGraph.build("A", [1, 2], [(1, 3)])
 
 
+@pytest.mark.parametrize("build", [
+    lambda: LayerGraph.build("A", [1, 2], [(1, 2, 3)]),
+    lambda: LayerGraph.build("A", [1, 2], [(1,)]),
+    lambda: LayerGraph.build("A", [1, 2], [7]),
+    lambda: LayerGraph.build("A", [True], []),
+    lambda: InterLayerEdges.build("A", "D", [(1, 10, 3)]),
+    lambda: InterLayerEdges.build("A", "D", [10]),
+], ids=["edge-triple", "edge-single", "edge-int", "bool-node", "link-triple",
+        "link-int"])
+def test_malformed_input_raises_malformed_graph(build):
+    with pytest.raises(MalformedGraph):
+        build()
+
+
+def test_build_keeps_canonical_tuples():
+    e = (1, 2)
+    g = LayerGraph.build("A", [1, 2, 3], [e, (3, 2), [1, 3], (2, 1)])
+    assert g.edges == {(1, 2), (2, 3), (1, 3)}
+    assert any(x is e for x in g.edges)
+    assert all(type(x) is tuple for x in g.edges)
+
+
 def test_interlayer_registration_and_symmetry():
     mln = MLN()
     mln.add_layer(LayerGraph.build("A", [1, 2], [(1, 2)]))
@@ -87,6 +109,14 @@ def test_edge_symmetry_degrees():
         assert g.degree(n) == incidence[n]
         for m in g.neighbors(n):
             assert n in g.neighbors(m)
+
+
+def test_degree_reads_counts_not_adjacency():
+    g = LayerGraph.build("A", range(5), [(0, 1), (2, 1), (3, 1)])
+    assert [g.degree(n) for n in range(5)] == [1, 3, 1, 1, 0]
+    assert "_adjacency" not in g.__dict__
+    with pytest.raises(UnknownNode):
+        g.degree(99)
 
 
 def test_frozen_mln_rejects_mutation():
