@@ -157,14 +157,12 @@ def _specs_from_args(args, cfg: fileio.RunConfig) -> List[str]:
 def _cmd_kcommunity(args) -> int:
     cfg = _settings(args)
     mln = fileio.load_mln(args.mln)
-    spec_texts = _specs_from_args(args, cfg)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
-    specs = [validate_spec(parse_spec(t), mln) for t in spec_texts]
+    specs = [validate_spec(parse_spec(t), mln) for t in _specs_from_args(args, cfg)]
     layers = sorted({l for s in specs for l in s.layers})
     memberships = _memberships_for(mln, layers, cfg.seed, args.memberships)
     summaries = _summaries(mln, memberships, cfg.hub_quantile)
+    out = Path(args.out)  # created only once every input has been checked
+    out.mkdir(parents=True, exist_ok=True)
     for lid in layers:
         fileio.save_membership_tsv(memberships[lid], out / f"membership_{lid}.tsv")
 

@@ -6,12 +6,15 @@ Weights are exact integers (scaled by 1e9, half-even rounding). Both phases
 run successive shortest augmenting paths (Jonker & Volgenant 1987, Crouse
 2016): one Dijkstra on reduced costs per left.
 
-1. Maximum weight on the small integers. A label-correcting pass, from
-   every free left and matched right at gain 0, prices each right r at its
-   best alternating-path gain ``v_r`` and each left l at ``w(l, m) - v_m``
-   for its match m; free nodes cost 0. The prices must pass an O(E)
-   optimality certificate (``u >= 0``, ``u_l + v_r >= w_lr``, tight on
-   matched edges).
+1. Maximum weight on the small integers. The kernel's right potentials v,
+   negated, are an optimal LP dual: each Dijkstra keeps every reduced cost
+   ``-w_lr - u_l - v_r`` >= 0; ``v[j] -= d - dist[j]`` with ``dist[j] <= d``
+   only lowers potentials, so every price ``-v[r]`` is >= 0; a right enters
+   ``done`` only while matched, so a free right keeps price 0; and left l's
+   private zero-weight right keeps ``u_l >= 0``. The prices ``-v[r]`` and
+   ``w(l, m) + v[m]`` for l matched to m (0 for a free left) must pass an
+   O(E) optimality certificate: u, v >= 0, free rights at 0,
+   ``u_l + v_r >= w_lr``, equality on matched edges.
 2. Tie-break on the tight edges T, ``u_l + v_r == w_lr``. The prices are an
    optimal LP dual, so by complementary slackness every maximum-weight
    matching lies in T, and a matching of T is globally maximal when its
@@ -21,7 +24,6 @@ run successive shortest augmenting paths (Jonker & Volgenant 1987, Crouse
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import List, Tuple
@@ -64,6 +66,7 @@ class _Network:
         for l, r, w in edges:
             self.adj[l].append((r, w))
         self.match_l, self.match_r = [-1] * n_left, [-1] * n_right
+        self.v = [0] * n_right  # right potentials for cost -w
 
     def augment(self) -> "_Network":
         """Shortest augmenting paths for cost -w, one left at a time.
@@ -76,9 +79,8 @@ class _Network:
         private zero-weight right: l stays unmatched when that weighs more.
         """
         adj, weight = self.adj, self.weight
-        match_l, match_r = self.match_l, self.match_r
+        match_l, match_r, v = self.match_l, self.match_r, self.v
         n_right = len(match_r)
-        v = [0] * n_right
         dist = [_INF] * (n_right + len(adj))  # reset per search: it costs what it touches
         parent = [-1] * len(dist)
         for source in range(len(adj)):
@@ -112,30 +114,12 @@ class _Network:
         return self
 
     def prices(self) -> Tuple[List[int], List[int]]:
-        """Optimal dual prices (u, v) of the current matching, certified."""
-        adj, weight = self.adj, self.weight
-        match_l, match_r = self.match_l, self.match_r
-        dist_l = [0 if r == -1 else -weight[(l, r)] for l, r in enumerate(match_l)]
-        dist_r = [-_INF if l == -1 else 0 for l in match_r]
-        in_queue = [True] * len(dist_l)
-        queue = deque(range(len(dist_l)))
-        while queue:
-            l = queue.popleft()
-            in_queue[l] = False
-            dl, own = dist_l[l], match_l[l]
-            for r, w in adj[l]:
-                nd = dl + w
-                if r != own and nd > dist_r[r]:
-                    dist_r[r] = nd
-                    l2 = match_r[r]
-                    if l2 != -1 and nd - weight[(l2, r)] > dist_l[l2]:
-                        dist_l[l2] = nd - weight[(l2, r)]
-                        if not in_queue[l2]:
-                            queue.append(l2)
-                            in_queue[l2] = True
-        u = [-d for d in dist_l]
-        v = [0 if l == -1 else d for l, d in zip(match_r, dist_r)]
-        if min(u, default=0) < 0 or any(
+        """Optimal dual prices (u, v) read off the potentials, certified."""
+        weight, match_l, match_r = self.weight, self.match_l, self.match_r
+        v = [-p for p in self.v]
+        u = [0 if r == -1 else weight[(l, r)] - v[r] for l, r in enumerate(match_l)]
+        if min(u + v, default=0) < 0 or any(
+                v[r] for r, l in enumerate(match_r) if l == -1) or any(
                 u[l] + v[r] < w or (match_l[l] == r and u[l] + v[r] != w)
                 for (l, r), w in weight.items()):
             raise InvariantViolation("matching duals fail the optimality certificate")

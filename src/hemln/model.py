@@ -49,6 +49,9 @@ class LayerGraph:
         def canonical() -> Iterator[Edge]:  # valid edges as (low, high), uncopied
             for e in edges:
                 u, v = e
+                if type(u) is not int or type(v) is not int:  # 1.0 and True equal ints
+                    raise MalformedGraph(
+                        f"edge ({u!r},{v!r}) of layer {layer_id} is not an int pair")
                 if u == v:
                     raise MalformedGraph(f"self-loop on node {u} in layer {layer_id}")
                 if u not in node_set or v not in node_set:

@@ -13,6 +13,13 @@ it runs successive augmenting paths on one composite integer per meta edge,
 weight in the high bits and a tie-break bit per edge in the low bits, so
 every matching has a distinct objective.
 
+``reference_prices`` is the label-correcting pass that prices a matching
+on its own: from every free left and matched right at gain 0, it prices
+each right r at its best alternating-path gain ``v_r`` and each left l at
+``w(l, m) - v_m`` for its match m; free nodes cost 0.
+``hemln.matching._Network.prices`` reads the dual off the shortest-path
+potentials instead and must return the same prices.
+
 ``reference_load_layer`` is the layer-file loader that parses every edge
 token and keeps an edge list plus a seen-set; ``hemln.fileio.load_layer``
 resolves node tokens once and must return equal graphs, warnings and errors.
@@ -147,6 +154,33 @@ def composite_reference_match(cbg: CommunityBipartiteGraph) -> MatchedPairs:
     pairs = sorted((lefts[l], rights[r]) for l, r in enumerate(match_l) if r != -1)
     total = sum(float_w[p] for p in pairs)
     return MatchedPairs(tuple(pairs), total)
+
+
+def reference_prices(net) -> Tuple[List[int], List[int]]:
+    """Dual prices (u, v) of ``net``'s matching by label correcting."""
+    adj, weight = net.adj, net.weight
+    match_l, match_r = net.match_l, net.match_r
+    dist_l = [0 if r == -1 else -weight[(l, r)] for l, r in enumerate(match_l)]
+    dist_r = [-float("inf") if l == -1 else 0 for l in match_r]
+    in_queue = [True] * len(dist_l)
+    queue = deque(range(len(dist_l)))
+    while queue:
+        l = queue.popleft()
+        in_queue[l] = False
+        dl, own = dist_l[l], match_l[l]
+        for r, w in adj[l]:
+            nd = dl + w
+            if r != own and nd > dist_r[r]:
+                dist_r[r] = nd
+                l2 = match_r[r]
+                if l2 != -1 and nd - weight[(l2, r)] > dist_l[l2]:
+                    dist_l[l2] = nd - weight[(l2, r)]
+                    if not in_queue[l2]:
+                        queue.append(l2)
+                        in_queue[l2] = True
+    u = [-d for d in dist_l]
+    v = [0 if l == -1 else d for l, d in zip(match_r, dist_r)]
+    return u, v
 
 
 def _reference_one_level(adj: Dict[int, Dict[int, float]], loops: Dict[int, float],

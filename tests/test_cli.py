@@ -288,8 +288,8 @@ IMDB_TSVS = {
 }
 
 
-def _kcommunity(mln_dir, tmp_path, *extra):
-    return ["kcommunity", "--mln", str(mln_dir), "--spec", "G1 #(G1,G2) G2",
+def _kcommunity(mln_dir, tmp_path, *extra, spec="G1 #(G1,G2) G2"):
+    return ["kcommunity", "--mln", str(mln_dir), "--spec", spec,
             "--out", str(tmp_path / "out"), *extra]
 
 
@@ -308,6 +308,12 @@ def _membership_not_utf8(mln_dir, tmp_path):
     memberships = tmp_path / "memberships"
     memberships.mkdir()
     (memberships / "membership_G1.tsv").write_bytes(NOT_UTF8)
+    return _kcommunity(mln_dir, tmp_path, "--memberships", str(memberships))
+
+
+def _membership_missing(mln_dir, tmp_path):
+    memberships = tmp_path / "memberships"
+    memberships.mkdir()
     return _kcommunity(mln_dir, tmp_path, "--memberships", str(memberships))
 
 
@@ -348,6 +354,13 @@ BAD_INPUTS = {
     "inter-not-utf8": (lambda d, t: _not_utf8_in_mln(d, t, "inter_G1_G2.tsv"),
                        "utf-8"),
     "membership-not-utf8": (_membership_not_utf8, "utf-8"),
+    "membership-missing": (_membership_missing, "membership_G1.tsv"),
+    "spec-syntax": (lambda d, t: _kcommunity(d, t, spec="G1 #(G1,G2"),
+                    "composition operator"),
+    "spec-unknown-layer": (lambda d, t: _kcommunity(d, t, spec="G1 #(G1,G9) G9"),
+                           "unknown layer G9"),
+    "spec-no-first-layer": (lambda d, t: _kcommunity(d, t, spec="#(G2,G1):z"),
+                            "layer name"),
     "out-not-writable": (_out_is_a_file, "out"),
     "spec-file-empty": (lambda d, t: _spec_file(d, t, "; no specs\n\n  \n"),
                         "no specification"),
@@ -388,6 +401,8 @@ def test_bad_input_is_one_line_exit_2(mln_dir, tmp_path, capsys, monkeypatch, ca
     assert "Traceback" not in err
     assert err.startswith("hemln: ") and err.count("\n") == 1
     assert expected in err
+    if case != "out-not-writable":  # kcommunity checks its inputs before --out
+        assert not (tmp_path / "out").exists()
 
 
 # options a command does not read are usage errors, not silently ignored

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 from hemln import CommunityId, MatchedPairs, max_flow_match
 from hemln.cbg import CommunityBipartiteGraph, MetaEdge
 from hemln.errors import InvariantViolation
-from hemln.matching import _Network, _scaled
-from oracle import TooLarge, brute_force_match, composite_reference_match
+from hemln.matching import _indexed_edges, _Network, _scaled
+from oracle import (TooLarge, brute_force_match, composite_reference_match,
+                    reference_prices)
 
 A = lambda i: CommunityId("A", i)
 D = lambda i: CommunityId("D", i)
@@ -176,6 +177,44 @@ def test_price_certificate_rejects_a_matching_short_of_maximum():
         net.prices()
     net.match_l, net.match_r = [0], [0, -1]
     assert net.prices() == ([5], [0, 0])
+
+
+@pytest.mark.parametrize("potentials", [[0, -1], [1, 0], [-6, 0]],
+                         ids=["free-right-priced", "negative-right-price",
+                              "negative-left-price"])
+def test_price_certificate_rejects_injected_potentials(potentials):
+    # the optimal matching, but potentials that price right 1 (free, no
+    # edge) at 1, right 0 at -1, or left 0 at 5 - 6 = -1; the one edge stays
+    # tight, so each case breaks only the condition it names
+    net = _Network(1, 2, [(0, 0, 5)])
+    net.match_l, net.match_r = [0], [0, -1]
+    net.v = potentials
+    with pytest.raises(InvariantViolation):
+        net.prices()
+
+
+def _phase_one(cbg):
+    lefts, rights, edges = _indexed_edges(cbg)
+    return _Network(len(lefts), len(rights),
+                    [(l, r, _scaled(w)) for l, r, w in edges]).augment()
+
+
+def ladder_cbg(n, grid):
+    """n x n meta nodes, 20 random rights per left, weights k/grid."""
+    rng = random.Random(n)
+    return make_cbg([(l, r, rng.randint(1, grid) / grid)
+                     for l in range(1, n + 1)
+                     for r in rng.sample(range(1, n + 1), 20)])
+
+
+def test_prices_equal_label_correcting_reference():
+    # the dual read off the potentials is the one the label-correcting pass
+    # finds, so the tight edges T, and with them phase 2, do not change
+    for seed in range(300):
+        net = _phase_one(random_wide_cbg(seed))
+        assert net.prices() == reference_prices(net), seed
+    net = _phase_one(ladder_cbg(600, 3))
+    assert net.prices() == reference_prices(net)
 
 
 def test_total_weight_matches_networkx():

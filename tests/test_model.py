@@ -42,10 +42,12 @@ def test_self_loop_and_dangling_edge_rejected():
     lambda: LayerGraph.build("A", [1, 2], [(1,)]),
     lambda: LayerGraph.build("A", [1, 2], [7]),
     lambda: LayerGraph.build("A", [True], []),
+    lambda: LayerGraph.build("A", [1, 2], [(1.0, 2)]),
+    lambda: LayerGraph.build("A", [1, 2], [(True, 2)]),
     lambda: InterLayerEdges.build("A", "D", [(1, 10, 3)]),
     lambda: InterLayerEdges.build("A", "D", [10]),
-], ids=["edge-triple", "edge-single", "edge-int", "bool-node", "link-triple",
-        "link-int"])
+], ids=["edge-triple", "edge-single", "edge-int", "bool-node", "edge-float",
+        "edge-bool", "link-triple", "link-int"])
 def test_malformed_input_raises_malformed_graph(build):
     with pytest.raises(MalformedGraph):
         build()
