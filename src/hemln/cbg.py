@@ -16,7 +16,7 @@ nodes has no internal edges, which loaded memberships allow.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping, Tuple
+from typing import Dict, Iterable, Mapping, NamedTuple, Tuple
 
 from .community import CommunityId, CommunitySummary, Membership
 from .errors import (EmptyCbg, InvariantViolation, NoInterLayerEdges,
@@ -26,8 +26,9 @@ from .model import MLN
 METRICS = ("e", "d", "h")
 
 
-@dataclass(frozen=True)
-class MetaEdge:
+class MetaEdge(NamedTuple):
+    """One community pair's crossing links and weight; a cheap named tuple."""
+
     left: CommunityId
     right: CommunityId
     pairs: frozenset  # crossing inter-layer links (left node, right node)
@@ -70,9 +71,9 @@ Buckets = Mapping[Tuple[CommunityId, CommunityId], frozenset]
 def crossing_pairs(mln: MLN, left: str, right: str,
                    membership_left: Membership,
                    membership_right: Membership) -> Buckets:
-    """Inter-layer links oriented (left node, right node), keyed by the
-    (left community, right community) pair they cross. A composition step
-    scans the links only here and shares the buckets."""
+    """Inter-layer links oriented (left node, right node), keyed in order by
+    the (left community, right community) pair they cross, with one id per
+    community. A composition step scans the links only here and shares them."""
     if not mln.has_interlayer(left, right):
         raise NoInterLayerEdges(f"no inter-layer edges between {left} and {right}")
     of_left, of_right = membership_left.assignment, membership_right.assignment
@@ -82,9 +83,10 @@ def crossing_pairs(mln: MLN, left: str, right: str,
              else ((b, a) for a, b in stored.links))  # swap, no reversed copy
     for a, b in links:
         buckets.setdefault((of_left[a], of_right[b]), set()).add((a, b))
-    return {(CommunityId(membership_left.layer, cl),
-             CommunityId(membership_right.layer, cr)): frozenset(pairs)
-            for (cl, cr), pairs in buckets.items()}
+    lids = {c: CommunityId(membership_left.layer, c) for c in set(of_left.values())}
+    rids = {c: CommunityId(membership_right.layer, c) for c in set(of_right.values())}
+    return {(lids[cl], rids[cr]): frozenset(buckets[(cl, cr)])
+            for cl, cr in sorted(buckets)}
 
 
 def build_cbg(left: str,
@@ -107,6 +109,7 @@ def build_cbg(left: str,
             if c.layer != layer or c not in summaries:
                 raise UnknownCommunity(f"{c} is not a community of layer {layer}")
 
+    # linear on crossing_pairs' ordered buckets; other callers may pass any order
     kept = sorted(key for key in buckets if key[0] in u_left and key[1] in u_right)
     edges = []
     dropped = []

@@ -9,8 +9,10 @@ supplying defaults for the command's metric, seed, hub_quantile and spec.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 from typing import Dict, List, Optional
 
@@ -199,17 +201,22 @@ def _cmd_cbg(args) -> int:
 def _cmd_rank(args) -> int:
     cfg = _settings(args)  # defaults only: rank keys read no seed and no hubs
     tuples = engine.from_jsonl(fileio._read_text(args.result))
-    if args.key == "sum_raw_pairs":
-        summaries: Dict = {}
-    else:
+    values: Dict[str, Dict[int, float]] = {}
+    if args.key != "sum_raw_pairs":
         if not (args.mln and args.memberships):
             raise HemlnError(f"key {args.key} needs --mln and --memberships, the "
                              "kcommunity --out directory with membership_<layer>.tsv")
-        mln = fileio.load_mln(args.mln)
+        mln = fileio.load_mln(args.mln)  # edges too, so every input check runs
         layers = sorted({lid for t in tuples for lid in t.layers})
         memberships = _memberships_for(mln, layers, cfg.seed, args.memberships)
-        summaries = _summaries(mln, memberships, cfg.hub_quantile)
-    for t in engine.rank(tuples, summaries, args.key):
+        if args.key == "min_density":
+            summaries = _summaries(mln, memberships, cfg.hub_quantile)
+            values = {lid: {c.index: s.density for c, s in by_id.items()}
+                      for lid, by_id in summaries.items()}
+        else:  # size keys: node counts straight from the memberships
+            values = {lid: Counter(m.assignment.values())
+                      for lid, m in memberships.items()}
+    for t in engine.rank(tuples, values, args.key):
         sys.stdout.write(f"< {engine.format_slots(t)} >\n")
     return EXIT_OK
 
@@ -237,11 +244,18 @@ _COMMANDS = {
 def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # Commands build only acyclic data (int tuples, frozensets, dicts, named
+    # tuples) that refcounting frees; cyclic GC passes would only rescan it.
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return _COMMANDS[args.command](args)
     except (HemlnError, OSError) as exc:  # OSError: unreadable or unwritable path
         print(f"hemln: {exc}", file=sys.stderr)
         return EXIT_DATA
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":  # pragma: no cover

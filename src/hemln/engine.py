@@ -161,37 +161,34 @@ def classify(result: KCommunityResult):
 
 
 def rank(tuples: Sequence[KTuple],
-         summaries: Mapping[str, Mapping[CommunityId, CommunitySummary]],
+         values: Mapping[str, Mapping[int, float]],
          key: str) -> List[KTuple]:
     """Stable descending order by the chosen key.
 
-    Zero slots contribute 0 to size keys and are excluded from min_density;
-    under min_* keys any tuple with a zero slot ranks below all complete
-    tuples. Ties break on the lexicographic slot sequence.
+    ``values[layer][index]`` is a community's node count under the size keys
+    and its density under min_density; sum_raw_pairs reads none. Zero slots
+    contribute 0 to size keys and are excluded from min_density; under min_*
+    keys any tuple with a zero slot ranks below all complete tuples. Ties
+    break on the lexicographic slot sequence.
     """
     if key not in RANK_KEYS:
         raise UnknownKey(f"rank key must be one of {RANK_KEYS}, got {key!r}")
 
-    def summary(layer: str, idx: int) -> CommunitySummary:
-        cid = CommunityId(layer, idx)
-        if cid not in summaries.get(layer, {}):
-            raise UnknownCommunity(f"{cid} is not a community of layer {layer}")
-        return summaries[layer][cid]
-
     def value(t: KTuple):
-        if key == "sum_raw_pairs":  # needs no summaries
+        if key == "sum_raw_pairs":
             return (0, sum(len(x) for x in t.x_slots if x is not None))
-        sizes = [summary(l, c).node_count
-                 for l, c in zip(t.layers, t.communities) if c != 0]
-        has_zero = any(c == 0 for c in t.communities)
-        if key == "min_size":
-            return (0 if has_zero else 1, min(sizes) if sizes else 0)
+        found = []
+        for layer, idx in zip(t.layers, t.communities):
+            if idx == 0:
+                continue
+            if idx not in values.get(layer, {}):
+                raise UnknownCommunity(f"{CommunityId(layer, idx)} is not a "
+                                       f"community of layer {layer}")
+            found.append(values[layer][idx])
         if key == "sum_size":
-            return (0, sum(sizes))
-        # min_density
-        dens = [summary(l, c).density
-                for l, c in zip(t.layers, t.communities) if c != 0]
-        return (0 if has_zero else 1, min(dens) if dens else 0.0)
+            return (0, sum(found))
+        has_zero = len(found) < len(t.communities)
+        return (0 if has_zero else 1, min(found, default=0))
 
     return sorted(tuples, key=lambda t: (tuple(-v for v in value(t)),
                                          t.sort_key()))

@@ -138,7 +138,10 @@ def load_interlayer(path: os.PathLike) -> InterLayerEdges:
         else:
             if len(fields) != 2:
                 raise ParseError("expected 'u <TAB> v'", lineno)
-            links.append((_int(fields[0], lineno), _int(fields[1], lineno)))
+            try:
+                links.append((int(fields[0]), int(fields[1])))
+            except ValueError:  # _int raises the ParseError naming the token
+                _int(fields[0], lineno), _int(fields[1], lineno)
     if header is None:
         raise ParseError("missing interlayer header", 1)
     return InterLayerEdges.build(header[0], header[1], links)

@@ -42,10 +42,6 @@ class MatchedPairs:
     total_weight: float
 
 
-def _scaled(w: float) -> int:
-    return max(1, round(w * WEIGHT_SCALE))
-
-
 def _indexed_edges(cbg: CommunityBipartiteGraph):
     """Lefts/rights sorted, plus edges as (left idx, right idx, float w)
     in lexicographic (left, right) order."""
@@ -131,7 +127,7 @@ def max_flow_match(cbg: CommunityBipartiteGraph) -> MatchedPairs:
     lefts, rights, edges = _indexed_edges(cbg)
     if not edges:
         return MatchedPairs((), 0.0)
-    scaled = [(l, r, _scaled(w)) for l, r, w in edges]
+    scaled = [(l, r, max(1, round(w * WEIGHT_SCALE))) for l, r, w in edges]
     u, v = _Network(len(lefts), len(rights), scaled).augment().prices()
     tight = [(l, r, w) for l, r, w in scaled if u[l] + v[r] == w]
     bits = len(tight)

@@ -100,8 +100,14 @@ class InterLayerEdges:
               links: Iterable[Edge]) -> "InterLayerEdges":
         if from_layer == to_layer:
             raise MalformedGraph("inter-layer edges require two distinct layers")
+        def checked() -> Iterator[Edge]:
+            for a, b in links:
+                if type(a) is not int or type(b) is not int:  # 1.0 and True equal ints
+                    raise MalformedGraph(f"link ({a!r},{b!r}) between {from_layer} "
+                                         f"and {to_layer} is not an int pair")
+                yield (a, b)
         try:
-            pairs = frozenset((a, b) for a, b in links)
+            pairs = frozenset(checked())
         except (TypeError, ValueError):
             raise MalformedGraph("an inter-layer link is not a node pair") from None
         return InterLayerEdges(from_layer, to_layer, pairs)

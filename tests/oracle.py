@@ -23,6 +23,9 @@ potentials instead and must return the same prices.
 ``reference_load_layer`` is the layer-file loader that parses every edge
 token and keeps an edge list plus a seen-set; ``hemln.fileio.load_layer``
 resolves node tokens once and must return equal graphs, warnings and errors.
+``reference_load_interlayer`` parses each link token with ``_int``;
+``hemln.fileio.load_interlayer`` calls ``int`` inline and must return equal
+link sets and errors.
 """
 from __future__ import annotations
 
@@ -34,10 +37,15 @@ from hemln.cbg import CommunityBipartiteGraph
 from hemln.community import Membership, _aggregate, _renumber
 from hemln.errors import EmptyGraph, ParseError
 from hemln.fileio import COMMENT, _int, _lines, log
-from hemln.matching import MatchedPairs, _indexed_edges, _scaled
-from hemln.model import LayerGraph
+from hemln.matching import WEIGHT_SCALE, MatchedPairs, _indexed_edges
+from hemln.model import InterLayerEdges, LayerGraph
 
 BRUTE_FORCE_NODE_LIMIT = 16
+
+
+def _scaled(w: float) -> int:
+    """A meta-edge weight as ``max_flow_match`` scales it: half-even, >= 1."""
+    return max(1, round(w * WEIGHT_SCALE))
 
 
 class TooLarge(Exception):
@@ -278,3 +286,22 @@ def reference_load_layer(path) -> LayerGraph:
     if layer_id is None:
         raise ParseError("missing layer header", 1)
     return LayerGraph.build(layer_id, nodes, edges)
+
+
+def reference_load_interlayer(path) -> InterLayerEdges:
+    header: Optional[Tuple[str, str]] = None
+    links: List[Tuple[int, int]] = []
+    for lineno, line in _lines(path, COMMENT):
+        fields = line.split("\t")
+        if header is None:
+            if len(fields) != 3 or fields[0] != "interlayer":
+                raise ParseError("expected header 'interlayer <TAB> L1 <TAB> L2'",
+                                 lineno)
+            header = (fields[1], fields[2])
+        else:
+            if len(fields) != 2:
+                raise ParseError("expected 'u <TAB> v'", lineno)
+            links.append((_int(fields[0], lineno), _int(fields[1], lineno)))
+    if header is None:
+        raise ParseError("missing interlayer header", 1)
+    return InterLayerEdges.build(header[0], header[1], links)

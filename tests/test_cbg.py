@@ -5,6 +5,7 @@ from hemln import (
     CommunityId,
     InterLayerEdges,
     LayerGraph,
+    MetaEdge,
     build_cbg,
     cbg_to_tsv,
     crossing_pairs,
@@ -82,6 +83,20 @@ def test_crossing_pairs_against_stored_orientation(monkeypatch):
     assert backward == {(cr, cl): frozenset((b, a) for a, b in pairs)
                         for (cl, cr), pairs in forward.items()}
     assert backward[(CommunityId("D", 2), CommunityId("A", 1))] == {(11, 2)}
+
+
+def test_crossing_pairs_in_key_order_with_one_id_per_community():
+    # build_cbg's sort is then one linear pass of identity-equal ids
+    links = [(a, d) for a in (3, 1, 2) for d in (12, 10, 11)]
+    mln, ma, md, _, _ = two_layer_mln(links, [(1,), (2,), (3,)],
+                                      [(10,), (11,), (12,)])
+    for buckets in (crossing_pairs(mln, "A", "D", ma, md),
+                    crossing_pairs(mln, "D", "A", md, ma)):
+        assert list(buckets) == sorted(buckets)
+        for side in (0, 1):
+            first = {}
+            assert all(first.setdefault(key[side], key[side]) is key[side]
+                       for key in buckets)
 
 
 def test_unknown_community_raises():
@@ -198,3 +213,9 @@ def test_tsv_export():
     mln, ma, md, sa, sd = two_layer_mln([(1, 10)], [(1,)], [(10,)])
     cbg = build(mln, ma, md, sa, sd)
     assert cbg_to_tsv(cbg) == "1\t1\t1\t1.0\n"
+
+
+def test_meta_edge_is_immutable():
+    e = MetaEdge(CommunityId("A", 1), CommunityId("D", 1), frozenset({(1, 10)}), 1.0)
+    with pytest.raises(AttributeError):
+        e.weight = 2.0

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 
@@ -14,6 +15,7 @@ from hemln import (
     summarize,
     validate_spec,
 )
+from hemln import cli
 from hemln.cli import main
 from hemln.fileio import load_mln, save_layer, save_membership_tsv, save_mln
 
@@ -215,7 +217,9 @@ def test_rank_min_size_cli_matches_in_process(uneven_mln_dir, tmp_path, capsys):
     summaries = {lid: summarize(mln.layer(lid), m) for lid, m in memberships.items()}
     spec = validate_spec(parse_spec(UNEVEN_SPEC), mln)
     result = detect_k_community(mln, memberships, summaries, spec)
-    ordered = rank(result.tuples, summaries, "min_size")
+    sizes = {lid: {c.index: s.node_count for c, s in by_id.items()}
+             for lid, by_id in summaries.items()}
+    ordered = rank(result.tuples, sizes, "min_size")
     assert printed == [f"< c_A^{a}, c_B^{b} >" for a, b in
                        (t.communities for t in ordered)]
 
@@ -279,6 +283,29 @@ def test_kcommunity_output_bytes_pinned(three_layer_mln, tmp_path, name):
     assert digests == PINNED_DIGESTS[name]
 
 
+# `hemln cbg` stdout on the fixture network, one pair per metric; (G3,G1)
+# runs against the stored (G1,G3) orientation
+PINNED_CBG = {
+    ("G1,G2", "e"): "1\t3\t2\t1.0\n2\t1\t2\t1.0\n3\t5\t1\t0.5\n",
+    ("G2,G3", "d"): "1\t2\t2\t0.2222222222222222\n",
+    ("G3,G1", "h"): "2\t2\t1\t0.012345679012345678\n",
+}
+
+
+@pytest.mark.parametrize("pair, metric", sorted(PINNED_CBG))
+def test_cbg_output_bytes_pinned(three_layer_mln, tmp_path, capsysbinary,
+                                 pair, metric):
+    mln, memberships, _ = three_layer_mln
+    mln_dir, member_dir = tmp_path / "mln", tmp_path / "memberships"
+    save_mln(mln, mln_dir)
+    member_dir.mkdir()
+    for lid, m in memberships.items():
+        save_membership_tsv(m, member_dir / f"membership_{lid}.tsv")
+    assert main(["cbg", "--mln", str(mln_dir), "--memberships", str(member_dir),
+                 "--pair", pair, "--metric", metric]) == 0
+    assert capsysbinary.readouterr().out == PINNED_CBG[(pair, metric)].encode()
+
+
 NOT_UTF8 = b"\xff\xfe not utf-8\n"
 IMDB_TSVS = {
     "movies": "tconst\tprimaryTitle\tgenres\taverageRating\nt1\tOne\tDrama\t7.9\n",
@@ -335,6 +362,18 @@ def _rank(tmp_path, jsonl, key="sum_raw_pairs", *extra):
     return ["rank", "--result", str(result), "--key", key, *extra]
 
 
+def _rank_unknown_community(mln_dir, tmp_path):
+    memberships = tmp_path / "memberships"
+    memberships.mkdir()
+    for lid, nodes in (("G1", range(6)), ("G2", range(10, 16))):
+        (memberships / f"membership_{lid}.tsv").write_text(
+            "".join(f"{n}\t{1 + n % 10 // 3}\n" for n in nodes))
+    record = ('{"slots":[{"layer":"G1","community":9},{"layer":"G2","community":1}],'
+              '"x":[null],"total":false}\n')
+    return _rank(tmp_path, record, "min_size", "--mln", str(mln_dir),
+                 "--memberships", str(memberships))
+
+
 def _imdb(tmp_path, **replaced):
     argv = ["ingest-imdb", "--out", str(tmp_path / "imdb-mln")]
     for name, text in {**IMDB_TSVS, **replaced}.items():
@@ -370,6 +409,7 @@ BAD_INPUTS = {
     "rank-size-key-no-memberships": (lambda d, t: _rank(t, "", "min_size",
                                                         "--mln", str(d)),
                                      "--memberships"),
+    "rank-unknown-community": (_rank_unknown_community, "c_G1^9"),
     "imdb-rating-not-a-number": (lambda d, t: _imdb(t, movies=IMDB_TSVS["movies"]
                                                     .replace("7.9", "good")),
                                  "line 2"),
@@ -440,3 +480,37 @@ def test_rank_ignores_mln_seed(mln_dir, tmp_path, monkeypatch):
     monkeypatch.setenv("MLN_SEED", "not a seed")  # rank has no --seed
     assert main(["rank", "--result", str(tmp_path / "out" / "result.jsonl"),
                  "--key", "sum_raw_pairs"]) == 0
+
+
+# every command runs with the cyclic collector paused and gives the caller's
+# setting back, whatever its exit
+GC_RUNS = {
+    "exit-0": (lambda d, t: _kcommunity(d, t), 0),
+    "exit-2": (lambda d, t: _kcommunity(d, t, spec="G1 #(G1,G9) G9"), 2),
+    "exit-1": (lambda d, t: _kcommunity(d, t, "--no-such-option"), 1),
+}
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize("case", sorted(GC_RUNS))
+def test_command_restores_gc_state(mln_dir, tmp_path, monkeypatch, case, enabled):
+    make_argv, code = GC_RUNS[case]
+    seen = []
+
+    def compose(*args):
+        seen.append(gc.isenabled())
+        return detect_k_community(*args)
+    monkeypatch.setattr(cli, "detect_k_community", compose)
+    before = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if code == 1:
+            with pytest.raises(SystemExit) as exc:
+                main(make_argv(mln_dir, tmp_path))
+            assert exc.value.code == 1
+        else:
+            assert main(make_argv(mln_dir, tmp_path)) == code
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if before else gc.disable)()
+    assert seen == ([False] if code == 0 else [])

@@ -138,11 +138,17 @@ def test_classify_empty():
     assert classify(empty) == ((), ())
 
 
+def rank_values(summaries, field):
+    """The per-community numbers a rank key reads, from summaries."""
+    return {lid: {c.index: getattr(s, field) for c, s in by_id.items()}
+            for lid, by_id in summaries.items()}
+
+
 def test_rank_total_before_partial(three_layer_mln):
     _, _, summaries = three_layer_mln
     result = run(three_layer_mln, ACYCLIC)
-    for key in ("min_size", "min_density"):
-        ordered = rank(result.tuples, summaries, key)
+    for key, field in (("min_size", "node_count"), ("min_density", "density")):
+        ordered = rank(result.tuples, rank_values(summaries, field), key)
         assert ordered[0].total
         assert not ordered[1].total and not ordered[2].total
 
@@ -152,39 +158,28 @@ def test_rank_min_size_values():
     layers = ("A", "B", "C")
     t1 = KTuple(layers, (1, 1, 1), (frozenset({(0, 1)}), frozenset({(1, 2)})))
     t2 = KTuple(layers, (2, 2, 2), (frozenset({(3, 4)}), frozenset({(4, 5)})))
-    from hemln import CommunityId, CommunitySummary
     from hemln.engine import KCommunityResult
     from hemln.kspec import Composition, KSpec
 
-    def summary(layer, idx, size):
-        cid = CommunityId(layer, idx)
-        return cid, CommunitySummary(size, 0, 1.0, frozenset({0}))
-
-    summaries = {
-        "A": dict([summary("A", 1, 5), summary("A", 2, 4)]),
-        "B": dict([summary("B", 1, 4), summary("B", 2, 4)]),
-        "C": dict([summary("C", 1, 3), summary("C", 2, 4)]),
-    }
+    sizes = {"A": {1: 5, 2: 4}, "B": {1: 4, 2: 4}, "C": {1: 3, 2: 4}}
     steps = (Composition("A", "B"), Composition("B", "C"))
     spec = KSpec("A", steps)
     result = KCommunityResult(spec, (t1, t2), ())
-    ordered = rank(result.tuples, summaries, "min_size")
+    ordered = rank(result.tuples, sizes, "min_size")
     assert ordered[0] is t2 and ordered[1] is t1
 
 
 def test_rank_sum_raw_pairs(three_layer_mln):
-    _, _, summaries = three_layer_mln
     result = run(three_layer_mln, ACYCLIC)
-    ordered = rank(result.tuples, summaries, "sum_raw_pairs")
+    ordered = rank(result.tuples, {}, "sum_raw_pairs")
     counts = [sum(len(x) for x in t.x_slots if x is not None) for t in ordered]
     assert counts == sorted(counts, reverse=True)
 
 
 def test_rank_unknown_key(three_layer_mln):
-    _, _, summaries = three_layer_mln
     result = run(three_layer_mln, ACYCLIC)
     with pytest.raises(UnknownKey):
-        rank(result.tuples, summaries, "banana")
+        rank(result.tuples, {}, "banana")
 
 
 def test_jsonl_schema(three_layer_mln):

@@ -1,13 +1,14 @@
-"""Differential test of the layer-file loader.
+"""Differential tests of the layer- and inter-layer-file loaders.
 
 ``hemln.fileio.load_layer`` resolves each node token once and keeps one
 canonical edge set; ``oracle.reference_load_layer`` parses every token and
-keeps an edge list plus a seen-set. For any file both must return equal
-graphs and log the same duplicate-edge warnings, or raise the same
-exception class with the same message (line number included). The
-hypothesis examples insert lines into valid layer files and mutate their
-bytes; they are derandomized, so the test is reproducible and its cost
-bounded.
+keeps an edge list plus a seen-set. ``hemln.fileio.load_interlayer`` parses
+link tokens with ``int`` inline; ``oracle.reference_load_interlayer`` calls
+``_int`` on each. For any file each pair must return equal graphs and log
+the same duplicate-edge warnings, or raise the same exception class with the
+same message (line number included). The hypothesis examples insert lines
+into valid files and mutate their bytes; they are derandomized, so the tests
+are reproducible and their cost bounded.
 """
 import logging
 
@@ -15,8 +16,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hemln.fileio import load_layer
-from oracle import reference_load_layer
+from hemln.fileio import load_interlayer, load_layer
+from oracle import reference_load_interlayer, reference_load_layer
 from test_fuzz_cli import _mutate
 
 SEEDS = (
@@ -61,10 +62,10 @@ def _outcome(load, path, caplog):
     return result, [r.getMessage() for r in caplog.records]
 
 
-def _assert_same(path, caplog):
+def _assert_same(path, caplog, load=load_layer, reference=reference_load_layer):
     with caplog.at_level(logging.WARNING, logger="hemln.fileio"):
-        got = _outcome(load_layer, path, caplog)
-        want = _outcome(reference_load_layer, path, caplog)
+        got = _outcome(load, path, caplog)
+        want = _outcome(reference, path, caplog)
     assert got == want
 
 
@@ -114,3 +115,51 @@ def test_mutated_layer_files_match_reference(scratch, caplog, seed, lines,
         rows.insert(at % (len(rows) + 1), line)
     scratch.write_bytes(_mutate(b"".join(rows), mutations))
     _assert_same(scratch, caplog)
+
+
+INTER_SEEDS = (
+    b"interlayer\tA\tD\n1\t10\n2\t11\n17\t204\n2\t10\n",
+    b"; comment\r\n\r\ninterlayer\tA\tD\r\n1\t10\r\n; between\r\n"
+    b"204\t17\r\n\r\n",
+)
+
+INTER_CASES = {
+    "zero-padded and signed tokens": "interlayer\tA\tD\n07\t+10\n7\t10\n",
+    "spaces inside a token": "interlayer\tA\tD\n 1\t10 \n",
+    "underscore token": "interlayer\tA\tD\n1_0\t2\n",
+    "negative tokens": "interlayer\tA\tD\n-1\t-10\n",
+    "bad left token": "interlayer\tA\tD\n1\t10\nx\t10\n",
+    "bad right token": "interlayer\tA\tD\n1\t10\n1\t1.0\n",
+    "both tokens bad": "interlayer\tA\tD\none\tten\n",
+    "short link line": "interlayer\tA\tD\n1\n",
+    "long link line": "interlayer\tA\tD\n1\t2\t3\n",
+    "same layer twice": "interlayer\tA\tA\n1\t2\n",
+    "missing header": "; only a comment\n",
+    "bad header": "1\t10\n",
+}
+
+
+@pytest.mark.parametrize("text", INTER_CASES.values(), ids=INTER_CASES.keys())
+def test_load_interlayer_matches_reference(tmp_path, caplog, text):
+    path = tmp_path / "inter.tsv"
+    path.write_bytes(text.encode())
+    _assert_same(path, caplog, load_interlayer, reference_load_interlayer)
+
+
+INTER_LINES = st.one_of(st.builds("{}\t{}\n".format, TOKENS, TOKENS),
+                        st.sampled_from(("\n", "; c\n", "\r\n", "1\n"))
+                        ).map(str.encode)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=st.sampled_from(INTER_SEEDS),
+       lines=st.lists(st.tuples(st.integers(0, 1 << 8), INTER_LINES), max_size=4),
+       mutations=BYTE_MUTATIONS)
+def test_mutated_interlayer_files_match_reference(scratch, caplog, seed, lines,
+                                                  mutations):
+    rows = seed.splitlines(keepends=True)
+    for at, line in lines:
+        rows.insert(at % (len(rows) + 1), line)
+    scratch.write_bytes(_mutate(b"".join(rows), mutations))
+    _assert_same(scratch, caplog, load_interlayer, reference_load_interlayer)

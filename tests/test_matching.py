@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 from hemln import CommunityId, MatchedPairs, max_flow_match
 from hemln.cbg import CommunityBipartiteGraph, MetaEdge
 from hemln.errors import InvariantViolation
-from hemln.matching import _indexed_edges, _Network, _scaled
-from oracle import (TooLarge, brute_force_match, composite_reference_match,
-                    reference_prices)
+from hemln.matching import _indexed_edges, _Network
+from oracle import (TooLarge, _scaled, brute_force_match,
+                    composite_reference_match, reference_prices)
 
 A = lambda i: CommunityId("A", i)
 D = lambda i: CommunityId("D", i)

@@ -46,8 +46,10 @@ def test_self_loop_and_dangling_edge_rejected():
     lambda: LayerGraph.build("A", [1, 2], [(True, 2)]),
     lambda: InterLayerEdges.build("A", "D", [(1, 10, 3)]),
     lambda: InterLayerEdges.build("A", "D", [10]),
+    lambda: InterLayerEdges.build("A", "D", [(1, 10), (1.0, 11)]),
+    lambda: InterLayerEdges.build("A", "D", [(1, True)]),
 ], ids=["edge-triple", "edge-single", "edge-int", "bool-node", "edge-float",
-        "edge-bool", "link-triple", "link-int"])
+        "edge-bool", "link-triple", "link-int", "link-float", "link-bool"])
 def test_malformed_input_raises_malformed_graph(build):
     with pytest.raises(MalformedGraph):
         build()
