@@ -32,7 +32,7 @@ from .engine import (
     to_jsonl,
     format_tuples,
 )
-from .kspec import Composition, KSpec, parse_spec, render, validate_spec
+from .kspec import Composition, KSpec, parse_spec, validate_spec
 from .matching import MatchedPairs, max_flow_match
 from .model import MLN, InterLayerEdges, LayerGraph
 
@@ -62,7 +62,6 @@ __all__ = [
     "Composition",
     "parse_spec",
     "validate_spec",
-    "render",
     "KTuple",
     "KCommunityResult",
     "detect_k_community",

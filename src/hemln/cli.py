@@ -14,7 +14,7 @@ import os
 import sys
 from collections import Counter
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 from . import engine, fileio, imdb
 from .cbg import METRICS, build_cbg, cbg_to_tsv, crossing_pairs
@@ -89,6 +89,15 @@ def _build_parser() -> _Parser:
     return parser
 
 
+class RunConfig(NamedTuple):
+    """Run-level knobs from CLI flags, a --config file and MLN_SEED."""
+
+    default_metric: str
+    seed: int
+    hub_quantile: float
+    spec_text: str
+
+
 def _number(kind, name: str, text: str):
     try:
         return kind(text)
@@ -97,7 +106,7 @@ def _number(kind, name: str, text: str):
             f"{name} must be {kind.__name__}, got {text!r}") from None
 
 
-def _settings(args) -> fileio.RunConfig:
+def _settings(args) -> RunConfig:
     defaults: Dict[str, str] = {}
     if getattr(args, "config", None):
         defaults = fileio.load_config(args.config)
@@ -115,8 +124,11 @@ def _settings(args) -> fileio.RunConfig:
                                defaults.get("hub_quantile", "0.8"))
     metric = getattr(args, "metric", None) or defaults.get("metric", "e")
     spec_text = getattr(args, "spec", None) or defaults.get("spec", "")
-    return fileio.RunConfig(default_metric=metric, seed=seed,
-                            hub_quantile=quantile, spec_text=spec_text)
+    if metric not in METRICS:
+        raise InvariantViolation(f"bad metric {metric!r}")
+    if not (0.0 < quantile <= 1.0):
+        raise InvariantViolation(f"bad hub_quantile {quantile}")
+    return RunConfig(metric, seed, quantile, spec_text)
 
 
 def _memberships_for(mln: MLN, layers, seed: int,
@@ -145,7 +157,7 @@ def _cmd_detect(args) -> int:
     return EXIT_OK
 
 
-def _specs_from_args(args, cfg: fileio.RunConfig) -> List[str]:
+def _specs_from_args(args, cfg: RunConfig) -> List[str]:
     if args.spec_file:
         specs = [line for _, line in fileio._lines(args.spec_file, fileio.COMMENT)]
         if not specs:

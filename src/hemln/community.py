@@ -20,7 +20,9 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, Iterable, List, NamedTuple, Set, Tuple
 
 from .errors import (
@@ -62,7 +64,6 @@ class Membership:
 @dataclass(frozen=True)
 class CommunitySummary:
     node_count: int
-    internal_edge_count: int
     density: float
     hubs: frozenset
 
@@ -211,7 +212,7 @@ def load_membership(g: LayerGraph, rows: Iterable[Tuple[NodeId, int]]) -> Member
 
 def summarize(g: LayerGraph, m: Membership,
               hub_quantile: float = 0.8) -> Dict[CommunityId, CommunitySummary]:
-    """Per-community size, internal edge count, density, and hub set.
+    """Per-community size, density, and hub set.
 
     Hubs are members whose degree in the full layer graph is at least the
     nearest-rank hub_quantile of degrees among the community's members, so
@@ -220,6 +221,7 @@ def summarize(g: LayerGraph, m: Membership,
     if not (0.0 < hub_quantile <= 1.0):
         raise InvalidQuantile(f"hub_quantile must be in (0,1], got {hub_quantile}")
     groups = m.communities()
+    degree = Counter(chain.from_iterable(g.edges))  # an isolated node reads 0
     internal: Dict[int, int] = {c: 0 for c in groups}
     for u, v in g.edges:
         cu, cv = m.assignment[u], m.assignment[v]
@@ -228,11 +230,10 @@ def summarize(g: LayerGraph, m: Membership,
     out: Dict[CommunityId, CommunitySummary] = {}
     for c, members in groups.items():
         n = len(members)
-        e = internal[c]
-        density = 1.0 if n < 2 else 2.0 * e / (n * (n - 1))
-        degs = sorted(g.degrees[v] for v in members)
+        density = 1.0 if n < 2 else 2.0 * internal[c] / (n * (n - 1))
+        degs = sorted(degree[v] for v in members)
         rank = max(1, math.ceil(hub_quantile * n - 1e-9))
         cutoff = degs[rank - 1]
-        hubs = frozenset(v for v in members if g.degrees[v] >= cutoff)
-        out[CommunityId(m.layer, c)] = CommunitySummary(n, e, density, hubs)
+        hubs = frozenset(v for v in members if degree[v] >= cutoff)
+        out[CommunityId(m.layer, c)] = CommunitySummary(n, density, hubs)
     return out

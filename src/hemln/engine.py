@@ -240,13 +240,18 @@ def from_jsonl(text: str) -> List[KTuple]:
             continue
         try:
             rec = json.loads(raw)
-            layers = tuple(str(s["layer"]) for s in rec["slots"])
-            communities = tuple(int(s["community"]) for s in rec["slots"])
+            layers = tuple(s["layer"] for s in rec["slots"])
+            communities = tuple(s["community"] for s in rec["slots"])
             x_slots = tuple(
                 frozenset(map(tuple, x["pairs"])) if x is not None else None
                 for x in rec["x"])
         except (ValueError, KeyError, TypeError) as exc:
             raise ParseError(f"malformed result record: {exc}", lineno) from None
+        if not (all(type(l) is str for l in layers)  # exact types: true is no 1
+                and all(type(c) is int and c >= 0 for c in communities)
+                and all(list(map(type, p)) == [int, int]
+                        for x in x_slots if x for p in x)):
+            raise ParseError("malformed result record: bad slot or pair", lineno)
         tuples.append(KTuple(layers, communities, x_slots))
     return tuples
 

@@ -22,34 +22,16 @@ from __future__ import annotations
 
 import logging
 import os
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from .cbg import METRICS
 from .community import Membership, load_membership
-from .errors import InvariantViolation, IoError, ParseError
+from .errors import IoError, ParseError
 from .model import MLN, InterLayerEdges, LayerGraph
 
 log = logging.getLogger(__name__)
 
 COMMENT = ";"
-
-
-@dataclass
-class RunConfig:
-    """Run-level knobs mirrored by CLI flags and key=value config files."""
-
-    default_metric: str = "e"
-    seed: int = 0
-    hub_quantile: float = 0.8
-    spec_text: str = ""
-
-    def __post_init__(self):
-        if self.default_metric not in METRICS:
-            raise InvariantViolation(f"bad metric {self.default_metric!r}")
-        if not (0.0 < self.hub_quantile <= 1.0):
-            raise InvariantViolation(f"bad hub_quantile {self.hub_quantile}")
 
 
 def load_config(path: os.PathLike) -> Dict[str, str]:

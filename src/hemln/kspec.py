@@ -62,14 +62,6 @@ class KSpec:
         return tuple(CASE_CYCLE if s.right in visits[:i + 1] else CASE_NEW_LAYER
                      for i, s in enumerate(self.steps))
 
-    @property
-    def k(self) -> int:
-        return len(self.layers)
-
-    @property
-    def cycle_steps(self) -> int:
-        return self.cases.count(CASE_CYCLE)
-
 
 def parse_spec(text: str) -> KSpec:
     tokens = text.split()
@@ -137,12 +129,3 @@ def validate_spec(spec: KSpec, mln: MLN) -> KSpec:
         raise DisconnectedSpec("a specification needs at least one composition")
     return spec
 
-
-def render(spec: KSpec) -> str:
-    """Canonical surface form; parse(render(s)) == s."""
-    parts = [spec.first_layer]
-    for step in spec.steps:
-        suffix = f":{step.metric}" if step.metric else ""
-        parts.append(f"#({step.left},{step.right}){suffix}")
-        parts.append(step.right)
-    return " ".join(parts)

@@ -6,11 +6,8 @@ inter-layer edge sets, one per unordered layer pair.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import chain
-from typing import Dict, Iterable, Iterator, Set, Tuple
+from typing import Dict, Iterable, Iterator, Tuple
 
 from .errors import (
     DuplicateLayer,
@@ -19,7 +16,6 @@ from .errors import (
     MalformedGraph,
     NodeIdCollision,
     UnknownLayer,
-    UnknownNode,
 )
 
 NodeId = int
@@ -62,29 +58,6 @@ class LayerGraph:
             return LayerGraph(layer_id, node_set, frozenset(canonical()))
         except (TypeError, ValueError):
             raise MalformedGraph(f"an edge of layer {layer_id} is not a pair") from None
-
-    @cached_property
-    def degrees(self) -> Counter:
-        """Node -> degree, counted once per layer; an isolated node reads 0."""
-        return Counter(chain.from_iterable(self.edges))
-
-    @cached_property
-    def _adjacency(self) -> Dict[NodeId, frozenset]:
-        adj: Dict[NodeId, Set[NodeId]] = {n: set() for n in self.nodes}
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return {n: frozenset(s) for n, s in adj.items()}
-
-    def neighbors(self, n: NodeId) -> frozenset:
-        if n not in self.nodes:
-            raise UnknownNode(f"node {n} not in layer {self.id}")
-        return self._adjacency[n]
-
-    def degree(self, n: NodeId) -> int:
-        if n not in self.nodes:
-            raise UnknownNode(f"node {n} not in layer {self.id}")
-        return self.degrees[n]
 
 
 @dataclass(frozen=True)
@@ -191,15 +164,6 @@ class MLN:
         """The pair's registered links in their stored orientation, uncopied."""
         return self._inter[self._pair_key(l1, l2)]
 
-    def interlayer_links(self, l1: str, l2: str) -> frozenset:
-        """Links oriented (node in l1, node in l2); symmetric under reversal."""
-        for lid in (l1, l2):
-            self.layer(lid)  # raises UnknownLayer
-        stored = self._inter.get(self._pair_key(l1, l2))
-        if stored is None:
-            return frozenset()
-        return stored.links if stored.from_layer == l1 else stored.reversed().links
-
     def interlayer_pairs(self):
         """All registered unordered layer pairs, sorted."""
         return sorted(self._inter)
@@ -209,6 +173,3 @@ class MLN:
             return NotImplemented
         return self.layers == other.layers and self._inter == other._inter
 
-    def __repr__(self) -> str:
-        return (f"MLN(layers={sorted(self.layers)}, "
-                f"interlayer={sorted(self._inter)})")

@@ -221,9 +221,9 @@ def test_04_arity_law():
         mln, memberships, summaries, spec, cyclic = random_mln_and_spec(rng)
         result = detect_k_community(mln, memberships, summaries, spec)
         for t in result.tuples:
-            assert len(t.communities) == spec.k
-            assert len(t.x_slots) == (spec.k - 1) + spec.cycle_steps
-        if cyclic and spec.k == 3:
+            assert len(t.communities) == len(spec.layers)
+            assert len(t.x_slots) == (len(spec.layers) - 1) + spec.cases.count("ii")
+        if cyclic and len(spec.layers) == 3:
             saw_cyclic_3 = True
             for t in result.tuples:
                 assert len(t.x_slots) == 3
@@ -409,6 +409,6 @@ def test_11_imdb_ingestion():
     assert tuple(sorted((ids["M:m1"], ids["M:m2"]))) not in m.edges
     assert tuple(sorted((ids["M:m2"], ids["M:m3"]))) in m.edges
     # links: p6 directed casts {p1,p2,p3} and {p1}; p7 -> {p4},{p5}; p8 -> {p2}
-    assert len(mln.interlayer_links("A", "D")) == 6
-    assert len(mln.interlayer_links("D", "M")) == 5
-    assert len(mln.interlayer_links("A", "M")) == 9
+    assert len(mln.stored_interlayer("A", "D").links) == 6
+    assert len(mln.stored_interlayer("D", "M").links) == 5
+    assert len(mln.stored_interlayer("A", "M").links) == 9

@@ -78,7 +78,9 @@ def test_crossing_pairs_against_stored_orientation(monkeypatch):
     mln, ma, md, _, _ = two_layer_mln([(1, 10), (2, 11), (3, 11)],
                                       [(1, 2), (3,)], [(10,), (11,)])
     forward = crossing_pairs(mln, "A", "D", ma, md)
-    monkeypatch.setattr(MLN, "interlayer_links", None)
+    def no_copy(self):
+        raise AssertionError("crossing_pairs asked for a reversed copy")
+    monkeypatch.setattr(InterLayerEdges, "reversed", no_copy)
     backward = crossing_pairs(mln, "D", "A", md, ma)
     assert backward == {(cr, cl): frozenset((b, a) for a, b in pairs)
                         for (cl, cr), pairs in forward.items()}
@@ -141,8 +143,8 @@ def test_weight_d_hand_value():
     # left density 0.5 (2 nodes would force 0 or 1, so use 4 nodes / 3 edges
     # scaled: here 2 nodes, 1 edge has density 1; construct summaries directly)
     from hemln import CommunitySummary
-    left = CommunitySummary(2, 0, 0.5, frozenset({1}))
-    right = CommunitySummary(3, 3, 1.0, frozenset({10}))
+    left = CommunitySummary(2, 0.5, frozenset({1}))
+    right = CommunitySummary(3, 1.0, frozenset({10}))
     assert weight_d(left, right, 2) == pytest.approx(0.5 * (2 / 6) * 1.0)
     assert weight_d(left, right, 2) == pytest.approx(1 / 6)
 
@@ -178,8 +180,8 @@ def test_weight_h_single_right_hub():
     # right community of 2 with exactly one hub, which participates:
     # (1/2) * (1/4) * (1/1) = 0.125
     from hemln import CommunitySummary, weight_h
-    left = CommunitySummary(2, 1, 1.0, frozenset({1, 2}))
-    right = CommunitySummary(2, 1, 1.0, frozenset({10}))
+    left = CommunitySummary(2, 1.0, frozenset({1, 2}))
+    right = CommunitySummary(2, 1.0, frozenset({10}))
     assert weight_h(left, right, frozenset({(1, 10)})) == pytest.approx(0.125)
 
 

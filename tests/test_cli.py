@@ -362,6 +362,14 @@ def _rank(tmp_path, jsonl, key="sum_raw_pairs", *extra):
     return ["rank", "--result", str(result), "--key", key, *extra]
 
 
+def _record(layer='"G2"', community="1", pair="[0, 10]"):
+    """One result.jsonl line with a (G1, G2) tuple, its second slot and its
+    first pair as given."""
+    return ('{"slots": [{"layer": "G1", "community": 1}, '
+            f'{{"layer": {layer}, "community": {community}}}], '
+            f'"x": [{{"step": ["G1", "G2"], "pairs": [{pair}]}}], "total": true}}\n')
+
+
 def _rank_unknown_community(mln_dir, tmp_path):
     memberships = tmp_path / "memberships"
     memberships.mkdir()
@@ -389,6 +397,12 @@ BAD_INPUTS = {
     "config-hub-quantile": (lambda d, t: _config(d, t, b"hub_quantile = high\n"),
                             "hub_quantile"),
     "config-not-utf8": (lambda d, t: _config(d, t, NOT_UTF8), "utf-8"),
+    # settings are checked before --mln is read: here it does not exist
+    "config-metric": (lambda d, t: _config(t / "no-mln", t, b"metric = z\n"),
+                      "bad metric 'z'"),
+    "hub-quantile-zero": (lambda d, t: _kcommunity(t / "no-mln", t,
+                                                   "--hub-quantile", "0"),
+                          "bad hub_quantile 0.0"),
     "layer-not-utf8": (lambda d, t: _not_utf8_in_mln(d, t, "layer_G1.tsv"), "utf-8"),
     "inter-not-utf8": (lambda d, t: _not_utf8_in_mln(d, t, "inter_G1_G2.tsv"),
                        "utf-8"),
@@ -405,6 +419,15 @@ BAD_INPUTS = {
                         "no specification"),
     "rank-not-json": (lambda d, t: _rank(t, "{not json\n"), "line 1"),
     "rank-bad-record": (lambda d, t: _rank(t, '\n{"slots": 3, "x": []}\n'), "line 2"),
+    # only what to_jsonl writes: a string layer, an int community, int pairs
+    "rank-community-float": (lambda d, t: _rank(t, _record(community="1.9")), "line 1"),
+    "rank-community-bool": (lambda d, t: _rank(t, _record(community="true")),
+                            "line 1"),
+    "rank-community-string": (lambda d, t: _rank(t, _record(community='"2"')),
+                              "line 1"),
+    "rank-layer-number": (lambda d, t: _rank(t, _record(layer="7")), "line 1"),
+    "rank-pair-not-ints": (lambda d, t: _rank(t, _record(pair='[0, "10"]')),
+                           "line 1"),
     # summaries must describe the result's communities, not a re-detection
     "rank-size-key-no-memberships": (lambda d, t: _rank(t, "", "min_size",
                                                         "--mln", str(d)),

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -19,10 +20,11 @@ def modularity(g: LayerGraph, parts):
     m = len(g.edges)
     if m == 0:
         return 0.0
+    degree = Counter(itertools.chain.from_iterable(g.edges))
     q = 0.0
     for part in parts:
         internal = sum(1 for u, v in g.edges if u in part and v in part)
-        deg = sum(g.degree(n) for n in part)
+        deg = sum(degree[n] for n in part)
         q += internal / m - (deg / (2 * m)) ** 2
     return q
 
@@ -168,7 +170,7 @@ def test_summary_triangle_density():
     g = LayerGraph.build("A", range(3), triangle(0, 1, 2))
     m = load_membership(g, [(0, 1), (1, 1), (2, 1)])
     s = list(summarize(g, m).values())[0]
-    assert (s.node_count, s.internal_edge_count, s.density) == (3, 3, 1.0)
+    assert (s.node_count, s.density) == (3, 1.0)
 
 
 def test_summary_density_formula():
@@ -193,6 +195,16 @@ def test_hub_floor_contains_max_degree():
     m = load_membership(g, [(n, 1) for n in range(5)])
     s = list(summarize(g, m, hub_quantile=0.9).values())[0]
     assert 0 in s.hubs and s.hubs
+
+
+def test_hubs_read_each_node_degree():
+    # degrees [1, 3, 1, 1, 0]: node 4 is isolated and reads degree 0
+    g = LayerGraph.build("A", range(5), [(0, 1), (2, 1), (3, 1)])
+    m = load_membership(g, [(n, 1) for n in range(5)])
+    hubs = {q: list(summarize(g, m, hub_quantile=q).values())[0].hubs
+            for q in (0.2, 0.4, 0.8, 1.0)}
+    assert hubs == {0.2: {0, 1, 2, 3, 4}, 0.4: {0, 1, 2, 3},
+                    0.8: {0, 1, 2, 3}, 1.0: {1}}
 
 
 def test_invalid_quantile():

@@ -66,8 +66,8 @@ def test_arity_law(three_layer_mln):
         spec = validate_spec(parse_spec(text), mln)
         result = detect_k_community(mln, memberships, summaries, spec)
         for t in result.tuples:
-            assert len(t.communities) == spec.k
-            assert len(t.x_slots) == (spec.k - 1) + spec.cycle_steps
+            assert len(t.communities) == len(spec.layers)
+            assert len(t.x_slots) == (len(spec.layers) - 1) + spec.cases.count("ii")
 
 
 def test_non_associativity_witness(three_layer_mln):

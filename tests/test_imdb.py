@@ -57,9 +57,9 @@ def test_ingest_layers_and_links():
     assert len(m.nodes) == 4
     assert m.edges == {tuple(sorted((ids["M:t2"], ids["M:t3"])))}
     # A-D: p4 directed p1, p2 (via t1/t2); p5 directed p3
-    assert len(mln.interlayer_links("A", "D")) == 3
-    assert len(mln.interlayer_links("D", "M")) == 3
-    assert len(mln.interlayer_links("A", "M")) == 4
+    assert len(mln.stored_interlayer("A", "D").links) == 3
+    assert len(mln.stored_interlayer("D", "M").links) == 3
+    assert len(mln.stored_interlayer("A", "M").links) == 4
 
 
 def test_ingest_drops_creditless_people():

@@ -3,7 +3,6 @@ import pytest
 from hemln import MLN, InterLayerEdges, LayerGraph, detect_communities
 from hemln.errors import ParseError
 from hemln.fileio import (
-    RunConfig,
     load_config,
     load_interlayer,
     load_layer,
@@ -12,7 +11,6 @@ from hemln.fileio import (
     save_membership_tsv,
     save_mln,
 )
-from hemln.errors import InvariantViolation
 
 
 def test_layer_file_minimal(tmp_path):
@@ -99,11 +97,3 @@ def test_config_parse(tmp_path):
     path.write_text("; defaults\nmetric = d\nseed=17\nhub_quantile=0.9\n")
     values = load_config(path)
     assert values == {"metric": "d", "seed": "17", "hub_quantile": "0.9"}
-
-
-def test_run_config_validation():
-    RunConfig(default_metric="h", seed=1, hub_quantile=0.5)
-    with pytest.raises(InvariantViolation):
-        RunConfig(default_metric="z")
-    with pytest.raises(InvariantViolation):
-        RunConfig(hub_quantile=0.0)

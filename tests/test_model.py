@@ -8,7 +8,6 @@ from hemln.errors import (
     MalformedGraph,
     NodeIdCollision,
     UnknownLayer,
-    UnknownNode,
 )
 
 
@@ -64,12 +63,17 @@ def test_build_keeps_canonical_tuples():
 
 
 def test_interlayer_registration_and_symmetry():
-    mln = MLN()
-    mln.add_layer(LayerGraph.build("A", [1, 2], [(1, 2)]))
-    mln.add_layer(LayerGraph.build("D", [10], []))
-    mln.add_interlayer(InterLayerEdges.build("A", "D", [(1, 10)]))
-    assert mln.interlayer_links("A", "D") == {(1, 10)}
-    assert mln.interlayer_links("D", "A") == {(10, 1)}
+    stored = []
+    for x in (InterLayerEdges.build("A", "D", [(1, 10)]),
+              InterLayerEdges.build("D", "A", [(10, 1)])):
+        mln = MLN()
+        mln.add_layer(LayerGraph.build("A", [1, 2], [(1, 2)]))
+        mln.add_layer(LayerGraph.build("D", [10], []))
+        mln.add_interlayer(x)
+        assert mln.stored_interlayer("D", "A") is mln.stored_interlayer("A", "D")
+        stored.append(mln.stored_interlayer("D", "A"))
+    # either orientation is stored as (A, D); the (D, A) links are swapped
+    assert stored == [InterLayerEdges("A", "D", frozenset({(1, 10)}))] * 2
 
 
 def test_interlayer_bad_endpoint():
@@ -89,38 +93,6 @@ def test_interlayer_unknown_layer_and_duplicate_pair():
     mln.add_interlayer(InterLayerEdges.build("A", "D", [(1, 10)]))
     with pytest.raises(DuplicatePair):
         mln.add_interlayer(InterLayerEdges.build("D", "A", [(10, 1)]))
-
-
-def test_neighbors():
-    path = LayerGraph.build("P", [1, 2, 3], [(1, 2), (2, 3)])
-    assert path.neighbors(2) == {1, 3}
-    isolated = LayerGraph.build("I", [5], [])
-    assert isolated.neighbors(5) == frozenset()
-    k4 = LayerGraph.build("K", [1, 2, 3, 4],
-                          [(u, v) for u in range(1, 5) for v in range(u + 1, 5)])
-    assert k4.neighbors(1) == {2, 3, 4}
-    with pytest.raises(UnknownNode):
-        path.neighbors(99)
-
-
-def test_edge_symmetry_degrees():
-    g = LayerGraph.build("A", range(6), [(0, 1), (1, 2), (2, 3), (0, 3), (4, 5)])
-    incidence = {n: 0 for n in g.nodes}
-    for u, v in g.edges:
-        incidence[u] += 1
-        incidence[v] += 1
-    for n in g.nodes:
-        assert g.degree(n) == incidence[n]
-        for m in g.neighbors(n):
-            assert n in g.neighbors(m)
-
-
-def test_degree_reads_counts_not_adjacency():
-    g = LayerGraph.build("A", range(5), [(0, 1), (2, 1), (3, 1)])
-    assert [g.degree(n) for n in range(5)] == [1, 3, 1, 1, 0]
-    assert "_adjacency" not in g.__dict__
-    with pytest.raises(UnknownNode):
-        g.degree(99)
 
 
 def test_frozen_mln_rejects_mutation():
