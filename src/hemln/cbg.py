@@ -15,7 +15,6 @@ nodes has no internal edges, which loaded memberships allow.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, Iterable, Mapping, NamedTuple, Tuple
 
 from .community import CommunityId, CommunitySummary, Membership
@@ -35,12 +34,11 @@ class MetaEdge(NamedTuple):
     weight: float
 
 
-@dataclass(frozen=True)
-class CommunityBipartiteGraph:
+class CommunityBipartiteGraph(NamedTuple):
     left_nodes: frozenset  # CommunityIds offered on the left
     right_nodes: frozenset
     edges: Tuple[MetaEdge, ...]
-    dropped: Tuple[MetaEdge, ...] = field(default=())
+    dropped: Tuple[MetaEdge, ...] = ()
 
 
 def weight_e(raw_pairs: int, cbg_max: int) -> float:

@@ -16,7 +16,7 @@ from collections import Counter
 from pathlib import Path
 from typing import Dict, List, NamedTuple, Optional
 
-from . import engine, fileio, imdb
+from . import engine, fileio
 from .cbg import METRICS, build_cbg, cbg_to_tsv, crossing_pairs
 from .community import detect_communities, summarize
 from .engine import detect_k_community
@@ -234,6 +234,7 @@ def _cmd_rank(args) -> int:
 
 
 def _cmd_ingest_imdb(args) -> int:
+    from . import imdb  # only this command reads csv
     records = imdb.load_imdb_tsvs(args.movies, args.people, args.acts, args.directs)
     mln, ids = imdb.ingest_imdb(records, args.genre_overlap_threshold,
                                 args.overlap_mode)

@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain
 from typing import Dict, Iterable, List, NamedTuple, Set, Tuple
 
@@ -47,8 +46,7 @@ class CommunityId(NamedTuple):
         return f"c_{self.layer}^{self.index}"
 
 
-@dataclass
-class Membership:
+class Membership(NamedTuple):
     """Disjoint, total node -> community-index assignment for one layer."""
 
     layer: str
@@ -61,8 +59,7 @@ class Membership:
         return {c: frozenset(s) for c, s in groups.items()}
 
 
-@dataclass(frozen=True)
-class CommunitySummary:
+class CommunitySummary(NamedTuple):
     node_count: int
     density: float
     hubs: frozenset

@@ -12,8 +12,7 @@ reconstruct the matched sub-network exactly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .cbg import Buckets, build_cbg, crossing_pairs
 from .community import CommunityId, CommunitySummary, Membership
@@ -25,8 +24,7 @@ from .model import MLN
 RANK_KEYS = ("min_size", "sum_size", "min_density", "sum_raw_pairs")
 
 
-@dataclass(frozen=True)
-class KTuple:
+class KTuple(NamedTuple):
     """One element of a k-community.
 
     ``communities[i]`` is the community index in ``layers[i]`` (0 = none);
@@ -50,16 +48,14 @@ class KTuple:
                 tuple(tuple(sorted(x)) if x is not None else () for x in self.x_slots))
 
 
-@dataclass(frozen=True)
-class StepDiagnostics:
+class StepDiagnostics(NamedTuple):
     u_left_size: int
     u_right_size: int
     cbg_edge_count: int
     mp_size: int
 
 
-@dataclass(frozen=True)
-class KCommunityResult:
+class KCommunityResult(NamedTuple):
     spec: KSpec  # its layers give the community slots, its steps the x slots
     tuples: Tuple[KTuple, ...]
     diagnostics: Tuple[StepDiagnostics, ...]  # [i] measures spec.steps[i]
@@ -233,7 +229,8 @@ def to_jsonl(result: KCommunityResult) -> str:
 
 def from_jsonl(text: str) -> List[KTuple]:
     """Tuples from ``to_jsonl`` text; blank lines are skipped and ``total``
-    is derived again, not read."""
+    is derived again, not read. A record's slots name two or more distinct
+    layers, and each step names two of them."""
     tuples = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         if not raw.strip():
@@ -245,13 +242,19 @@ def from_jsonl(text: str) -> List[KTuple]:
             x_slots = tuple(
                 frozenset(map(tuple, x["pairs"])) if x is not None else None
                 for x in rec["x"])
+            steps = [x["step"] for x in rec["x"] if x is not None]
         except (ValueError, KeyError, TypeError) as exc:
             raise ParseError(f"malformed result record: {exc}", lineno) from None
         if not (all(type(l) is str for l in layers)  # exact types: true is no 1
                 and all(type(c) is int and c >= 0 for c in communities)
                 and all(list(map(type, p)) == [int, int]
-                        for x in x_slots if x for p in x)):
-            raise ParseError("malformed result record: bad slot or pair", lineno)
+                        for x in x_slots if x for p in x)
+                # distinct layers; each added layer took one step, a cycle more
+                and 2 <= len(set(layers)) == len(layers) <= len(x_slots) + 1
+                and all(type(s) is list and len(s) == 2 and s[0] != s[1]
+                        and s[0] in layers and s[1] in layers for s in steps)):
+            raise ParseError("malformed result record: bad slot, pair or step",
+                             lineno)
         tuples.append(KTuple(layers, communities, x_slots))
     return tuples
 

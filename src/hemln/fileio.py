@@ -20,16 +20,13 @@ sorted so save -> load -> save is byte-identical.
 """
 from __future__ import annotations
 
-import logging
 import os
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .community import Membership, load_membership
-from .errors import IoError, ParseError
+from .errors import IoError, MalformedGraph, ParseError
 from .model import MLN, InterLayerEdges, LayerGraph
-
-log = logging.getLogger(__name__)
 
 COMMENT = ";"
 
@@ -67,11 +64,18 @@ def _lines(path: os.PathLike, comment: str) -> Iterator[Tuple[int, str]]:
 
 
 def load_layer(path: os.PathLike) -> LayerGraph:
+    """The layer in ``path``; ``LayerGraph.build`` checks it only if it has a
+    negative node or a self-loop, the faults this parse lets through."""
     layer_id: Optional[str] = None
     nodes: set = set()
     ids: Dict[str, int] = {}  # node token -> its int, shared by every edge
     edges: Dict[Tuple[int, int], None] = {}  # canonical, in file order
-    for lineno, line in _lines(path, COMMENT):
+    token_int = ids.get
+    self_loop = False
+    for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
+        line = raw.strip()  # as _lines, inlined on the hot path
+        if not line or line[0] == COMMENT:
+            continue
         fields = line.split("\t")
         if layer_id is None:
             if len(fields) != 2 or fields[0] != "layer":
@@ -80,24 +84,28 @@ def load_layer(path: os.PathLike) -> LayerGraph:
         elif fields[0] == "edge":
             if len(fields) != 3:
                 raise ParseError("expected 'edge <TAB> u <TAB> v'", lineno)
-            u, v = ids.get(fields[1]), ids.get(fields[2])
+            u, v = token_int(fields[1]), token_int(fields[2])
             if u is None or v is None:  # e.g. '07', '+7' or an undeclared node
                 u, v = _int(fields[1], lineno), _int(fields[2], lineno)
                 if u not in nodes or v not in nodes:
                     raise ParseError(f"edge ({u},{v}) references undeclared node",
                                      lineno)
-            size = len(edges)
-            edges[(u, v) if u < v else (v, u)] = None
-            if len(edges) == size:
-                log.warning("%s line %d: duplicate edge (%d,%d) ignored",
-                            path, lineno, u, v)
+            edge = (u, v) if u < v else (v, u)
+            self_loop = self_loop or u == v
+            if edge in edges:
+                import logging
+                logging.getLogger(__name__).warning(
+                    "%s line %d: duplicate edge (%d,%d) ignored", path, lineno, u, v)
+            edges[edge] = None  # a duplicate keeps its first position
         elif len(fields) == 1:
             nodes.add(ids.setdefault(fields[0], _int(fields[0], lineno)))
         else:
             raise ParseError(f"unrecognized line {line!r}", lineno)
     if layer_id is None:
         raise ParseError("missing layer header", 1)
-    return LayerGraph.build(layer_id, nodes, edges)
+    if self_loop or min(nodes, default=0) < 0:  # raises build's first error
+        return LayerGraph.build(layer_id, nodes, edges)
+    return LayerGraph(layer_id, frozenset(nodes), frozenset(edges))
 
 
 def save_layer(g: LayerGraph, path: os.PathLike) -> None:
@@ -126,7 +134,9 @@ def load_interlayer(path: os.PathLike) -> InterLayerEdges:
                 _int(fields[0], lineno), _int(fields[1], lineno)
     if header is None:
         raise ParseError("missing interlayer header", 1)
-    return InterLayerEdges.build(header[0], header[1], links)
+    if header[0] == header[1]:
+        raise MalformedGraph("inter-layer edges require two distinct layers")
+    return InterLayerEdges(header[0], header[1], frozenset(links))  # int() made exact ints
 
 
 def save_interlayer(x: InterLayerEdges, path: os.PathLike) -> None:

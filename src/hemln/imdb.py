@@ -18,10 +18,9 @@ ingestion is deterministic; ``ingest_imdb`` returns the key -> id map.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
 from itertools import combinations
 from pathlib import Path
-from typing import Dict, FrozenSet, Optional, Set, Tuple
+from typing import Dict, FrozenSet, NamedTuple, Optional, Set, Tuple
 
 from .errors import EmptyInput, IoError, ParseError, ReferentialIntegrity
 from .model import MLN, InterLayerEdges, LayerGraph
@@ -29,19 +28,18 @@ from .model import MLN, InterLayerEdges, LayerGraph
 RATING_CLASS_COUNT = 5
 
 
-@dataclass(frozen=True)
-class Movie:
+class Movie(NamedTuple):
     title: str
     genres: Tuple[str, ...]
     rating: Optional[float]
 
 
-@dataclass
 class ImdbRecords:
-    movies: Dict[str, Movie] = field(default_factory=dict)
-    people: Dict[str, str] = field(default_factory=dict)  # id -> name
-    acts_in: Set[Tuple[str, str]] = field(default_factory=set)    # (person, movie)
-    directs: Set[Tuple[str, str]] = field(default_factory=set)
+    def __init__(self) -> None:
+        self.movies: Dict[str, Movie] = {}
+        self.people: Dict[str, str] = {}  # id -> name
+        self.acts_in: Set[Tuple[str, str]] = set()  # (person, movie)
+        self.directs: Set[Tuple[str, str]] = set()
 
     def validate(self) -> None:
         for rel, name in ((self.acts_in, "acts_in"), (self.directs, "directs")):

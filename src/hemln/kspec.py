@@ -16,8 +16,7 @@ the run-level default for that composition only.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .errors import (
     DisconnectedSpec,
@@ -38,15 +37,13 @@ CASE_NEW_LAYER = "i"
 CASE_CYCLE = "ii"
 
 
-@dataclass(frozen=True)
-class Composition:
+class Composition(NamedTuple):
     left: str
     right: str
     metric: Optional[str] = None  # None -> run default
 
 
-@dataclass(frozen=True)
-class KSpec:
+class KSpec(NamedTuple):
     first_layer: str
     steps: Tuple[Composition, ...]
 

@@ -24,9 +24,8 @@ run successive shortest augmenting paths (Jonker & Volgenant 1987, Crouse
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 from .cbg import CommunityBipartiteGraph
 from .community import CommunityId
@@ -36,8 +35,7 @@ WEIGHT_SCALE = 10 ** 9
 _INF = float("inf")
 
 
-@dataclass(frozen=True)
-class MatchedPairs:
+class MatchedPairs(NamedTuple):
     pairs: Tuple[Tuple[CommunityId, CommunityId], ...]  # sorted
     total_weight: float
 

@@ -6,8 +6,7 @@ inter-layer edge sets, one per unordered layer pair.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, Tuple
+from typing import Dict, Iterable, Iterator, NamedTuple, Tuple
 
 from .errors import (
     DuplicateLayer,
@@ -22,8 +21,7 @@ NodeId = int
 Edge = Tuple[NodeId, NodeId]
 
 
-@dataclass(frozen=True)
-class LayerGraph:
+class LayerGraph(NamedTuple):
     """One layer: a simple undirected graph."""
 
     id: str
@@ -60,8 +58,7 @@ class LayerGraph:
             raise MalformedGraph(f"an edge of layer {layer_id} is not a pair") from None
 
 
-@dataclass(frozen=True)
-class InterLayerEdges:
+class InterLayerEdges(NamedTuple):
     """Bipartite links between two layers, stored oriented from -> to."""
 
     from_layer: str

@@ -29,6 +29,7 @@ link sets and errors.
 """
 from __future__ import annotations
 
+import logging
 import random
 from collections import deque
 from typing import Dict, List, Optional, Tuple
@@ -36,11 +37,13 @@ from typing import Dict, List, Optional, Tuple
 from hemln.cbg import CommunityBipartiteGraph
 from hemln.community import Membership, _aggregate, _renumber
 from hemln.errors import EmptyGraph, ParseError
-from hemln.fileio import COMMENT, _int, _lines, log
+from hemln.fileio import COMMENT, _int, _lines
 from hemln.matching import WEIGHT_SCALE, MatchedPairs, _indexed_edges
 from hemln.model import InterLayerEdges, LayerGraph
 
 BRUTE_FORCE_NODE_LIMIT = 16
+
+log = logging.getLogger("hemln.fileio")  # the logger load_layer warns on
 
 
 def _scaled(w: float) -> int:

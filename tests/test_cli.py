@@ -428,6 +428,16 @@ BAD_INPUTS = {
     "rank-layer-number": (lambda d, t: _rank(t, _record(layer="7")), "line 1"),
     "rank-pair-not-ints": (lambda d, t: _rank(t, _record(pair='[0, "10"]')),
                            "line 1"),
+    # and only the shapes it writes: two or more distinct layers, an x slot
+    # per step, each step two layers of the record
+    "rank-one-slot": (lambda d, t: _rank(t, '{"slots":[{"layer":"G1","community":1}],'
+                                            '"x":[],"total":true}\n'), "line 1"),
+    "rank-repeated-layer": (lambda d, t: _rank(
+        t, '{"slots":[{"layer":"G1","community":1},{"layer":"G1","community":2}],'
+           '"x":[null,null,null],"total":false}\n'), "line 1"),
+    "rank-step-outside-record": (lambda d, t: _rank(
+        t, '{"slots":[{"layer":"G1","community":0},{"layer":"G2","community":0}],'
+           '"x":[{"step":["Q","Z"],"pairs":[]}],"total":true}\n'), "line 1"),
     # summaries must describe the result's communities, not a re-detection
     "rank-size-key-no-memberships": (lambda d, t: _rank(t, "", "min_size",
                                                         "--mln", str(d)),

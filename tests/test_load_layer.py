@@ -38,6 +38,9 @@ CASES = {
     "two self-loops": "layer\tA\n1\n2\n5\nedge\t5\t5\nedge\t1\t2\nedge\t1\t1\n",
     "repeated self-loop": "layer\tA\n1\nedge\t1\t1\nedge\t1\t1\n",
     "negative nodes": "layer\tA\n-1\n-2\n3\nedge\t-1\t3\n",
+    # build checks nodes before edges, wherever the lines stand
+    "negative node and a self-loop": "layer\tA\n-1\n2\nedge\t2\t2\n",
+    "self-loop, then a negative node line": "layer\tA\n1\nedge\t1\t1\n-3\n",
     "duplicate edges": "layer\tA\n1\n2\n3\nedge\t1\t2\nedge\t2\t1\nedge\t1\t2\n",
     "crlf with comments and blanks":
         "; head\r\n\r\nlayer\tA\r\n1\r\n ; not a comment\r\n",

@@ -72,5 +72,5 @@ def test_summarize_builds_no_adjacency(clique_layer):
     m = Membership("M", clique_of)
     summaries, grown, _ = _traced(lambda: summarize(g, m))
     assert len(summaries) == 5
-    assert "_adjacency" not in g.__dict__
+    assert not hasattr(g, "_adjacency")
     assert grown < 1 * MIB, grown / MIB

@@ -1,8 +1,13 @@
 """The runtime is pure standard library: every absolute import in
 ``src/hemln`` names a stdlib module. numpy, scipy or networkx may be
 installed for the test oracles, so an accidental runtime import of one of
-them would pass every other test."""
+them would pass every other test.
+
+Every command pays for what ``import hemln.cli`` loads, so that import
+leaves out the modules only some commands or no command needs."""
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -26,3 +31,21 @@ def test_runtime_imports_only_the_standard_library():
                for name in _absolute_imports(p)
                if name.partition(".")[0] not in sys.stdlib_module_names}
     assert not outside
+
+
+# dataclasses pulls in inspect; logging is needed only to warn of a
+# duplicate edge; csv and hemln.imdb only by ingest-imdb
+NOT_AT_START = ("dataclasses", "inspect", "logging", "csv", "hemln.imdb")
+
+
+def test_cli_import_leaves_out_what_not_every_command_runs():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            "import hemln.cli\n"
+            "print(*sorted(set(sys.modules) - before))")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    assert "hemln.cli" in out
+    assert not set(NOT_AT_START) & set(out)
