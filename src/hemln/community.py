@@ -6,23 +6,27 @@ shuffled by the seed, and among equal-gain moves the target community with
 the smallest current index wins. Precomputed memberships can be loaded
 instead, keeping the per-layer analysis pluggable.
 
-A sweep skips a node whose decision cannot change. A node's decision reads
-only its links into the communities it weighs (its own and its neighbors')
-and those communities' total degrees ``tot``. So a node that stayed put is
-settled until a move changes the ``tot`` of a community it weighed; a
-neighbor's move is such a change, since it leaves and joins weighed
-communities. The skip is exact: every weight is an integer-valued float,
-so the ``tot[c] -= k; tot[c] += k`` of a visit without a move restores
-``tot[c]`` bit for bit, and a skipped visit would have repeated its last
-decision. Sweeps, moves and memberships are those of visiting every node.
+Nodes are dense ids 0..n-1 in ascending order with neighbour lists. A super
+edge of weight w lists its far end w times, edges inside a super node are
+dropped, and a super node's degree ``k`` is its members' sum, so a level
+holds at most 2|E| ints. A visit counts neighbour communities in C with
+``_count_elements`` (the loop behind ``Counter.update``). Counts are ints,
+``tot`` and ``k`` integer-valued floats, and the gain ``l - tot[c]*k/2m`` is
+that of weighted adjacency, so every gain and tie is the same bit for bit.
+
+A sweep skips a node that stayed put until a move changes the ``tot`` of a
+community it weighed (its own or a neighbour's). The skip is exact: ``tot[c]
+-= k; tot[c] += k`` restores an integer-valued ``tot[c]`` bit for bit, so a
+skipped visit would repeat its last decision, and sweeps, moves and
+memberships are those of visiting every node.
 """
 from __future__ import annotations
 
 import math
 import random
-from collections import Counter
+from collections import Counter, _count_elements
 from itertools import chain
-from typing import Dict, Iterable, List, NamedTuple, Set, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Tuple
 
 from .errors import (
     DuplicateNode,
@@ -69,70 +73,63 @@ class CommunitySummary(NamedTuple):
 # modularity maximization
 
 
-def _one_level(adj: Dict[int, Dict[int, float]], loops: Dict[int, float],
-               two_m: float, rng: random.Random) -> Tuple[Dict[int, int], bool]:
+def _one_level(nbrs: List[List[int]], k: List[float], two_m: float,
+               rng: random.Random) -> Tuple[List[int], bool]:
     """One local-move phase. Returns (node -> community label, moved_any)."""
-    order = sorted(adj)
+    n = len(nbrs)
+    order = list(range(n))
     rng.shuffle(order)
-    comm = {u: i for i, u in enumerate(sorted(adj))}
-    k = {u: sum(adj[u].values()) + 2.0 * loops.get(u, 0.0) for u in adj}
-    tot = {comm[u]: k[u] for u in adj}
-    settled: Set[int] = set()  # stayed put, nothing it weighed has changed
-    watchers: Dict[int, List[int]] = {}  # community -> nodes that weighed it
+    comm = list(range(n))
+    tot = list(k)
+    settled = bytearray(n)  # stayed put, nothing it weighed has changed
+    watchers: List[List[int]] = [[] for _ in range(n)]  # community -> weighers
 
     moved_any = False
     improved = True
     while improved:
         improved = False
         for u in order:
-            if u in settled:
+            if settled[u]:
                 continue
             cu = comm[u]
             ku = k[u]
             # weight of u's edges into each neighboring community, u removed
             tot[cu] -= ku
-            links: Dict[int, float] = {cu: 0.0}
-            for v, w in adj[u].items():
-                links[comm[v]] = links.get(comm[v], 0.0) + w
+            links = {cu: 0}
+            _count_elements(links, map(comm.__getitem__, nbrs[u]))
             # highest gain, then smallest index: the same in any visit order
             best_c, best_gain = cu, links[cu] - tot[cu] * ku / two_m
-            for c in links:
-                gain = links[c] - tot.get(c, 0.0) * ku / two_m
+            for c, l in links.items():
+                gain = l - tot[c] * ku / two_m
                 if gain > best_gain or (gain == best_gain and c < best_c):
                     best_c, best_gain = c, gain
             comm[u] = best_c
-            tot[best_c] = tot.get(best_c, 0.0) + ku
+            tot[best_c] += ku
             if best_c != cu:
                 improved = moved_any = True
-                for c in (cu, best_c):
-                    settled.difference_update(watchers.pop(c, ()))
+                for v in chain(watchers[cu], watchers[best_c]):
+                    settled[v] = 0
+                watchers[cu], watchers[best_c] = [], []
             else:
-                settled.add(u)
+                settled[u] = 1
                 for c in links:
-                    watchers.setdefault(c, []).append(u)
+                    watchers[c].append(u)
     return comm, moved_any
 
 
-def _aggregate(adj: Dict[int, Dict[int, float]], loops: Dict[int, float],
-               comm: Dict[int, int]) -> Tuple[Dict[int, Dict[int, float]],
-                                              Dict[int, float], Dict[int, int]]:
-    """Collapse each community into a super node; returns new (adj, loops)
-    plus the relabeling old community label -> new node id."""
-    labels = sorted(set(comm.values()))
-    relabel = {c: i for i, c in enumerate(labels)}
-    new_adj: Dict[int, Dict[int, float]] = {i: {} for i in range(len(labels))}
-    new_loops: Dict[int, float] = {i: 0.0 for i in range(len(labels))}
-    for u in adj:
-        cu = relabel[comm[u]]
-        new_loops[cu] += loops.get(u, 0.0)
-        for v, w in adj[u].items():
-            cv = relabel[comm[v]]
-            if cu == cv:
-                if u < v:
-                    new_loops[cu] += w
-            else:
-                new_adj[cu][cv] = new_adj[cu].get(cv, 0.0) + w
-    return new_adj, new_loops, relabel
+def _aggregate(nbrs: List[List[int]], k: List[float], comm: List[int]
+               ) -> Tuple[List[List[int]], List[float], List[int]]:
+    """Collapse each community into a super node; returns its neighbour
+    lists and degrees plus each old node's super node."""
+    labels = sorted(set(comm))
+    relabel = dict(zip(labels, range(len(labels))))
+    sup = [relabel[c] for c in comm]
+    new_nbrs: List[List[int]] = [[] for _ in labels]
+    new_k = [0.0] * len(labels)
+    for v, s in enumerate(sup):
+        new_k[s] += k[v]
+        new_nbrs[s].extend(filter(s.__ne__, map(sup.__getitem__, nbrs[v])))
+    return new_nbrs, new_k, sup
 
 
 def detect_communities(g: LayerGraph, seed: int = 0) -> Membership:
@@ -143,27 +140,30 @@ def detect_communities(g: LayerGraph, seed: int = 0) -> Membership:
     """
     if not g.nodes:
         raise EmptyGraph(f"layer {g.id} has no nodes")
+    nodes = sorted(g.nodes)
+    index = dict(zip(nodes, range(len(nodes))))
     if not g.edges:
-        return _renumber(g.id, {n: i for i, n in enumerate(sorted(g.nodes))})
+        return _renumber(g.id, index)
 
     rng = random.Random(seed)
-    adj: Dict[int, Dict[int, float]] = {n: {} for n in g.nodes}
+    nbrs: List[List[int]] = [[] for _ in nodes]
     for u, v in g.edges:
-        adj[u][v] = 1.0
-        adj[v][u] = 1.0
-    loops: Dict[int, float] = {}
+        iu, iv = index[u], index[v]
+        nbrs[iu].append(iv)
+        nbrs[iv].append(iu)
+    k = [float(len(ns)) for ns in nbrs]
     two_m = 2.0 * len(g.edges)
 
-    node2cur = {n: n for n in g.nodes}  # original node -> current super node
+    node2cur = list(range(len(nodes)))  # node index -> current super node
     while True:
-        comm, moved = _one_level(adj, loops, two_m, rng)
+        comm, moved = _one_level(nbrs, k, two_m, rng)
         if not moved:
             break
-        adj, loops, relabel = _aggregate(adj, loops, comm)
-        node2cur = {n: relabel[comm[cur]] for n, cur in node2cur.items()}
-        if len(adj) <= 1:
+        nbrs, k, sup = _aggregate(nbrs, k, comm)
+        node2cur = list(map(sup.__getitem__, node2cur))
+        if len(nbrs) <= 1:
             break
-    return _renumber(g.id, node2cur)
+    return _renumber(g.id, dict(zip(nodes, node2cur)))
 
 
 def _renumber(layer: str, raw: Dict[NodeId, int]) -> Membership:

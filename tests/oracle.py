@@ -1,8 +1,10 @@
 """Oracles for the tests.
 
 ``reference_detect_communities`` is the Louvain detection that visits every
-node on every sweep; ``hemln.community.detect_communities`` skips the nodes
-whose decision cannot change and must return the same memberships.
+node on every sweep, on dict-of-dicts adjacency with float edge weights and
+self-loop weights; ``hemln.community.detect_communities`` runs on dense
+integer ids with weight-multiset neighbour lists, skips the nodes whose
+decision cannot change, and must return the same memberships.
 
 The two matching oracles compute the objective of
 ``hemln.matching.max_flow_match``: the largest scaled integer weight, ties
@@ -35,7 +37,7 @@ from collections import deque
 from typing import Dict, List, Optional, Tuple
 
 from hemln.cbg import CommunityBipartiteGraph
-from hemln.community import Membership, _aggregate, _renumber
+from hemln.community import Membership, _renumber
 from hemln.errors import EmptyGraph, ParseError
 from hemln.fileio import COMMENT, _int, _lines
 from hemln.matching import WEIGHT_SCALE, MatchedPairs, _indexed_edges
@@ -228,6 +230,28 @@ def _reference_one_level(adj: Dict[int, Dict[int, float]], loops: Dict[int, floa
     return comm, moved_any
 
 
+def _reference_aggregate(adj: Dict[int, Dict[int, float]], loops: Dict[int, float],
+                         comm: Dict[int, int]) -> Tuple[Dict[int, Dict[int, float]],
+                                                        Dict[int, float], Dict[int, int]]:
+    """Collapse each community into a super node; returns new (adj, loops)
+    plus the relabeling old community label -> new node id."""
+    labels = sorted(set(comm.values()))
+    relabel = {c: i for i, c in enumerate(labels)}
+    new_adj: Dict[int, Dict[int, float]] = {i: {} for i in range(len(labels))}
+    new_loops: Dict[int, float] = {i: 0.0 for i in range(len(labels))}
+    for u in adj:
+        cu = relabel[comm[u]]
+        new_loops[cu] += loops.get(u, 0.0)
+        for v, w in adj[u].items():
+            cv = relabel[comm[v]]
+            if cu == cv:
+                if u < v:
+                    new_loops[cu] += w
+            else:
+                new_adj[cu][cv] = new_adj[cu].get(cv, 0.0) + w
+    return new_adj, new_loops, relabel
+
+
 def reference_detect_communities(g: LayerGraph, seed: int = 0) -> Membership:
     """Greedy multi-level modularity maximization, deterministic per seed.
 
@@ -252,7 +276,7 @@ def reference_detect_communities(g: LayerGraph, seed: int = 0) -> Membership:
         comm, moved = _reference_one_level(adj, loops, two_m, rng)
         if not moved:
             break
-        adj, loops, relabel = _aggregate(adj, loops, comm)
+        adj, loops, relabel = _reference_aggregate(adj, loops, comm)
         node2cur = {n: relabel[comm[cur]] for n, cur in node2cur.items()}
         if len(adj) <= 1:
             break

@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from hemln import LayerGraph, detect_communities, load_membership, summarize
+from hemln import LayerGraph, community, detect_communities, load_membership, summarize
 from hemln.errors import (
     DuplicateNode,
     EmptyGraph,
@@ -125,20 +125,88 @@ def overlapping_cliques(rng, n):
     return edges
 
 
-def test_equals_reference_louvain():
-    """The settled-node skip repeats every decision of the full sweeps."""
+def planted_groups(rng):
+    """6-10 groups of 60-150 nodes (ring + chords) with sparse cross edges:
+    detection runs >= 3 levels, so super nodes link by weighted edges."""
+    edges, start = set(), 0
+    sizes = [rng.randint(60, 150) for _ in range(rng.randint(6, 10))]
+    for size in sizes:
+        group = range(start, start + size)
+        edges.update((u, u + 1) for u in group[:-1])
+        edges.add((group[0], group[-1]))
+        edges.update(tuple(sorted(rng.sample(group, 2))) for _ in range(size))
+        start += size
+    edges.update(tuple(sorted(rng.sample(range(start), 2)))
+                 for _ in range(3 * len(sizes)))
+    return start, sorted(edges)
+
+
+def ring_of_cliques(rng):
+    """40-90 cliques of 3-5 nodes, each joined to the next by 1-3 edges."""
+    size, count = rng.randint(3, 5), rng.randint(40, 90)
+    edges = [e for c in range(count)
+             for e in itertools.combinations(range(c * size, (c + 1) * size), 2)]
+    for c in range(count):
+        nxt = (c + 1) % count * size
+        edges += {(c * size + rng.randrange(size), nxt + rng.randrange(size))
+                  for _ in range(rng.randint(1, 3))}
+    return size * count, edges
+
+
+DEGENERATE = {
+    "single edge": (range(2), [(0, 1)]),
+    "star": (range(21), [(0, v) for v in range(1, 21)]),
+    "two components": (range(6), triangle(0, 1, 2) + triangle(3, 4, 5)),
+    "mostly isolated": (range(200), [(3, 50), (50, 199), (7, 8)]),
+}
+
+
+def reference_cases():
+    """(name, graph) pairs that detect_communities must match the oracle on."""
     for family in (erdos_renyi, noisy_planted, preferential_attachment,
                    overlapping_cliques):
         rng = random.Random(family.__name__)
         for i in range(25):
             n = rng.randint(20, 120)
             isolated = range(n, n + rng.randint(0, 5))
-            g = LayerGraph.build("A", itertools.chain(range(n), isolated),
-                                 family(rng, n))
-            for seed in (0, 1, 7):
-                assert (detect_communities(g, seed).assignment
-                        == reference_detect_communities(g, seed).assignment), \
-                    (family.__name__, i, seed)
+            yield (family.__name__, i), LayerGraph.build(
+                "A", itertools.chain(range(n), isolated), family(rng, n))
+    for family in (planted_groups, ring_of_cliques):
+        rng = random.Random(family.__name__)
+        for i in range(4):
+            n, edges = family(rng)
+            yield (family.__name__, i), LayerGraph.build("A", range(n), edges)
+    for name, (nodes, edges) in DEGENERATE.items():
+        yield (name, 0), LayerGraph.build("A", nodes, edges)
+
+
+def test_equals_reference_louvain(monkeypatch):
+    """The dense-id kernel with its settled-node skip repeats every decision
+    of the reference's full sweeps over dict-of-dicts adjacency."""
+    aggregate = community._aggregate
+    run = [0, False]  # aggregations, any super edge of weight > 1
+
+    def counting(nbrs, k, comm):
+        new_nbrs, new_k, sup = aggregate(nbrs, k, comm)
+        run[0] += 1
+        run[1] |= any(len(set(ns)) < len(ns) for ns in new_nbrs)
+        return new_nbrs, new_k, sup
+
+    monkeypatch.setattr(community, "_aggregate", counting)
+    reached = {}
+    for case, g in reference_cases():
+        for seed in (0, 1, 7):
+            run[:] = [0, False]
+            assert (detect_communities(g, seed).assignment
+                    == reference_detect_communities(g, seed).assignment), \
+                (case, seed)
+            if case[0] in ("planted_groups", "ring_of_cliques"):
+                levels, heavy = reached.get(case[0], (0, False))
+                reached[case[0]] = (max(levels, run[0]), heavy or run[1])
+    # both large families aggregate >= 3 times and weigh super edges > 1
+    for name, (levels, heavy) in reached.items():
+        assert levels >= 3 and heavy, (name, levels, heavy)
+    assert len(reached) == 2
 
 
 def test_load_membership_renumbers():

@@ -1,4 +1,5 @@
-"""Memory guards for a loaded layer: a layer is held once.
+"""Memory guards for a loaded layer: a layer is held once, and detection
+on it builds no per-edge dicts.
 
 The layer is shaped like the movie layer of an IMDb-style network: a few
 large rating-class cliques plus sparse noise, ~80k edges, written in
@@ -12,7 +13,7 @@ from itertools import combinations
 
 import pytest
 
-from hemln import Membership, summarize
+from hemln import Membership, detect_communities, summarize
 from hemln.fileio import load_layer
 
 MIB = 1 << 20
@@ -74,3 +75,13 @@ def test_summarize_builds_no_adjacency(clique_layer):
     assert len(summaries) == 5
     assert not hasattr(g, "_adjacency")
     assert grown < 1 * MIB, grown / MIB
+
+
+def test_detection_peak_below_3_mib(clique_layer):
+    """Louvain holds each edge as two ints in neighbour lists, not as
+    dict-of-dicts adjacency (6.8 MiB on this layer)."""
+    path, _ = clique_layer
+    g = load_layer(path)
+    m, _, peak = _traced(lambda: detect_communities(g, seed=0))
+    assert len(set(m.assignment.values())) >= 2
+    assert peak <= 3 * MIB, peak / MIB
