@@ -5,24 +5,31 @@ Subcommands: detect, kcommunity, cbg, rank, ingest-imdb. Exit codes:
 takes only the options it reads. Where --seed exists, the MLN_SEED
 environment variable overrides it; --config points to a key=value file
 supplying defaults for the command's metric, seed, hub_quantile and spec.
+
+kcommunity and cbg detect their layers in forked processes, one per CPU
+the process may use, the parent included, largest layer first. The parent
+detects any layer a child did not send back and keeps layer order, so
+outputs and errors are a serial run's. One CPU or no os.fork: no fork.
 """
 from __future__ import annotations
 
 import argparse
 import gc
+import marshal
 import os
 import sys
 from collections import Counter
+from contextlib import suppress
 from pathlib import Path
 from typing import Dict, List, NamedTuple, Optional
 
 from . import engine, fileio
 from .cbg import METRICS, build_cbg, cbg_to_tsv, crossing_pairs
-from .community import detect_communities, summarize
+from .community import Membership, detect_communities, summarize
 from .engine import detect_k_community
-from .errors import EmptySpec, HemlnError, InvariantViolation
+from .errors import EmptySpec, HemlnError, InvariantViolation, NoInterLayerEdges
 from .kspec import parse_spec, validate_spec
-from .model import MLN
+from .model import MLN, LayerGraph
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -107,9 +114,7 @@ def _number(kind, name: str, text: str):
 
 
 def _settings(args) -> RunConfig:
-    defaults: Dict[str, str] = {}
-    if getattr(args, "config", None):
-        defaults = fileio.load_config(args.config)
+    defaults = fileio.load_config(args.config) if getattr(args, "config", None) else {}
     seed, quantile = 0, 0.8
     if hasattr(args, "seed"):  # only commands with --seed read MLN_SEED
         seed = args.seed
@@ -133,15 +138,54 @@ def _settings(args) -> RunConfig:
 
 def _memberships_for(mln: MLN, layers, seed: int,
                      memberships_dir: Optional[str]):
-    memberships = {}
-    for lid in layers:
-        g = mln.layer(lid)
-        if memberships_dir:
-            path = Path(memberships_dir) / f"membership_{lid}.tsv"
-            memberships[lid] = fileio.load_membership_tsv(g, path)
-        else:
-            memberships[lid] = detect_communities(g, seed)
-    return memberships
+    if memberships_dir:
+        return {lid: fileio.load_membership_tsv(
+                    mln.layer(lid), Path(memberships_dir) / f"membership_{lid}.tsv")
+                for lid in layers}
+    return dict(zip(layers, _detect_layers([mln.layer(lid) for lid in layers], seed)))
+
+
+def _detect_layers(graphs: List[LayerGraph], seed: int) -> List[Membership]:
+    """detect_communities on each graph, in parallel as the module says."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    workers = min(len(graphs), cpus if hasattr(os, "fork") else 1) or 1
+    order = sorted(range(len(graphs)), key=lambda i: -len(graphs[i].edges))
+    own, *shares = [order[w::workers] for w in range(workers)]
+    done: Dict[int, Membership] = {}
+    children = []  # (pid, read end of its pipe, its share)
+    try:
+        for share in shares:
+            pipe = ()
+            try:
+                pipe = r, w = os.pipe()
+                pid = os.fork()
+            except OSError:  # no descriptor or process to spare
+                for fd in pipe:
+                    os.close(fd)
+                continue
+            if pid == 0:  # the child sends its assignments and never returns
+                try:
+                    with open(w, "wb") as out:
+                        out.write(marshal.dumps([detect_communities(graphs[i], seed)
+                                                 .assignment for i in share]))
+                    os._exit(0)
+                finally:
+                    os._exit(1)  # runs no atexit and flushes no parent stdio
+            os.close(w)
+            children.append((pid, r, share))
+        for i in own:
+            with suppress(HemlnError):  # raised below, in layer order, as serially
+                done[i] = detect_communities(graphs[i], seed)
+    finally:
+        for pid, r, share in children:
+            with open(r, "rb") as into:
+                data = into.read()
+            if os.waitpid(pid, 0)[1] == 0 and data:
+                done.update((i, Membership(graphs[i].id, a))
+                            for i, a in zip(share, marshal.loads(data)))
+    return [done[i] if i in done else detect_communities(g, seed)  # not sent back
+            for i, g in enumerate(graphs)]
 
 
 def _summaries(mln: MLN, memberships, hub_quantile: float):
@@ -183,13 +227,11 @@ def _cmd_kcommunity(args) -> int:
     for i, spec in enumerate(specs):
         result = detect_k_community(mln, memberships, summaries, spec,
                                     cfg.default_metric)
-        stem = "result" if len(specs) == 1 else f"result_{i}"
-        (out / f"{stem}.txt").write_text(engine.format_tuples(result),
-                                         encoding="utf-8")
-        (out / f"{stem}.jsonl").write_text(engine.to_jsonl(result),
-                                           encoding="utf-8")
-        diag = "diagnostics.tsv" if len(specs) == 1 else f"diagnostics_{i}.tsv"
-        (out / diag).write_text(engine.diagnostics_tsv(result), encoding="utf-8")
+        tag = "" if len(specs) == 1 else f"_{i}"
+        for name, text in ((f"result{tag}.txt", engine.format_tuples(result)),
+                           (f"result{tag}.jsonl", engine.to_jsonl(result)),
+                           (f"diagnostics{tag}.tsv", engine.diagnostics_tsv(result))):
+            (out / name).write_text(text, encoding="utf-8")
     return EXIT_OK
 
 
@@ -200,6 +242,9 @@ def _cmd_cbg(args) -> int:
         left, right = args.pair.split(",")
     except ValueError:
         raise HemlnError(f"--pair expects 'L1,L2', got {args.pair!r}") from None
+    mln.layer(left), mln.layer(right)  # the pair is checked before detection
+    if not mln.has_interlayer(left, right):
+        raise NoInterLayerEdges(f"no inter-layer edges between {left} and {right}")
     memberships = _memberships_for(mln, (left, right), cfg.seed, args.memberships)
     summaries = _summaries(mln, memberships, cfg.hub_quantile)
     buckets = crossing_pairs(mln, left, right, memberships[left], memberships[right])

@@ -102,20 +102,17 @@ def ingest_imdb(records: ImdbRecords,
     cast: Dict[str, Set[str]] = {}
     for person, movie in records.acts_in:
         cast.setdefault(movie, set()).add(person)
-    a_edges = set()
-    for members in cast.values():
-        for u, v in combinations(sorted(members), 2):
-            a_edges.add((aid[u], aid[v]))
+    a_edges = {(aid[u], aid[v]) for members in cast.values()
+               for u, v in combinations(sorted(members), 2)}
     layer_a = LayerGraph.build("A", aid.values(), a_edges)
 
     # layer D: aggregated genre overlap
     genres: Dict[str, FrozenSet[str]] = {
         d: frozenset(g for m in ms for g in records.movies[m].genres)
         for d, ms in movies_of_director.items()}
-    d_edges = set()
-    for u, v in combinations(directors, 2):
-        if genre_overlap(genres[u], genres[v], overlap_mode) >= genre_overlap_threshold:
-            d_edges.add((did[u], did[v]))
+    d_edges = {(did[u], did[v]) for u, v in combinations(directors, 2)
+               if genre_overlap(genres[u], genres[v], overlap_mode)
+               >= genre_overlap_threshold}
     layer_d = LayerGraph.build("D", did.values(), d_edges)
 
     # layer M: shared rating class
@@ -124,10 +121,8 @@ def ingest_imdb(records: ImdbRecords,
         rating = records.movies[m].rating
         if rating is not None:
             by_class.setdefault(rating_class(rating), []).append(m)
-    m_edges = set()
-    for group in by_class.values():
-        for u, v in combinations(group, 2):
-            m_edges.add((mid[u], mid[v]))
+    m_edges = {(mid[u], mid[v]) for group in by_class.values()
+               for u, v in combinations(group, 2)}
     layer_m = LayerGraph.build("M", mid.values(), m_edges)
 
     l_ad = {(aid[a], did[d])
