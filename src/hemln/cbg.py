@@ -75,12 +75,12 @@ def crossing_pairs(mln: MLN, left: str, right: str,
     if not mln.has_interlayer(left, right):
         raise NoInterLayerEdges(f"no inter-layer edges between {left} and {right}")
     of_left, of_right = membership_left.assignment, membership_right.assignment
-    buckets: Dict[Tuple[int, int], set] = {}
+    buckets: Dict[Tuple[int, int], list] = {}
     stored = mln.stored_interlayer(left, right)
     links = (stored.links if stored.from_layer == left
              else ((b, a) for a, b in stored.links))  # swap, no reversed copy
-    for a, b in links:
-        buckets.setdefault((of_left[a], of_right[b]), set()).add((a, b))
+    for link in links:  # the stored tuples themselves when not swapped
+        buckets.setdefault((of_left[link[0]], of_right[link[1]]), []).append(link)
     lids = {c: CommunityId(membership_left.layer, c) for c in set(of_left.values())}
     rids = {c: CommunityId(membership_right.layer, c) for c in set(of_right.values())}
     return {(lids[cl], rids[cr]): frozenset(buckets[(cl, cr)])
@@ -109,8 +109,7 @@ def build_cbg(left: str,
 
     # linear on crossing_pairs' ordered buckets; other callers may pass any order
     kept = sorted(key for key in buckets if key[0] in u_left and key[1] in u_right)
-    edges = []
-    dropped = []
+    edges, dropped = [], []
     max_pairs = max((len(buckets[key]) for key in kept), default=0)
     for cl, cr in kept:
         pairs = buckets[(cl, cr)]
@@ -130,8 +129,6 @@ def build_cbg(left: str,
 
 def cbg_to_tsv(cbg: CommunityBipartiteGraph) -> str:
     """Debug export: left community, right community, pair count, weight."""
-    lines = []
-    for e in cbg.edges:
-        lines.append(f"{e.left.index}\t{e.right.index}\t{len(e.pairs)}\t"
-                     f"{e.weight!r}")
+    lines = [f"{e.left.index}\t{e.right.index}\t{len(e.pairs)}\t{e.weight!r}"
+             for e in cbg.edges]
     return "\n".join(lines) + ("\n" if lines else "")

@@ -171,11 +171,8 @@ def _renumber(layer: str, raw: Dict[NodeId, int]) -> Membership:
     for n, c in raw.items():
         groups.setdefault(c, []).append(n)
     ordered = sorted(groups.values(), key=lambda ns: (-len(ns), min(ns)))
-    assignment: Dict[NodeId, int] = {}
-    for idx, members in enumerate(ordered, start=1):
-        for n in members:
-            assignment[n] = idx
-    return Membership(layer, assignment)
+    return Membership(layer, {n: idx for idx, members in enumerate(ordered, start=1)
+                              for n in members})
 
 
 # ---------------------------------------------------------------------------
@@ -198,9 +195,7 @@ def load_membership(g: LayerGraph, rows: Iterable[Tuple[NodeId, int]]) -> Member
                     f"node {node} listed with indices {seen[node]} and {raw_idx}")
             continue
         seen[node] = raw_idx
-        if raw_idx not in normalize:
-            normalize[raw_idx] = len(normalize) + 1
-        assignment[node] = normalize[raw_idx]
+        assignment[node] = normalize.setdefault(raw_idx, len(normalize) + 1)
     missing = g.nodes - seen.keys()
     if missing:
         raise MissingNode(f"nodes without community: {sorted(missing)[:10]}")

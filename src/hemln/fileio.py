@@ -16,11 +16,14 @@ Inter-layer file:
 Both are UTF-8 with ';' comment lines. An edge names nodes declared on
 earlier lines, whose tokens a load resolves to ints once. Membership files
 are ``node <TAB> community`` with '#' comments. Saves are canonically
-sorted so save -> load -> save is byte-identical.
+sorted so save -> load -> save is byte-identical. A load decodes the whole
+file, so a decode error wins over any parse error, then splits it into lines
+a ``BLOCK`` at a time: a list of every line would hold ~5x the file.
 """
 from __future__ import annotations
 
 import os
+from itertools import chain
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -29,6 +32,7 @@ from .errors import IoError, MalformedGraph, ParseError
 from .model import MLN, InterLayerEdges, LayerGraph
 
 COMMENT = ";"
+BLOCK = 1 << 16  # characters split into lines at a time
 
 
 def load_config(path: os.PathLike) -> Dict[str, str]:
@@ -50,13 +54,24 @@ def _read_text(path: os.PathLike) -> str:
         raise IoError(f"{path}: {exc}") from None
 
 
+def _numbered(text: str) -> Iterator[Tuple[int, str]]:
+    """``enumerate(text.splitlines(), 1)`` in blocks that end after the first
+    '\\n' at or past ``BLOCK`` characters, so no '\\r\\n' straddles two."""
+    def blocks() -> Iterator[str]:
+        start, n = 0, len(text)
+        while start < n:
+            end = text.find("\n", start + BLOCK) + 1 or n
+            yield text if start == 0 and end == n else text[start:end]
+            start = end
+    return enumerate(chain.from_iterable(map(str.splitlines, blocks())), 1)
+
+
 def _lines(path: os.PathLike, comment: str) -> Iterator[Tuple[int, str]]:
     """Numbered non-blank lines, stripped, without ``comment`` lines."""
-    for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
+    for lineno, raw in _numbered(_read_text(path)):
         line = raw.strip()
-        if not line or line.startswith(comment):
-            continue
-        yield lineno, line
+        if line and not line.startswith(comment):
+            yield lineno, line
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +87,7 @@ def load_layer(path: os.PathLike) -> LayerGraph:
     edges: Dict[Tuple[int, int], None] = {}  # canonical, in file order
     token_int = ids.get
     self_loop = False
-    for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
+    for lineno, raw in _numbered(_read_text(path)):
         line = raw.strip()  # as _lines, inlined on the hot path
         if not line or line[0] == COMMENT:
             continue

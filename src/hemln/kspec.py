@@ -83,10 +83,9 @@ def parse_spec(text: str) -> KSpec:
     visited = {first}
     prev_layer = first
     steps: List[Composition] = []
-    i = 1
-    if i >= len(tokens):
-        raise SpecSyntaxError("expected a '#(L1,L2)' composition operator", i)
-    while i < len(tokens):
+    if len(tokens) < 2:
+        raise SpecSyntaxError("expected a '#(L1,L2)' composition operator", 1)
+    for i in range(1, len(tokens), 2):
         tok = tokens[i]
         m = _THETA_RE.match(tok)
         if not m:
@@ -108,7 +107,6 @@ def parse_spec(text: str) -> KSpec:
         steps.append(Composition(left, right, metric))
         visited.add(right)
         prev_layer = following
-        i += 2
     return KSpec(first, tuple(steps))
 
 

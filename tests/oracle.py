@@ -27,7 +27,9 @@ token and keeps an edge list plus a seen-set; ``hemln.fileio.load_layer``
 resolves node tokens once and must return equal graphs, warnings and errors.
 ``reference_load_interlayer`` parses each link token with ``_int``;
 ``hemln.fileio.load_interlayer`` calls ``int`` inline and must return equal
-link sets and errors.
+link sets and errors. Both reference loaders split the whole decoded text
+with ``str.splitlines`` at once (``_reference_lines``); ``hemln.fileio``
+splits it one block at a time.
 """
 from __future__ import annotations
 
@@ -39,7 +41,7 @@ from typing import Dict, List, Optional, Tuple
 from hemln.cbg import CommunityBipartiteGraph
 from hemln.community import Membership, _renumber
 from hemln.errors import EmptyGraph, ParseError
-from hemln.fileio import COMMENT, _int, _lines
+from hemln.fileio import COMMENT, _int, _read_text
 from hemln.matching import WEIGHT_SCALE, MatchedPairs, _indexed_edges
 from hemln.model import InterLayerEdges, LayerGraph
 
@@ -283,12 +285,20 @@ def reference_detect_communities(g: LayerGraph, seed: int = 0) -> Membership:
     return _renumber(g.id, node2cur)
 
 
+def _reference_lines(path, comment):
+    """Numbered non-blank lines, stripped, without ``comment`` lines."""
+    for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith(comment):
+            yield lineno, line
+
+
 def reference_load_layer(path) -> LayerGraph:
     layer_id: Optional[str] = None
     nodes: set = set()
     edges: List[Tuple[int, int]] = []
     seen_edges: set = set()
-    for lineno, line in _lines(path, COMMENT):
+    for lineno, line in _reference_lines(path, COMMENT):
         fields = line.split("\t")
         if layer_id is None:
             if len(fields) != 2 or fields[0] != "layer":
@@ -318,7 +328,7 @@ def reference_load_layer(path) -> LayerGraph:
 def reference_load_interlayer(path) -> InterLayerEdges:
     header: Optional[Tuple[str, str]] = None
     links: List[Tuple[int, int]] = []
-    for lineno, line in _lines(path, COMMENT):
+    for lineno, line in _reference_lines(path, COMMENT):
         fields = line.split("\t")
         if header is None:
             if len(fields) != 3 or fields[0] != "interlayer":

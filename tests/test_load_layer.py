@@ -9,13 +9,20 @@ the same duplicate-edge warnings, or raise the same exception class with the
 same message (line number included). The hypothesis examples insert lines
 into valid files and mutate their bytes; they are derandomized, so the tests
 are reproducible and their cost bounded.
+
+``hemln.fileio`` splits a decoded file into lines one ``BLOCK`` at a time,
+and the reference loaders split it whole. Every differential test runs again
+with ``BLOCK`` set to 1 and to 7 characters, so the point past which a block
+may end falls inside '\\r\\n' pairs, tokens and comments, and a property test
+holds the split itself to ``enumerate(text.splitlines(), 1)``.
 """
 import logging
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from hemln import fileio
 from hemln.fileio import load_interlayer, load_layer
 from oracle import reference_load_interlayer, reference_load_layer
 from test_fuzz_cli import _mutate
@@ -53,6 +60,7 @@ CASES = {
     "missing header": "; only a comment\n",
     "bad header": "1\n2\n",
 }
+NOT_UTF8 = b"layer\tA\n1\n\xff\n"
 
 
 def _outcome(load, path, caplog):
@@ -81,8 +89,41 @@ def test_load_layer_matches_reference(tmp_path, caplog, text):
 
 def test_not_utf8_matches_reference(tmp_path, caplog):
     path = tmp_path / "layer.tsv"
-    path.write_bytes(b"layer\tA\n1\n\xff\n")
+    path.write_bytes(NOT_UTF8)
     _assert_same(path, caplog)
+
+
+@pytest.fixture(params=(1, 7), ids="block={}".format)
+def small_blocks(request, monkeypatch):
+    """Every load splits its text a few characters at a time."""
+    monkeypatch.setattr(fileio, "BLOCK", request.param)
+
+
+@pytest.mark.usefixtures("small_blocks")
+@pytest.mark.parametrize("data", [*(t.encode() for t in CASES.values()), NOT_UTF8],
+                         ids=[*CASES, "not utf-8"])
+def test_layer_files_in_small_blocks_match_reference(tmp_path, caplog, data):
+    path = tmp_path / "layer.tsv"
+    path.write_bytes(data)
+    _assert_same(path, caplog)
+
+
+# every character str.splitlines breaks on, '\r\n' as one piece, and layer
+# syntax; empty texts and texts without a final line break are drawn too
+SPLIT_PIECES = st.sampled_from(("\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d",
+                                "\x1e", "\x85", "\u2028", "\u2029", "\t", ";", "0",
+                                "1", "7", "42"))
+
+
+@settings(derandomize=True, database=None, max_examples=1000, deadline=None)
+@given(text=st.lists(SPLIT_PIECES, max_size=40).map("".join),
+       block=st.integers(0, 8))
+@example(text="", block=0)
+@example(text="1\r\n2", block=1)
+def test_block_split_equals_splitlines(text, block):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fileio, "BLOCK", block)
+        assert list(fileio._numbered(text)) == list(enumerate(text.splitlines(), 1))
 
 
 @pytest.fixture(scope="module")
@@ -106,17 +147,35 @@ BYTE_MUTATIONS = st.lists(st.tuples(st.sampled_from(("replace", "insert", "delet
                                     st.integers(0, 1 << 8), CHUNKS), max_size=2)
 
 
-@settings(derandomize=True, database=None, max_examples=400, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(seed=st.sampled_from(SEEDS),
-       lines=st.lists(st.tuples(st.integers(0, 1 << 8), LINES), max_size=4),
-       mutations=BYTE_MUTATIONS)
-def test_mutated_layer_files_match_reference(scratch, caplog, seed, lines,
-                                             mutations):
+def _mutated(seed: bytes, lines, mutations) -> bytes:
     rows = seed.splitlines(keepends=True)
     for at, line in lines:
         rows.insert(at % (len(rows) + 1), line)
-    scratch.write_bytes(_mutate(b"".join(rows), mutations))
+    return _mutate(b"".join(rows), mutations)
+
+
+def _fuzzed(seeds, lines, max_examples):
+    """Give the test ``data``: one of ``seeds`` with up to 4 of ``lines``
+    inserted and its bytes mutated."""
+    files = st.builds(_mutated, st.sampled_from(seeds),
+                      st.lists(st.tuples(st.integers(0, 1 << 8), lines), max_size=4),
+                      BYTE_MUTATIONS)
+    return lambda test: settings(
+        derandomize=True, database=None, max_examples=max_examples, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture])(
+            given(data=files)(test))
+
+
+@_fuzzed(SEEDS, LINES, 400)
+def test_mutated_layer_files_match_reference(scratch, caplog, data):
+    scratch.write_bytes(data)
+    _assert_same(scratch, caplog)
+
+
+@pytest.mark.usefixtures("small_blocks")
+@_fuzzed(SEEDS, LINES, 400)
+def test_mutated_layer_files_in_small_blocks_match_reference(scratch, caplog, data):
+    scratch.write_bytes(data)
     _assert_same(scratch, caplog)
 
 
@@ -149,20 +208,28 @@ def test_load_interlayer_matches_reference(tmp_path, caplog, text):
     _assert_same(path, caplog, load_interlayer, reference_load_interlayer)
 
 
+@pytest.mark.usefixtures("small_blocks")
+@pytest.mark.parametrize("text", INTER_CASES.values(), ids=INTER_CASES.keys())
+def test_interlayer_files_in_small_blocks_match_reference(tmp_path, caplog, text):
+    path = tmp_path / "inter.tsv"
+    path.write_bytes(text.encode())
+    _assert_same(path, caplog, load_interlayer, reference_load_interlayer)
+
+
 INTER_LINES = st.one_of(st.builds("{}\t{}\n".format, TOKENS, TOKENS),
                         st.sampled_from(("\n", "; c\n", "\r\n", "1\n"))
                         ).map(str.encode)
 
 
-@settings(derandomize=True, database=None, max_examples=300, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(seed=st.sampled_from(INTER_SEEDS),
-       lines=st.lists(st.tuples(st.integers(0, 1 << 8), INTER_LINES), max_size=4),
-       mutations=BYTE_MUTATIONS)
-def test_mutated_interlayer_files_match_reference(scratch, caplog, seed, lines,
-                                                  mutations):
-    rows = seed.splitlines(keepends=True)
-    for at, line in lines:
-        rows.insert(at % (len(rows) + 1), line)
-    scratch.write_bytes(_mutate(b"".join(rows), mutations))
+@_fuzzed(INTER_SEEDS, INTER_LINES, 300)
+def test_mutated_interlayer_files_match_reference(scratch, caplog, data):
+    scratch.write_bytes(data)
+    _assert_same(scratch, caplog, load_interlayer, reference_load_interlayer)
+
+
+@pytest.mark.usefixtures("small_blocks")
+@_fuzzed(INTER_SEEDS, INTER_LINES, 300)
+def test_mutated_interlayer_files_in_small_blocks_match_reference(scratch, caplog,
+                                                                  data):
+    scratch.write_bytes(data)
     _assert_same(scratch, caplog, load_interlayer, reference_load_interlayer)

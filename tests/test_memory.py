@@ -1,5 +1,6 @@
-"""Memory guards for a loaded layer: a layer is held once, and detection
-on it builds no per-edge dicts.
+"""Memory guards for a loaded layer: a layer is held once, a load holds
+one block of lines at a time, detection on it builds no per-edge dicts, and
+a composition step's buckets share the stored link tuples.
 
 The layer is shaped like the movie layer of an IMDb-style network: a few
 large rating-class cliques plus sparse noise, ~80k edges, written in
@@ -13,7 +14,8 @@ from itertools import combinations
 
 import pytest
 
-from hemln import Membership, detect_communities, summarize
+from hemln import (MLN, InterLayerEdges, LayerGraph, Membership, crossing_pairs,
+                   detect_communities, summarize)
 from hemln.fileio import load_layer
 
 MIB = 1 << 20
@@ -67,6 +69,15 @@ def test_load_peak_at_most_2_1_times_what_it_keeps(clique_layer):
     assert peak <= 2.1 * kept, (peak / MIB, kept / MIB)
 
 
+def test_load_peak_at_most_1_4_times_what_it_keeps(clique_layer):
+    """Lines are split one block at a time. A list of every line of this
+    file read 1.49x what the load keeps; one block at a time reads 1.31x."""
+    path, _ = clique_layer
+    g, kept, peak = _traced(lambda: load_layer(path))
+    assert len(g.edges) >= 80_000
+    assert peak <= 1.4 * kept, (peak / MIB, kept / MIB)
+
+
 def test_summarize_builds_no_adjacency(clique_layer):
     path, clique_of = clique_layer
     g = load_layer(path)
@@ -85,3 +96,36 @@ def test_detection_peak_below_3_mib(clique_layer):
     m, _, peak = _traced(lambda: detect_communities(g, seed=0))
     assert len(set(m.assignment.values())) >= 2
     assert peak <= 3 * MIB, peak / MIB
+
+
+@pytest.fixture(scope="module")
+def dense_pair():
+    """A layer pair shaped like a ``match-dense`` step: 250 groups of 10 nodes
+    a side, each left group linked to 20 right groups by 1-3 links (~9.9k
+    links, 5000 buckets), with the groups as memberships."""
+    rng = random.Random(7)
+    size, groups = 10, 250
+    left, right = range(2000, 2000 + size * groups), range(5000, 5000 + size * groups)
+    links = {(left[g * size + rng.randrange(size)], right[h * size + rng.randrange(size)])
+             for g in range(groups) for h in rng.sample(range(groups), 20)
+             for _ in range(rng.randint(1, 3))}
+    mln = MLN()
+    for lid, nodes in (("L", left), ("R", right)):
+        mln.add_layer(LayerGraph(lid, frozenset(nodes), frozenset()))
+    mln.add_interlayer(InterLayerEdges.build("L", "R", links))
+    ml = Membership("L", {n: (n - left[0]) // size + 1 for n in left})
+    mr = Membership("R", {n: (n - right[0]) // size + 1 for n in right})
+    return mln.freeze(), ml, mr
+
+
+def test_crossing_pairs_buckets_share_the_stored_links(dense_pair):
+    """In the stored orientation every bucket holds the stored tuples
+    themselves. Re-made tuples read a 3.49 MiB peak on this step; shared
+    ones read 2.35 MiB."""
+    mln, ml, mr = dense_pair
+    buckets, _, peak = _traced(lambda: crossing_pairs(mln, "L", "R", ml, mr))
+    stored = mln.stored_interlayer("L", "R").links
+    own = {link: link for link in stored}
+    assert sum(map(len, buckets.values())) == len(stored) >= 9_000
+    assert peak <= 3 * MIB, peak / MIB
+    assert all(p is own[p] for bucket in buckets.values() for p in bucket)
