@@ -4,12 +4,14 @@ Subcommands: detect, kcommunity, cbg, rank, ingest-imdb. Exit codes:
 0 success, 1 usage error, 2 data error (details on stderr). Each command
 takes only the options it reads. Where --seed exists, the MLN_SEED
 environment variable overrides it; --config points to a key=value file
-supplying defaults for the command's metric, seed, hub_quantile and spec.
+supplying defaults for the command's metric, seed, hub_quantile and spec,
+and any other key in it is a data error.
 
 kcommunity and cbg detect their layers in forked processes, one per CPU
 the process may use, the parent included, largest layer first. The parent
 detects any layer a child did not send back and keeps layer order, so
-outputs and errors are a serial run's. One CPU or no os.fork: no fork.
+outputs and errors are a serial run's. One CPU, no os.fork or a caller
+running other Python threads: no fork.
 """
 from __future__ import annotations
 
@@ -18,10 +20,11 @@ import gc
 import marshal
 import os
 import sys
+import threading
 from collections import Counter
 from contextlib import suppress
 from pathlib import Path
-from typing import Dict, List, NamedTuple, Optional
+from typing import Dict, List, Optional
 
 from . import engine, fileio
 from .cbg import METRICS, build_cbg, cbg_to_tsv, crossing_pairs
@@ -96,15 +99,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-class RunConfig(NamedTuple):
-    """Run-level knobs from CLI flags, a --config file and MLN_SEED."""
-
-    default_metric: str
-    seed: int
-    hub_quantile: float
-    spec_text: str
-
-
 def _number(kind, name: str, text: str):
     try:
         return kind(text)
@@ -113,27 +107,23 @@ def _number(kind, name: str, text: str):
             f"{name} must be {kind.__name__}, got {text!r}") from None
 
 
-def _settings(args) -> RunConfig:
-    defaults = fileio.load_config(args.config) if getattr(args, "config", None) else {}
-    seed, quantile = 0, 0.8
-    if hasattr(args, "seed"):  # only commands with --seed read MLN_SEED
-        seed = args.seed
-        if seed is None:
-            seed = _number(int, "seed", defaults.get("seed", "0"))
-        if "MLN_SEED" in os.environ:
-            seed = _number(int, "MLN_SEED", os.environ["MLN_SEED"])
-    if hasattr(args, "hub_quantile"):
-        quantile = args.hub_quantile
-        if quantile is None:
-            quantile = _number(float, "hub_quantile",
-                               defaults.get("hub_quantile", "0.8"))
-    metric = getattr(args, "metric", None) or defaults.get("metric", "e")
-    spec_text = getattr(args, "spec", None) or defaults.get("spec", "")
-    if metric not in METRICS:
-        raise InvariantViolation(f"bad metric {metric!r}")
-    if not (0.0 < quantile <= 1.0):
-        raise InvariantViolation(f"bad hub_quantile {quantile}")
-    return RunConfig(metric, seed, quantile, spec_text)
+def _settings(args) -> None:
+    """Resolve seed, hub_quantile, metric and spec into ``args``: the flag,
+    else the --config key, else the default; MLN_SEED overrides --seed."""
+    defaults = fileio.load_config(args.config) if args.config else {}
+    if args.seed is None:
+        args.seed = _number(int, "seed", defaults.get("seed", "0"))
+    if "MLN_SEED" in os.environ:
+        args.seed = _number(int, "MLN_SEED", os.environ["MLN_SEED"])
+    if getattr(args, "hub_quantile", 0.8) is None:  # detect reads no hubs
+        args.hub_quantile = _number(float, "hub_quantile",
+                                    defaults.get("hub_quantile", "0.8"))
+    args.metric = getattr(args, "metric", None) or defaults.get("metric", "e")
+    args.spec = getattr(args, "spec", None) or defaults.get("spec", "")
+    if args.metric not in METRICS:
+        raise InvariantViolation(f"bad metric {args.metric!r}")
+    if not (0.0 < getattr(args, "hub_quantile", 0.8) <= 1.0):
+        raise InvariantViolation(f"bad hub_quantile {args.hub_quantile}")
 
 
 def _memberships_for(mln: MLN, layers, seed: int,
@@ -149,7 +139,8 @@ def _detect_layers(graphs: List[LayerGraph], seed: int) -> List[Membership]:
     """detect_communities on each graph, in parallel as the module says."""
     affinity = getattr(os, "sched_getaffinity", None)
     cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
-    workers = min(len(graphs), cpus if hasattr(os, "fork") else 1) or 1
+    forks = hasattr(os, "fork") and threading.active_count() == 1
+    workers = min(len(graphs), cpus if forks else 1) or 1
     order = sorted(range(len(graphs)), key=lambda i: -len(graphs[i].edges))
     own, *shares = [order[w::workers] for w in range(workers)]
     done: Dict[int, Membership] = {}
@@ -194,31 +185,31 @@ def _summaries(mln: MLN, memberships, hub_quantile: float):
 
 
 def _cmd_detect(args) -> int:
-    cfg = _settings(args)
+    _settings(args)
     g = fileio.load_layer(args.layer)
-    m = detect_communities(g, cfg.seed)
+    m = detect_communities(g, args.seed)
     fileio.save_membership_tsv(m, args.out)
     return EXIT_OK
 
 
-def _specs_from_args(args, cfg: RunConfig) -> List[str]:
+def _specs_from_args(args) -> List[str]:
     if args.spec_file:
         specs = [line for _, line in fileio._lines(args.spec_file, fileio.COMMENT)]
         if not specs:
             raise EmptySpec(f"spec file {args.spec_file} has no specification")
         return specs
-    if cfg.spec_text:
-        return [cfg.spec_text]
+    if args.spec:
+        return [args.spec]
     raise HemlnError("kcommunity needs --spec or --spec-file")
 
 
 def _cmd_kcommunity(args) -> int:
-    cfg = _settings(args)
+    _settings(args)
     mln = fileio.load_mln(args.mln)
-    specs = [validate_spec(parse_spec(t), mln) for t in _specs_from_args(args, cfg)]
+    specs = [validate_spec(parse_spec(t), mln) for t in _specs_from_args(args)]
     layers = sorted({l for s in specs for l in s.layers})
-    memberships = _memberships_for(mln, layers, cfg.seed, args.memberships)
-    summaries = _summaries(mln, memberships, cfg.hub_quantile)
+    memberships = _memberships_for(mln, layers, args.seed, args.memberships)
+    summaries = _summaries(mln, memberships, args.hub_quantile)
     out = Path(args.out)  # created only once every input has been checked
     out.mkdir(parents=True, exist_ok=True)
     for lid in layers:
@@ -226,7 +217,7 @@ def _cmd_kcommunity(args) -> int:
 
     for i, spec in enumerate(specs):
         result = detect_k_community(mln, memberships, summaries, spec,
-                                    cfg.default_metric)
+                                    args.metric)
         tag = "" if len(specs) == 1 else f"_{i}"
         for name, text in ((f"result{tag}.txt", engine.format_tuples(result)),
                            (f"result{tag}.jsonl", engine.to_jsonl(result)),
@@ -236,7 +227,7 @@ def _cmd_kcommunity(args) -> int:
 
 
 def _cmd_cbg(args) -> int:
-    cfg = _settings(args)
+    _settings(args)
     mln = fileio.load_mln(args.mln)
     try:
         left, right = args.pair.split(",")
@@ -245,18 +236,17 @@ def _cmd_cbg(args) -> int:
     mln.layer(left), mln.layer(right)  # the pair is checked before detection
     if not mln.has_interlayer(left, right):
         raise NoInterLayerEdges(f"no inter-layer edges between {left} and {right}")
-    memberships = _memberships_for(mln, (left, right), cfg.seed, args.memberships)
-    summaries = _summaries(mln, memberships, cfg.hub_quantile)
+    memberships = _memberships_for(mln, (left, right), args.seed, args.memberships)
+    summaries = _summaries(mln, memberships, args.hub_quantile)
     buckets = crossing_pairs(mln, left, right, memberships[left], memberships[right])
     cbg = build_cbg(left, right, buckets,
                     sorted(summaries[left]), sorted(summaries[right]),
-                    summaries[left], summaries[right], cfg.default_metric)
+                    summaries[left], summaries[right], args.metric)
     sys.stdout.write(cbg_to_tsv(cbg))
     return EXIT_OK
 
 
 def _cmd_rank(args) -> int:
-    cfg = _settings(args)  # defaults only: rank keys read no seed and no hubs
     tuples = engine.from_jsonl(fileio._read_text(args.result))
     values: Dict[str, Dict[int, float]] = {}
     if args.key != "sum_raw_pairs":
@@ -265,11 +255,11 @@ def _cmd_rank(args) -> int:
                              "kcommunity --out directory with membership_<layer>.tsv")
         mln = fileio.load_mln(args.mln)  # edges too, so every input check runs
         layers = sorted({lid for t in tuples for lid in t.layers})
-        memberships = _memberships_for(mln, layers, cfg.seed, args.memberships)
-        if args.key == "min_density":
-            summaries = _summaries(mln, memberships, cfg.hub_quantile)
-            values = {lid: {c.index: s.density for c, s in by_id.items()}
-                      for lid, by_id in summaries.items()}
+        memberships = _memberships_for(mln, layers, 0, args.memberships)  # loaded
+        if args.key == "min_density":  # density reads no hubs
+            values = {lid: {c.index: s.density
+                            for c, s in summarize(mln.layer(lid), m).items()}
+                      for lid, m in memberships.items()}
         else:  # size keys: node counts straight from the memberships
             values = {lid: Counter(m.assignment.values())
                       for lid, m in memberships.items()}

@@ -32,6 +32,7 @@ from .errors import IoError, MalformedGraph, ParseError
 from .model import MLN, InterLayerEdges, LayerGraph
 
 COMMENT = ";"
+CONFIG_KEYS = ("metric", "seed", "hub_quantile", "spec")  # what hemln.cli reads
 BLOCK = 1 << 16  # characters split into lines at a time
 
 
@@ -40,8 +41,10 @@ def load_config(path: os.PathLike) -> Dict[str, str]:
     for lineno, line in _lines(path, COMMENT):
         if "=" not in line:
             raise ParseError(f"expected key=value, got {line!r}", lineno)
-        key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
+        key, _, value = map(str.strip, line.partition("="))
+        if key not in CONFIG_KEYS:
+            raise ParseError(f"key must be one of {CONFIG_KEYS}, got {key!r}", lineno)
+        values[key] = value
     return values
 
 

@@ -98,22 +98,23 @@ def ingest_imdb(records: ImdbRecords,
     did = {d: ids[f"D:{d}"] for d in directors}
     mid = {m: ids[f"M:{m}"] for m in movies}
 
+    # ids rise with sorted keys, so each pair is already (low, high): no .build
     # layer A: co-acting
     cast: Dict[str, Set[str]] = {}
     for person, movie in records.acts_in:
         cast.setdefault(movie, set()).add(person)
-    a_edges = {(aid[u], aid[v]) for members in cast.values()
-               for u, v in combinations(sorted(members), 2)}
-    layer_a = LayerGraph.build("A", aid.values(), a_edges)
+    layer_a = LayerGraph("A", frozenset(aid.values()), frozenset(
+        (aid[u], aid[v]) for members in cast.values()
+        for u, v in combinations(sorted(members), 2)))
 
     # layer D: aggregated genre overlap
     genres: Dict[str, FrozenSet[str]] = {
         d: frozenset(g for m in ms for g in records.movies[m].genres)
         for d, ms in movies_of_director.items()}
-    d_edges = {(did[u], did[v]) for u, v in combinations(directors, 2)
-               if genre_overlap(genres[u], genres[v], overlap_mode)
-               >= genre_overlap_threshold}
-    layer_d = LayerGraph.build("D", did.values(), d_edges)
+    layer_d = LayerGraph("D", frozenset(did.values()), frozenset(
+        (did[u], did[v]) for u, v in combinations(directors, 2)
+        if genre_overlap(genres[u], genres[v], overlap_mode)
+        >= genre_overlap_threshold))
 
     # layer M: shared rating class
     by_class: Dict[int, list] = {}
@@ -121,21 +122,19 @@ def ingest_imdb(records: ImdbRecords,
         rating = records.movies[m].rating
         if rating is not None:
             by_class.setdefault(rating_class(rating), []).append(m)
-    m_edges = {(mid[u], mid[v]) for group in by_class.values()
-               for u, v in combinations(group, 2)}
-    layer_m = LayerGraph.build("M", mid.values(), m_edges)
-
-    l_ad = {(aid[a], did[d])
-            for d, ms in movies_of_director.items()
-            for m in ms for a in cast.get(m, ())}
-    l_dm = {(did[d], mid[m]) for d, m in records.directs}
-    l_am = {(aid[a], mid[m]) for a, m in records.acts_in}
+    layer_m = LayerGraph("M", frozenset(mid.values()), frozenset(
+        (mid[u], mid[v]) for group in by_class.values()
+        for u, v in combinations(group, 2)))
 
     mln = MLN()
     mln.add_layer(layer_a).add_layer(layer_d).add_layer(layer_m)
-    mln.add_interlayer(InterLayerEdges.build("A", "D", l_ad))
-    mln.add_interlayer(InterLayerEdges.build("D", "M", l_dm))
-    mln.add_interlayer(InterLayerEdges.build("A", "M", l_am))
+    mln.add_interlayer(InterLayerEdges("A", "D", frozenset(
+        (aid[a], did[d]) for d, ms in movies_of_director.items()
+        for m in ms for a in cast.get(m, ()))))
+    mln.add_interlayer(InterLayerEdges("D", "M", frozenset(
+        (did[d], mid[m]) for d, m in records.directs)))
+    mln.add_interlayer(InterLayerEdges("A", "M", frozenset(
+        (aid[a], mid[m]) for a, m in records.acts_in)))
     return mln.freeze(), ids
 
 
@@ -177,8 +176,8 @@ def _tsv_rows(path, required: Tuple[str, ...]):
             for column in required:
                 if column not in (reader.fieldnames or ()):
                     raise ParseError(f"{path}: missing column {column!r}", 1)
-            for lineno, row in enumerate(reader, start=2):
-                yield row, lineno
+            for row in reader:  # DictReader.line_num lags past blank lines
+                yield row, reader.reader.line_num
     except UnicodeDecodeError as exc:
         raise IoError(f"{path}: {exc}") from None
     except csv.Error as exc:  # e.g. an oversized field; DictReader.line_num lags

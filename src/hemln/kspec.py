@@ -3,8 +3,9 @@
 Surface syntax (whitespace-separated tokens, left-to-right precedence):
 
     spec   := LAYER (theta LAYER)+
-    theta  := '#(' LAYER ',' LAYER ')' ( ':' ('e'|'d'|'h') )?
-    LAYER  := [A-Za-z][A-Za-z0-9_]*
+    theta  := '#(' LAYER ',' LAYER ')' ( ':' METRIC )?
+    LAYER  := a letter, then letters, digits or '_' (``_LAYER``)
+    METRIC := a name in ``cbg.METRICS``
 
 Example: ``M #(M,A) A #(A,D) D #(D,M):e M``. The right subscript of each
 '#' operator must equal the following layer token; the left subscript must
@@ -18,6 +19,7 @@ from __future__ import annotations
 import re
 from typing import List, NamedTuple, Optional, Tuple
 
+from .cbg import METRICS
 from .errors import (
     DisconnectedSpec,
     EmptySpec,
@@ -29,9 +31,8 @@ from .errors import (
 )
 from .model import MLN
 
-_LAYER_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
-_THETA_RE = re.compile(
-    r"^#\(([A-Za-z][A-Za-z0-9_]*),([A-Za-z][A-Za-z0-9_]*)\)(?::([edh]))?$")
+_LAYER = r"[A-Za-z][A-Za-z0-9_]*"
+_THETA_RE = re.compile(rf"#\(({_LAYER}),({_LAYER})\)(?::({'|'.join(METRICS)}))?")
 
 CASE_NEW_LAYER = "i"
 CASE_CYCLE = "ii"
@@ -74,7 +75,7 @@ def parse_spec(text: str) -> KSpec:
         if i >= len(tokens):
             raise SpecSyntaxError("expected a layer name", i)
         tok = tokens[i]
-        if not _LAYER_RE.match(tok):
+        if not re.fullmatch(_LAYER, tok):
             raise SpecSyntaxError(
                 f"expected a layer name, got {tok!r}", i)
         return tok
@@ -87,7 +88,7 @@ def parse_spec(text: str) -> KSpec:
         raise SpecSyntaxError("expected a '#(L1,L2)' composition operator", 1)
     for i in range(1, len(tokens), 2):
         tok = tokens[i]
-        m = _THETA_RE.match(tok)
+        m = _THETA_RE.fullmatch(tok)
         if not m:
             raise SpecSyntaxError(
                 f"expected a '#(L1,L2)' composition operator, got {tok!r}", i)

@@ -97,7 +97,6 @@ class MLN:
     def __init__(self) -> None:
         self.layers: Dict[str, LayerGraph] = {}
         self._inter: Dict[Tuple[str, str], InterLayerEdges] = {}
-        self._node_layer: Dict[NodeId, str] = {}
         self._frozen = False
 
     # -- construction ------------------------------------------------------
@@ -110,13 +109,11 @@ class MLN:
         self._check_mutable()
         if g.id in self.layers:
             raise DuplicateLayer(f"layer {g.id} already present")
-        for n in g.nodes:
-            if n in self._node_layer:
-                raise NodeIdCollision(
-                    f"node {n} of layer {g.id} already belongs to layer "
-                    f"{self._node_layer[n]}")
+        for h in self.layers.values():
+            if not g.nodes.isdisjoint(h.nodes):
+                raise NodeIdCollision(f"node {min(g.nodes & h.nodes)} of layer {g.id} "
+                                      f"already belongs to layer {h.id}")
         self.layers[g.id] = g
-        self._node_layer.update(dict.fromkeys(g.nodes, g.id))
         return self
 
     def add_interlayer(self, x: InterLayerEdges) -> "MLN":

@@ -397,6 +397,12 @@ BAD_INPUTS = {
     "config-hub-quantile": (lambda d, t: _config(d, t, b"hub_quantile = high\n"),
                             "hub_quantile"),
     "config-not-utf8": (lambda d, t: _config(d, t, NOT_UTF8), "utf-8"),
+    # a key no command reads is an error, not silently a default
+    "config-unknown-key": (lambda d, t: _config(t / "no-mln", t,
+                                                b"; typo\nmetrc = z\n"),
+                           "line 2: key must be one of"),
+    "config-flag-spelling": (lambda d, t: _config(d, t, b"hub-quantile = 0\n"),
+                             "got 'hub-quantile'"),
     # settings are checked before --mln is read: here it does not exist
     "config-metric": (lambda d, t: _config(t / "no-mln", t, b"metric = z\n"),
                       "bad metric 'z'"),
@@ -446,6 +452,10 @@ BAD_INPUTS = {
     "imdb-rating-not-a-number": (lambda d, t: _imdb(t, movies=IMDB_TSVS["movies"]
                                                     .replace("7.9", "good")),
                                  "line 2"),
+    # csv skips blank lines, and the error still names the row's own line
+    "imdb-rating-after-blank-lines": (lambda d, t: _imdb(
+        t, movies=IMDB_TSVS["movies"].replace("\nt1", "\n\n\nt1")
+                                     .replace("7.9", "good")), "line 4"),
     "imdb-rating-out-of-range": (lambda d, t: _imdb(t, movies=IMDB_TSVS["movies"]
                                                     .replace("7.9", "10.5")),
                                  "line 2"),

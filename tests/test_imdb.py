@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from hemln import InterLayerEdges, LayerGraph
 from hemln.errors import EmptyInput, ReferentialIntegrity
 from hemln.imdb import (
     ImdbRecords,
@@ -60,6 +63,34 @@ def test_ingest_layers_and_links():
     assert len(mln.stored_interlayer("A", "D").links) == 3
     assert len(mln.stored_interlayer("D", "M").links) == 3
     assert len(mln.stored_interlayer("A", "M").links) == 4
+
+
+def random_records(seed):
+    rng = random.Random(seed)
+    genres = ("Drama", "Crime", "Comedy", "Horror")
+    r = ImdbRecords()
+    r.movies = {f"t{i}": Movie(f"T{i}", tuple(rng.sample(genres, rng.randint(0, 3))),
+                               rng.choice([None, round(rng.uniform(0, 10), 1)]))
+                for i in range(14)}
+    r.people = {f"p{i}": f"P{i}" for i in range(12)}
+    r.acts_in = {(rng.choice(sorted(r.people)), rng.choice(sorted(r.movies)))
+                 for _ in range(30)}
+    r.directs = {(rng.choice(sorted(r.people)), rng.choice(sorted(r.movies)))
+                 for _ in range(10)}
+    return r
+
+
+@pytest.mark.parametrize("mode", ["min", "jaccard"])
+@pytest.mark.parametrize("seed", range(4))
+def test_ingested_records_equal_their_build_form(seed, mode):
+    # ingest builds LayerGraph and InterLayerEdges directly, with no check
+    mln, _ = ingest_imdb(random_records(seed), 0.3, mode)
+    assert sum(len(g.edges) for g in mln.layers.values()) > 0
+    for g in mln.layers.values():
+        assert g == LayerGraph.build(g.id, g.nodes, g.edges)
+    for pair in mln.interlayer_pairs():
+        x = mln.stored_interlayer(*pair)
+        assert x.links and x == InterLayerEdges.build(x.from_layer, x.to_layer, x.links)
 
 
 def test_ingest_drops_creditless_people():

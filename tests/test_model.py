@@ -25,8 +25,14 @@ def test_duplicate_layer_rejected():
 
 def test_node_id_collision_rejected():
     mln = MLN().add_layer(LayerGraph.build("A", [1, 2], []))
-    with pytest.raises(NodeIdCollision):
+    mln.add_layer(LayerGraph.build("B", [5, 6], []))
+    with pytest.raises(NodeIdCollision,
+                       match="^node 2 of layer D already belongs to layer A$"):
         mln.add_layer(LayerGraph.build("D", [2, 3], []))
+    with pytest.raises(NodeIdCollision,
+                       match="^node 6 of layer E already belongs to layer B$"):
+        mln.add_layer(LayerGraph.build("E", [6, 7], []))
+    assert set(mln.layers) == {"A", "B"}
 
 
 def test_self_loop_and_dangling_edge_rejected():

@@ -1,8 +1,8 @@
 """A command detects its layers in forked processes, one per available CPU.
 
 Memberships, output bytes and errors equal those of a serial run on every
-path: a child that raises, a child that is killed, a fork that fails and a
-single CPU. After every test no child process is left.
+path: a child that raises, a child that is killed, a fork that fails, a
+single CPU and a caller running a second thread. After every test no child process is left.
 """
 import errno
 import hashlib
@@ -11,6 +11,7 @@ import random
 import signal
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -196,6 +197,29 @@ def test_one_cpu_never_forks(mln_dir, tmp_path, capsys, cpus, monkeypatch):
     cpus(1)
     assert _kcommunity(mln_dir, tmp_path / "serial", capsys) == serial
     assert forks == []
+
+
+def test_threaded_caller_never_forks(mln_dir, cpus, monkeypatch):
+    # a fork copies only the calling thread: a lock another thread holds
+    # would stay locked in the child, so Python 3.12+ warns of a deadlock
+    cpus(2)
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    mln = load_mln(mln_dir)
+    layers = sorted(mln.layers)
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait)
+    waiter.start()
+    try:
+        got = cli._memberships_for(mln, layers, 0, None)
+    finally:
+        release.set()
+        waiter.join()
+    assert forks == []
+    assert got == {lid: detect_communities(mln.layer(lid), 0) for lid in layers}
+    cli._memberships_for(mln, layers, 0, None)  # the thread is gone
+    assert forks == [1]
 
 
 @pytest.mark.parametrize("workers, parents_share", [
