@@ -2,10 +2,10 @@
 
 Subcommands: detect, kcommunity, cbg, rank, ingest-imdb. Exit codes:
 0 success, 1 usage error, 2 data error (details on stderr). Each command
-takes only the options it reads. Where --seed exists, the MLN_SEED
-environment variable overrides it; --config points to a key=value file
-supplying defaults for the command's metric, seed, hub_quantile and spec,
-and any other key in it is a data error.
+takes only the options it reads; MLN_SEED overrides --seed where it exists.
+--config names a key=value file of defaults for metric, seed, hub_quantile
+and spec. A command reads and checks only those it has options for (detect
+only seed, cbg no spec); any other key, or one given twice, is a data error.
 
 kcommunity and cbg detect their layers in forked processes, one per CPU
 the process may use, the parent included, largest layer first. The parent
@@ -49,39 +49,39 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="hemln", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # one parent parser per shared option, listed by the commands that read it
-    config = argparse.ArgumentParser(add_help=False)
-    config.add_argument("--config", help="key=value file with flag defaults")
-    seed = argparse.ArgumentParser(add_help=False)
-    seed.add_argument("--seed", type=int, default=None)
-    quantile = argparse.ArgumentParser(add_help=False)
-    quantile.add_argument("--hub-quantile", type=float, default=None)
+    # a parent parser per set of shared options, listed by the commands that read it
+    settings = argparse.ArgumentParser(add_help=False)
+    settings.add_argument("--config", help="key=value file with flag defaults")
+    settings.add_argument("--seed", type=int, default=None)
+    network = argparse.ArgumentParser(add_help=False)
+    network.add_argument("--mln", required=True)
+    network.add_argument("--metric", choices=METRICS, default=None)
+    network.add_argument("--memberships",
+                         help="directory of membership_<layer>.tsv files to use "
+                              "instead of running detection")
+    network.add_argument("--hub-quantile", type=float, default=None)
 
-    p = sub.add_parser("detect", parents=[config, seed],
+    p = sub.add_parser("detect", parents=[settings],
                        help="community detection for one layer file")
+    p.set_defaults(run=_cmd_detect)
     p.add_argument("--layer", required=True)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("kcommunity", parents=[config, seed, quantile],
+    p = sub.add_parser("kcommunity", parents=[settings, network],
                        help="run a k-community specification over an MLN directory")
-    p.add_argument("--mln", required=True)
+    p.set_defaults(run=_cmd_kcommunity)
     p.add_argument("--spec", help="specification string")
     p.add_argument("--spec-file", help="file with one specification per line")
-    p.add_argument("--metric", choices=METRICS, default=None)
-    p.add_argument("--memberships",
-                   help="directory of membership_<layer>.tsv files to use "
-                        "instead of running detection")
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("cbg", parents=[config, seed, quantile],
+    p = sub.add_parser("cbg", parents=[settings, network],
                        help="export the community bipartite graph of a layer pair")
-    p.add_argument("--mln", required=True)
+    p.set_defaults(run=_cmd_cbg)
     p.add_argument("--pair", required=True, metavar="L1,L2")
-    p.add_argument("--metric", choices=METRICS, default=None)
-    p.add_argument("--memberships")
 
     p = sub.add_parser("rank",
                        help="rank result tuples from a JSONL result file")
+    p.set_defaults(run=_cmd_rank)
     p.add_argument("--result", required=True)
     p.add_argument("--key", required=True, choices=engine.RANK_KEYS)
     p.add_argument("--mln", help="with --memberships, needed for size/density keys")
@@ -89,6 +89,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("ingest-imdb",
                        help="build an MLN directory from IMDb-style TSVs")
+    p.set_defaults(run=_cmd_ingest_imdb)
     p.add_argument("--movies", required=True)
     p.add_argument("--people", required=True)
     p.add_argument("--acts", required=True)
@@ -108,21 +109,24 @@ def _number(kind, name: str, text: str):
 
 
 def _settings(args) -> None:
-    """Resolve seed, hub_quantile, metric and spec into ``args``: the flag,
-    else the --config key, else the default; MLN_SEED overrides --seed."""
+    """Resolve the command's settings into ``args``: the flag, else the
+    --config key, else the default; MLN_SEED overrides --seed."""
     defaults = fileio.load_config(args.config) if args.config else {}
     if args.seed is None:
         args.seed = _number(int, "seed", defaults.get("seed", "0"))
     if "MLN_SEED" in os.environ:
         args.seed = _number(int, "MLN_SEED", os.environ["MLN_SEED"])
-    if getattr(args, "hub_quantile", 0.8) is None:  # detect reads no hubs
+    if args.command == "detect":  # reads only the seed
+        return
+    if args.hub_quantile is None:
         args.hub_quantile = _number(float, "hub_quantile",
                                     defaults.get("hub_quantile", "0.8"))
-    args.metric = getattr(args, "metric", None) or defaults.get("metric", "e")
-    args.spec = getattr(args, "spec", None) or defaults.get("spec", "")
+    args.metric = args.metric or defaults.get("metric", "e")
+    if args.command == "kcommunity":  # cbg reads no spec
+        args.spec = args.spec or defaults.get("spec", "")
     if args.metric not in METRICS:
         raise InvariantViolation(f"bad metric {args.metric!r}")
-    if not (0.0 < getattr(args, "hub_quantile", 0.8) <= 1.0):
+    if not (0.0 < args.hub_quantile <= 1.0):
         raise InvariantViolation(f"bad hub_quantile {args.hub_quantile}")
 
 
@@ -280,15 +284,6 @@ def _cmd_ingest_imdb(args) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "detect": _cmd_detect,
-    "kcommunity": _cmd_kcommunity,
-    "cbg": _cmd_cbg,
-    "rank": _cmd_rank,
-    "ingest-imdb": _cmd_ingest_imdb,
-}
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -297,7 +292,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except (HemlnError, OSError) as exc:  # OSError: unreadable or unwritable path
         print(f"hemln: {exc}", file=sys.stderr)
         return EXIT_DATA

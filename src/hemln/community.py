@@ -167,10 +167,8 @@ def detect_communities(g: LayerGraph, seed: int = 0) -> Membership:
 
 
 def _renumber(layer: str, raw: Dict[NodeId, int]) -> Membership:
-    groups: Dict[int, List[NodeId]] = {}
-    for n, c in raw.items():
-        groups.setdefault(c, []).append(n)
-    ordered = sorted(groups.values(), key=lambda ns: (-len(ns), min(ns)))
+    ordered = sorted(Membership(layer, raw).communities().values(),
+                     key=lambda ns: (-len(ns), min(ns)))
     return Membership(layer, {n: idx for idx, members in enumerate(ordered, start=1)
                               for n in members})
 

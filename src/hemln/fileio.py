@@ -44,6 +44,8 @@ def load_config(path: os.PathLike) -> Dict[str, str]:
         key, _, value = map(str.strip, line.partition("="))
         if key not in CONFIG_KEYS:
             raise ParseError(f"key must be one of {CONFIG_KEYS}, got {key!r}", lineno)
+        if key in values:
+            raise ParseError(f"key {key!r} is set twice", lineno)
         values[key] = value
     return values
 

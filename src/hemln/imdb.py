@@ -22,7 +22,8 @@ from itertools import combinations
 from pathlib import Path
 from typing import Dict, FrozenSet, NamedTuple, Optional, Set, Tuple
 
-from .errors import EmptyInput, IoError, ParseError, ReferentialIntegrity
+from .errors import (EmptyInput, InvariantViolation, IoError, ParseError,
+                     ReferentialIntegrity)
 from .model import MLN, InterLayerEdges, LayerGraph
 
 RATING_CLASS_COUNT = 5
@@ -74,19 +75,20 @@ def ingest_imdb(records: ImdbRecords,
     Actor and director keys in the id map are prefixed ``A:`` / ``D:`` since
     one person may appear in both roles (as distinct nodes).
     """
+    if not 0.0 < genre_overlap_threshold <= 1.0:  # (0,1], so not NaN
+        raise InvariantViolation(f"bad genre overlap threshold {genre_overlap_threshold}")
+    if overlap_mode not in ("min", "jaccard"):
+        raise InvariantViolation(f"bad overlap mode {overlap_mode!r}")
     if not records.movies and not records.people:
         raise EmptyInput("no movies or people to ingest")
     records.validate()
 
-    movies_of_actor: Dict[str, Set[str]] = {}
-    for person, movie in records.acts_in:
-        movies_of_actor.setdefault(person, set()).add(movie)
     movies_of_director: Dict[str, Set[str]] = {}
     for person, movie in records.directs:
         movies_of_director.setdefault(person, set()).add(movie)
 
     # people with no credited movies are dropped: they can carry no links
-    actors = sorted(movies_of_actor)
+    actors = sorted({person for person, _ in records.acts_in})
     directors = sorted(movies_of_director)
     movies = sorted(records.movies)
 

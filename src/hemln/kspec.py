@@ -82,7 +82,6 @@ def parse_spec(text: str) -> KSpec:
 
     first = expect_layer(0)
     visited = {first}
-    prev_layer = first
     steps: List[Composition] = []
     if len(tokens) < 2:
         raise SpecSyntaxError("expected a '#(L1,L2)' composition operator", 1)
@@ -96,10 +95,10 @@ def parse_spec(text: str) -> KSpec:
         if left == right:
             raise SubscriptMismatch(
                 f"composition {tok!r} needs two distinct layers")
-        if left != prev_layer and left not in visited:
+        if left not in visited:  # the preceding layer is visited too
             raise SubscriptMismatch(
                 f"left subscript {left} of {tok!r} is neither the preceding "
-                f"layer {prev_layer} nor an already-visited layer")
+                f"layer {tokens[i - 1]} nor an already-visited layer")
         following = expect_layer(i + 1)
         if right != following:
             raise SubscriptMismatch(
@@ -107,7 +106,6 @@ def parse_spec(text: str) -> KSpec:
                 f"following layer {following}")
         steps.append(Composition(left, right, metric))
         visited.add(right)
-        prev_layer = following
     return KSpec(first, tuple(steps))
 
 

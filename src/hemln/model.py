@@ -82,10 +82,6 @@ class InterLayerEdges(NamedTuple):
             raise MalformedGraph("an inter-layer link is not a node pair") from None
         return InterLayerEdges(from_layer, to_layer, pairs)
 
-    def reversed(self) -> "InterLayerEdges":
-        return InterLayerEdges(self.to_layer, self.from_layer,
-                               frozenset((b, a) for a, b in self.links))
-
 
 class MLN:
     """A multilayer network under construction or finalized.
@@ -131,8 +127,9 @@ class MLN:
             if b not in b_nodes:
                 raise EndpointNotInLayer(
                     f"link ({a},{b}): {b} not in layer {x.to_layer}")
-        stored = x if key == (x.from_layer, x.to_layer) else x.reversed()
-        self._inter[key] = stored
+        if key != (x.from_layer, x.to_layer):  # stored in key order
+            x = InterLayerEdges(*key, frozenset((b, a) for a, b in x.links))
+        self._inter[key] = x
         return self
 
     def freeze(self) -> "MLN":

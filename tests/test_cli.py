@@ -153,6 +153,35 @@ def test_config_file_defaults(mln_dir, tmp_path):
     assert (out / "result.txt").read_text().count("<") == 2
 
 
+def test_detect_reads_and_checks_only_the_seed_of_a_config(tmp_path, capsys):
+    # detect has no metric, hub_quantile or spec, so a config's values for
+    # them are neither read nor checked
+    layer = tmp_path / "layer_A.tsv"
+    save_layer(LayerGraph.build("A", range(6), triangle(0, 1, 2) + triangle(3, 4, 5)),
+               layer)
+    plain, configured = tmp_path / "plain.tsv", tmp_path / "configured.tsv"
+    assert main(["detect", "--layer", str(layer), "--out", str(plain)]) == 0
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("metric = z\nhub_quantile = x\nspec = #(\nseed = 0\n")
+    argv = ["detect", "--layer", str(layer), "--config", str(cfg)]
+    assert main(argv + ["--out", str(configured)]) == 0
+    assert configured.read_bytes() == plain.read_bytes()
+    cfg.write_text("metric = z\nseed = x\n")
+    capsys.readouterr()
+    assert main(argv + ["--out", str(tmp_path / "never.tsv")]) == 2
+    assert capsys.readouterr().err == "hemln: seed must be int, got 'x'\n"
+
+
+def test_cbg_settings_have_no_spec(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("spec = G1 #(G1,G2) G2\nmetric = d\n")
+    args = cli._build_parser().parse_args(
+        ["cbg", "--mln", "mln", "--pair", "G1,G2", "--config", str(cfg)])
+    cli._settings(args)
+    assert (args.seed, args.metric, args.hub_quantile) == (0, "d", 0.8)
+    assert "spec" not in vars(args)
+
+
 def test_ingest_imdb_command(tmp_path):
     (tmp_path / "movies.tsv").write_text(
         "tconst\tprimaryTitle\tgenres\taverageRating\n"
@@ -397,6 +426,9 @@ BAD_INPUTS = {
     "config-hub-quantile": (lambda d, t: _config(d, t, b"hub_quantile = high\n"),
                             "hub_quantile"),
     "config-not-utf8": (lambda d, t: _config(d, t, NOT_UTF8), "utf-8"),
+    # a key given twice is an error, not the later value silently
+    "config-repeated-key": (lambda d, t: _config(d, t, b"seed = 1\nseed = 2\n"),
+                            "line 2: key 'seed' is set twice"),
     # a key no command reads is an error, not silently a default
     "config-unknown-key": (lambda d, t: _config(t / "no-mln", t,
                                                 b"; typo\nmetrc = z\n"),
@@ -465,6 +497,12 @@ BAD_INPUTS = {
                             "tconst"),
     "imdb-directs-no-nconst": (lambda d, t: _imdb(t, directs="who\ttconst\np2\tt1\n"),
                                "nconst"),
+    # the genre overlap threshold is a share in (0,1]: NaN, inf and 2 would
+    # join no directors, 0 and -1 directors with no genre in common
+    **{f"imdb-threshold-{text}": (
+        lambda d, t, text=text: _imdb(t) + ["--genre-overlap-threshold", text],
+        f"bad genre overlap threshold {float(text)}")
+       for text in ("nan", "inf", "2", "0", "-1")},
     # past csv's default field size limit of 131072 characters
     "imdb-field-too-long": (lambda d, t: _imdb(t, movies=IMDB_TSVS["movies"]
                                                .replace("One", "x" * 200_000)),

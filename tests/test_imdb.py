@@ -3,7 +3,7 @@ import random
 import pytest
 
 from hemln import InterLayerEdges, LayerGraph
-from hemln.errors import EmptyInput, ReferentialIntegrity
+from hemln.errors import EmptyInput, InvariantViolation, ReferentialIntegrity
 from hemln.imdb import (
     ImdbRecords,
     Movie,
@@ -133,6 +133,21 @@ def test_jaccard_threshold_changes_director_edges():
     mln_jac, _ = ingest_imdb(r, 0.5, "jaccard")
     # jaccard 1/3 < 0.5 -> no edge
     assert len(mln_jac.layer("D").edges) == 0
+
+
+@pytest.mark.parametrize("threshold, mode", [
+    (float("nan"), "min"), (float("inf"), "min"), (2.0, "jaccard"),
+    (0.0, "min"), (-1.0, "jaccard"), (0.5, "max"), (0.5, "Jaccard")])
+def test_ingest_rejects_a_threshold_outside_0_1_or_an_unknown_mode(threshold, mode):
+    # NaN or above 1 joins no directors, 0 or below joins any two; an unknown
+    # mode would be taken for "min"
+    with pytest.raises(InvariantViolation):
+        ingest_imdb(records_fixture(), threshold, mode)
+
+
+def test_ingest_accepts_a_threshold_of_1():
+    mln, _ = ingest_imdb(records_fixture(), 1.0, "jaccard")
+    assert mln.layer("D").nodes
 
 
 def write_tsvs(tmp_path):

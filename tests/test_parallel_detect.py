@@ -2,7 +2,8 @@
 
 Memberships, output bytes and errors equal those of a serial run on every
 path: a child that raises, a child that is killed, a fork that fails, a
-single CPU and a caller running a second thread. After every test no child process is left.
+single CPU and a caller running a second thread. After every test no child
+process is left, and detection leaves no descriptor open.
 """
 import errno
 import hashlib
@@ -177,14 +178,38 @@ def test_killed_child_is_detected_again(mln_dir, tmp_path, capsys, cpus,
     assert parallel == serial
 
 
+def _no_fork():
+    raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+
 def test_failed_fork_detects_in_the_parent(mln_dir, tmp_path, capsys, cpus,
                                            monkeypatch):
-    def no_fork():
-        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
-    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(os, "fork", _no_fork)
     serial, parallel = _serial_then_parallel(mln_dir, tmp_path, capsys, cpus)
     assert serial[0] == 0
     assert parallel == serial
+
+
+FD_PATHS = {
+    "children-send": lambda monkeypatch: None,
+    "child-raises": lambda monkeypatch: _in_children(monkeypatch, _raise),
+    "child-killed": lambda monkeypatch: _in_children(
+        monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL)),
+    "fork-fails": lambda monkeypatch: monkeypatch.setattr(os, "fork", _no_fork),
+}
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+@pytest.mark.parametrize("path", sorted(FD_PATHS))
+def test_detection_closes_every_descriptor_it_opens(mln_dir, cpus, monkeypatch, path):
+    # the pipes are raw descriptors, so a leak would raise no ResourceWarning
+    mln = load_mln(mln_dir)
+    graphs = [mln.layer(lid) for lid in sorted(mln.layers)]
+    FD_PATHS[path](monkeypatch)
+    before = sorted(os.listdir("/proc/self/fd"))
+    got = cli._detect_layers(graphs, 0)
+    assert sorted(os.listdir("/proc/self/fd")) == before
+    assert got == [detect_communities(g, 0) for g in graphs]
 
 
 def test_one_cpu_never_forks(mln_dir, tmp_path, capsys, cpus, monkeypatch):

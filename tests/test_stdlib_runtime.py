@@ -1,7 +1,7 @@
 """The runtime is pure standard library: every absolute import in
 ``src/hemln`` names a stdlib module. numpy, scipy or networkx may be
 installed for the test oracles, so an accidental runtime import of one of
-them would pass every other test.
+them would pass every other test. And every name a module imports is used.
 
 Every command pays for what ``import hemln.cli`` loads, so that import
 leaves out the modules only some commands or no command needs."""
@@ -31,6 +31,24 @@ def test_runtime_imports_only_the_standard_library():
                for name in _absolute_imports(p)
                if name.partition(".")[0] not in sys.stdlib_module_names}
     assert not outside
+
+
+def _unused_imports(path: Path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.partition(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    return imported - {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+
+
+def test_runtime_modules_use_every_name_they_import():
+    # __init__.py imports names only to export them
+    unused = {f"{p.name}: {name}" for p in sorted(PACKAGE.glob("*.py"))
+              if p.name != "__init__.py" for name in _unused_imports(p)}
+    assert not unused
 
 
 # dataclasses pulls in inspect; logging is needed only to warn of a
