@@ -181,23 +181,18 @@ def load_membership(g: LayerGraph, rows: Iterable[Tuple[NodeId, int]]) -> Member
     """Build a membership from (node, raw community index) rows; indices are
     normalized to 1..K in order of first appearance, not by detection's rule,
     so a file written from a detected membership can load back renumbered."""
-    seen: Dict[NodeId, int] = {}
-    normalize: Dict[int, int] = {}
-    assignment: Dict[NodeId, int] = {}
+    seen: Dict[NodeId, int] = {}  # node -> raw index, in first appearance
     for node, raw_idx in rows:
         if node not in g.nodes:
             raise UnknownNode(f"node {node} not in layer {g.id}")
-        if node in seen:
-            if seen[node] != raw_idx:
-                raise DuplicateNode(
-                    f"node {node} listed with indices {seen[node]} and {raw_idx}")
-            continue
-        seen[node] = raw_idx
-        assignment[node] = normalize.setdefault(raw_idx, len(normalize) + 1)
+        if seen.setdefault(node, raw_idx) != raw_idx:
+            raise DuplicateNode(
+                f"node {node} listed with indices {seen[node]} and {raw_idx}")
     missing = g.nodes - seen.keys()
     if missing:
         raise MissingNode(f"nodes without community: {sorted(missing)[:10]}")
-    return Membership(g.id, assignment)
+    index = dict(zip(dict.fromkeys(seen.values()), range(1, len(seen) + 1)))
+    return Membership(g.id, {n: index[raw] for n, raw in seen.items()})
 
 
 def summarize(g: LayerGraph, m: Membership,

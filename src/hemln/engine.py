@@ -3,10 +3,9 @@
 Runs the composition plan step by step: buckets the step's inter-layer
 links by the community pair they cross, offers meta nodes, builds the
 community bipartite graph, matches communities one-to-one by maximal flow,
-and extends (new layer) or updates (cycle step) the result tuples according
-to the consistent / no / inconsistent match outcomes. Each tuple pairs one
-community id per visited layer (0 = none) with one expanded edge set per
-composition step (None = empty placeholder), which is enough to
+and advances each result tuple by one rule, ``_advance``. Each tuple pairs
+one community id per visited layer (0 = none) with one expanded edge set
+per composition step (None = empty placeholder), which is enough to
 reconstruct the matched sub-network exactly.
 """
 from __future__ import annotations
@@ -102,16 +101,14 @@ def detect_k_community(mln: MLN,
                         summaries[step.left], summaries[step.right],
                         step.metric or default_metric)
         mp = max_flow_match(cbg)
-        matched_right = dict(mp.pairs)
+        matched = dict(mp.pairs)
 
         if tuples is None:
             tuples = [KTuple((step.left, step.right), (cl.index, cr.index),
                              (buckets[(cl, cr)],))
                       for cl, cr in mp.pairs]
-        elif case == CASE_NEW_LAYER:
-            tuples = [_extend(t, step, matched_right, buckets) for t in tuples]
         else:
-            tuples = [_update(t, step, matched_right, buckets) for t in tuples]
+            tuples = [_advance(t, step, case, matched, buckets) for t in tuples]
 
         diagnostics.append(StepDiagnostics(len(u_left), len(u_right),
                                            len(cbg.edges), len(mp.pairs)))
@@ -120,33 +117,21 @@ def detect_k_community(mln: MLN,
     return KCommunityResult(spec, tuple(tuples), tuple(diagnostics))
 
 
-def _extend(t: KTuple, step: Composition,
-            matched: Dict[CommunityId, CommunityId],
-            buckets: Buckets) -> KTuple:
-    """Case i: append a community slot for the new right layer plus an x slot."""
-    left_idx = t.slot(step.left)
-    layers = t.layers + (step.right,)
-    if left_idx != 0:
-        cl = CommunityId(step.left, left_idx)
-        cr = matched.get(cl)
-        if cr is not None:
-            return KTuple(layers, t.communities + (cr.index,),
-                          t.x_slots + (buckets[(cl, cr)],))
-    return KTuple(layers, t.communities + (0,), t.x_slots + (None,))
-
-
-def _update(t: KTuple, step: Composition,
-            matched: Dict[CommunityId, CommunityId],
-            buckets: Buckets) -> KTuple:
-    """Case ii: both layers processed; append an x slot only."""
-    left_idx = t.slot(step.left)
-    right_idx = t.slot(step.right)
-    if left_idx != 0 and right_idx != 0:
-        cl = CommunityId(step.left, left_idx)
-        cr = CommunityId(step.right, right_idx)
-        if matched.get(cl) == cr:
-            return KTuple(t.layers, t.communities, t.x_slots + (buckets[(cl, cr)],))
-    return KTuple(t.layers, t.communities, t.x_slots + (None,))
+def _advance(t: KTuple, step: Composition, case: str,
+             matched: Dict[CommunityId, CommunityId],
+             buckets: Buckets) -> KTuple:
+    """Append the step's x slot, and under case i the new layer's slot. The x
+    slot is None unless the tuple's left community is matched, under case ii
+    to the tuple's own right community (a consistent match)."""
+    left = t.slot(step.left)
+    cl = CommunityId(step.left, left) if left else None
+    cr = matched.get(cl)
+    if case == CASE_NEW_LAYER:
+        t = KTuple(t.layers + (step.right,),
+                   t.communities + (cr.index if cr else 0,), t.x_slots)
+    elif cr and cr.index != t.slot(step.right):
+        cr = None
+    return t._replace(x_slots=t.x_slots + (buckets[(cl, cr)] if cr else None,))
 
 
 def classify(result: KCommunityResult):

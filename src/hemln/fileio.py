@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .community import Membership, load_membership
-from .errors import IoError, MalformedGraph, ParseError
+from .errors import IoError, ParseError
 from .model import MLN, InterLayerEdges, LayerGraph
 
 COMMENT = ";"
@@ -154,8 +154,6 @@ def load_interlayer(path: os.PathLike) -> InterLayerEdges:
                 _int(fields[0], lineno), _int(fields[1], lineno)
     if header is None:
         raise ParseError("missing interlayer header", 1)
-    if header[0] == header[1]:
-        raise MalformedGraph("inter-layer edges require two distinct layers")
     return InterLayerEdges(header[0], header[1], frozenset(links))  # int() made exact ints
 
 

@@ -18,7 +18,7 @@ ingestion is deterministic; ``ingest_imdb`` returns the key -> id map.
 from __future__ import annotations
 
 import csv
-from itertools import combinations
+from itertools import combinations, count
 from pathlib import Path
 from typing import Dict, FrozenSet, NamedTuple, Optional, Set, Tuple
 
@@ -27,6 +27,7 @@ from .errors import (EmptyInput, InvariantViolation, IoError, ParseError,
 from .model import MLN, InterLayerEdges, LayerGraph
 
 RATING_CLASS_COUNT = 5
+OVERLAP_MODES = ("min", "jaccard")  # the CLI's --overlap-mode choices
 
 
 class Movie(NamedTuple):
@@ -59,6 +60,8 @@ def rating_class(rating: float) -> int:
 
 
 def genre_overlap(a: FrozenSet[str], b: FrozenSet[str], mode: str = "min") -> float:
+    if mode not in OVERLAP_MODES:
+        raise InvariantViolation(f"bad overlap mode {mode!r}")
     if not a or not b:
         return 0.0
     inter = len(a & b)
@@ -77,7 +80,7 @@ def ingest_imdb(records: ImdbRecords,
     """
     if not 0.0 < genre_overlap_threshold <= 1.0:  # (0,1], so not NaN
         raise InvariantViolation(f"bad genre overlap threshold {genre_overlap_threshold}")
-    if overlap_mode not in ("min", "jaccard"):
+    if overlap_mode not in OVERLAP_MODES:
         raise InvariantViolation(f"bad overlap mode {overlap_mode!r}")
     if not records.movies and not records.people:
         raise EmptyInput("no movies or people to ingest")
@@ -92,13 +95,12 @@ def ingest_imdb(records: ImdbRecords,
     directors = sorted(movies_of_director)
     movies = sorted(records.movies)
 
-    ids: Dict[str, int] = {}
-    for key in ([f"A:{a}" for a in actors] + [f"D:{d}" for d in directors]
-                + [f"M:{m}" for m in movies]):
-        ids[key] = len(ids)
-    aid = {a: ids[f"A:{a}"] for a in actors}
-    did = {d: ids[f"D:{d}"] for d in directors}
-    mid = {m: ids[f"M:{m}"] for m in movies}
+    number = count()  # one id sequence: actors, then directors, then movies
+    aid = {a: next(number) for a in actors}
+    did = {d: next(number) for d in directors}
+    mid = {m: next(number) for m in movies}
+    ids = {f"{role}:{key}": i for role, of in (("A", aid), ("D", did), ("M", mid))
+           for key, i in of.items()}
 
     # ids rise with sorted keys, so each pair is already (low, high): no .build
     # layer A: co-acting

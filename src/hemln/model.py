@@ -1,8 +1,8 @@
 """Multilayer network data model.
 
-A multilayer network is a set of layer graphs (simple, undirected, with
-globally unique node ids that are disjoint across layers) plus bipartite
-inter-layer edge sets, one per unordered layer pair.
+A multilayer network is a set of simple undirected layer graphs with node
+ids disjoint across layers, plus bipartite inter-layer edge sets, one per
+unordered pair of distinct layers (only ``MLN.add_interlayer`` checks it).
 """
 from __future__ import annotations
 
@@ -68,8 +68,6 @@ class InterLayerEdges(NamedTuple):
     @staticmethod
     def build(from_layer: str, to_layer: str,
               links: Iterable[Edge]) -> "InterLayerEdges":
-        if from_layer == to_layer:
-            raise MalformedGraph("inter-layer edges require two distinct layers")
         def checked() -> Iterator[Edge]:
             for a, b in links:
                 if type(a) is not int or type(b) is not int:  # 1.0 and True equal ints
@@ -114,6 +112,8 @@ class MLN:
 
     def add_interlayer(self, x: InterLayerEdges) -> "MLN":
         self._check_mutable()
+        if x.from_layer == x.to_layer:
+            raise MalformedGraph("inter-layer edges require two distinct layers")
         a_nodes = self.layer(x.from_layer).nodes
         b_nodes = self.layer(x.to_layer).nodes
         key = self._pair_key(x.from_layer, x.to_layer)

@@ -1,3 +1,4 @@
+import argparse
 import gc
 import hashlib
 import json
@@ -180,6 +181,17 @@ def test_cbg_settings_have_no_spec(tmp_path):
     cli._settings(args)
     assert (args.seed, args.metric, args.hub_quantile) == (0, "d", 0.8)
     assert "spec" not in vars(args)
+
+
+def test_overlap_mode_choices_are_the_imdb_modes():
+    # the CLI keeps its own literal: importing hemln.imdb at start would load
+    # csv for every command
+    from hemln.imdb import OVERLAP_MODES
+    sub = next(a for a in cli._build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    mode = next(a for a in sub.choices["ingest-imdb"]._actions
+                if a.dest == "overlap_mode")
+    assert tuple(mode.choices) == OVERLAP_MODES
 
 
 def test_ingest_imdb_command(tmp_path):

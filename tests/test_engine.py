@@ -47,6 +47,32 @@ def test_cyclic_running_example(three_layer_mln):
         assert t.x_slots[1] is None and t.x_slots[2] is None
 
 
+def test_cycle_step_leaves_an_inconsistent_match_empty():
+    # three 4-node layers of two 2-node communities; A-B and B-C link
+    # community 1 to 1 and 2 to 2, but the closing C-A links cross, so the
+    # cycle step matches each tuple's C community to the other tuple's A one
+    from hemln import MLN, InterLayerEdges, LayerGraph, load_membership, summarize
+    mln = MLN()
+    for lid, base in (("A", 0), ("B", 10), ("C", 20)):
+        mln.add_layer(LayerGraph.build(lid, range(base, base + 4),
+                                       [(base, base + 1), (base + 2, base + 3)]))
+    for left, right, links in (("A", "B", [(0, 10), (2, 12)]),
+                               ("B", "C", [(10, 20), (12, 22)]),
+                               ("C", "A", [(20, 2), (22, 0)])):  # C1-A2, C2-A1
+        mln.add_interlayer(InterLayerEdges.build(left, right, links))
+    mln.freeze()
+    # a layer's nodes at offsets 0 and 1 form community 1, at 2 and 3 community 2
+    memberships = {lid: load_membership(g, [(n, 1 + n % 10 // 2)
+                                            for n in sorted(g.nodes)])
+                   for lid, g in mln.layers.items()}
+    summaries = {lid: summarize(mln.layer(lid), m) for lid, m in memberships.items()}
+    result = run((mln, memberships, summaries), "A #(A,B) B #(B,C) C #(C,A) A")
+    assert result.diagnostics[2].mp_size == 2  # both C communities matched
+    assert format_tuples(result) == (
+        "< c_A^1, c_B^1, c_C^1 ; x_{A,B}, x_{B,C}, phi >\n"
+        "< c_A^2, c_B^2, c_C^2 ; x_{A,B}, x_{B,C}, phi >\n")
+
+
 def test_hand_built_spec_equals_parsed(three_layer_mln):
     # layers and cases come from the steps, so a spec built by hand runs
     # every step, as the parsed one does

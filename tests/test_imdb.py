@@ -5,6 +5,7 @@ import pytest
 from hemln import InterLayerEdges, LayerGraph
 from hemln.errors import EmptyInput, InvariantViolation, ReferentialIntegrity
 from hemln.imdb import (
+    OVERLAP_MODES,
     ImdbRecords,
     Movie,
     genre_overlap,
@@ -33,6 +34,16 @@ def test_genre_overlap_modes():
     assert genre_overlap(a, b) == pytest.approx(1.0)          # 2 / min(2, 3)
     assert genre_overlap(a, b, "jaccard") == pytest.approx(2 / 3)
     assert genre_overlap(frozenset(), b) == 0.0
+
+
+@pytest.mark.parametrize("mode", ["max", "Jaccard", "", None])
+def test_genre_overlap_rejects_an_unknown_mode(mode):
+    # it was read as "min", empty sets included
+    assert mode not in OVERLAP_MODES
+    for a, b in ((frozenset({"x", "y"}), frozenset({"y", "z", "w"})),
+                 (frozenset(), frozenset({"x"}))):
+        with pytest.raises(InvariantViolation, match=f"^bad overlap mode {mode!r}$"):
+            genre_overlap(a, b, mode)
 
 
 def records_fixture():

@@ -195,7 +195,7 @@ INTER_CASES = {
     "both tokens bad": "interlayer\tA\tD\none\tten\n",
     "short link line": "interlayer\tA\tD\n1\n",
     "long link line": "interlayer\tA\tD\n1\t2\t3\n",
-    "same layer twice": "interlayer\tA\tA\n1\t2\n",
+    "same layer twice": "interlayer\tA\tA\n1\t2\n",  # MLN.add_interlayer rejects it
     "missing header": "; only a comment\n",
     "bad header": "1\t10\n",
 }

@@ -105,3 +105,26 @@ def test_frozen_mln_rejects_mutation():
     mln = MLN().add_layer(LayerGraph.build("A", [1], [])).freeze()
     with pytest.raises(MalformedGraph):
         mln.add_layer(LayerGraph.build("B", [2], []))
+
+
+SAME_LAYER = "^inter-layer edges require two distinct layers$"
+
+
+def test_interlayer_on_one_layer_rejected_however_built(tmp_path):
+    from hemln.fileio import load_mln, save_mln
+    mln = MLN().add_layer(LayerGraph.build("A", [1, 2], [(1, 2)]))
+    for build in (InterLayerEdges, InterLayerEdges.build):
+        with pytest.raises(MalformedGraph, match=SAME_LAYER):
+            mln.add_interlayer(build("A", "A", frozenset({(1, 2)})))
+    # nothing was added, so the directory it saves loads back
+    assert mln.interlayer_pairs() == []
+    save_mln(mln, tmp_path)
+    assert load_mln(tmp_path) == mln
+
+
+def test_load_mln_rejects_an_interlayer_file_on_one_layer(tmp_path):
+    from hemln.fileio import load_mln
+    (tmp_path / "layer_A.tsv").write_text("layer\tA\n1\n2\n")
+    (tmp_path / "inter_A_A.tsv").write_text("interlayer\tA\tA\n1\t2\n")
+    with pytest.raises(MalformedGraph, match=SAME_LAYER):
+        load_mln(tmp_path)
