@@ -2,10 +2,8 @@
 
 Subcommands: detect, kcommunity, cbg, rank, ingest-imdb. Exit codes:
 0 success, 1 usage error, 2 data error (details on stderr). Each command
-takes only the options it reads; MLN_SEED overrides --seed where it exists.
---config names a key=value file of defaults for metric, seed, hub_quantile
-and spec. A command reads and checks only those it has options for (detect
-only seed, cbg no spec); any other key, or one given twice, is a data error.
+takes only the options it reads, and each setting comes from its flag
+alone. kcommunity takes exactly one of --spec and --spec-file.
 
 kcommunity and cbg detect their layers in forked processes, one per CPU
 the process may use, the parent included, largest layer first. The parent
@@ -50,31 +48,31 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     # a parent parser per set of shared options, listed by the commands that read it
-    settings = argparse.ArgumentParser(add_help=False)
-    settings.add_argument("--config", help="key=value file with flag defaults")
-    settings.add_argument("--seed", type=int, default=None)
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=0)
     network = argparse.ArgumentParser(add_help=False)
     network.add_argument("--mln", required=True)
-    network.add_argument("--metric", choices=METRICS, default=None)
+    network.add_argument("--metric", choices=METRICS, default="e")
     network.add_argument("--memberships",
                          help="directory of membership_<layer>.tsv files to use "
                               "instead of running detection")
-    network.add_argument("--hub-quantile", type=float, default=None)
+    network.add_argument("--hub-quantile", type=float, default=0.8)
 
-    p = sub.add_parser("detect", parents=[settings],
+    p = sub.add_parser("detect", parents=[seed],
                        help="community detection for one layer file")
     p.set_defaults(run=_cmd_detect)
     p.add_argument("--layer", required=True)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("kcommunity", parents=[settings, network],
+    p = sub.add_parser("kcommunity", parents=[seed, network],
                        help="run a k-community specification over an MLN directory")
     p.set_defaults(run=_cmd_kcommunity)
-    p.add_argument("--spec", help="specification string")
-    p.add_argument("--spec-file", help="file with one specification per line")
+    specs = p.add_mutually_exclusive_group(required=True)
+    specs.add_argument("--spec", help="specification string")
+    specs.add_argument("--spec-file", help="file with one specification per line")
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("cbg", parents=[settings, network],
+    p = sub.add_parser("cbg", parents=[seed, network],
                        help="export the community bipartite graph of a layer pair")
     p.set_defaults(run=_cmd_cbg)
     p.add_argument("--pair", required=True, metavar="L1,L2")
@@ -100,32 +98,8 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _number(kind, name: str, text: str):
-    try:
-        return kind(text)
-    except ValueError:
-        raise InvariantViolation(
-            f"{name} must be {kind.__name__}, got {text!r}") from None
-
-
-def _settings(args) -> None:
-    """Resolve the command's settings into ``args``: the flag, else the
-    --config key, else the default; MLN_SEED overrides --seed."""
-    defaults = fileio.load_config(args.config) if args.config else {}
-    if args.seed is None:
-        args.seed = _number(int, "seed", defaults.get("seed", "0"))
-    if "MLN_SEED" in os.environ:
-        args.seed = _number(int, "MLN_SEED", os.environ["MLN_SEED"])
-    if args.command == "detect":  # reads only the seed
-        return
-    if args.hub_quantile is None:
-        args.hub_quantile = _number(float, "hub_quantile",
-                                    defaults.get("hub_quantile", "0.8"))
-    args.metric = args.metric or defaults.get("metric", "e")
-    if args.command == "kcommunity":  # cbg reads no spec
-        args.spec = args.spec or defaults.get("spec", "")
-    if args.metric not in METRICS:
-        raise InvariantViolation(f"bad metric {args.metric!r}")
+def _check_hub_quantile(args) -> None:
+    """Reject a hub quantile outside (0, 1], before any input is read."""
     if not (0.0 < args.hub_quantile <= 1.0):
         raise InvariantViolation(f"bad hub_quantile {args.hub_quantile}")
 
@@ -189,7 +163,6 @@ def _summaries(mln: MLN, memberships, hub_quantile: float):
 
 
 def _cmd_detect(args) -> int:
-    _settings(args)
     g = fileio.load_layer(args.layer)
     m = detect_communities(g, args.seed)
     fileio.save_membership_tsv(m, args.out)
@@ -197,18 +170,16 @@ def _cmd_detect(args) -> int:
 
 
 def _specs_from_args(args) -> List[str]:
-    if args.spec_file:
-        specs = [line for _, line in fileio._lines(args.spec_file, fileio.COMMENT)]
-        if not specs:
-            raise EmptySpec(f"spec file {args.spec_file} has no specification")
-        return specs
-    if args.spec:
+    if args.spec is not None:
         return [args.spec]
-    raise HemlnError("kcommunity needs --spec or --spec-file")
+    specs = [line for _, line in fileio._lines(args.spec_file, fileio.COMMENT)]
+    if not specs:
+        raise EmptySpec(f"spec file {args.spec_file} has no specification")
+    return specs
 
 
 def _cmd_kcommunity(args) -> int:
-    _settings(args)
+    _check_hub_quantile(args)
     mln = fileio.load_mln(args.mln)
     specs = [validate_spec(parse_spec(t), mln) for t in _specs_from_args(args)]
     layers = sorted({l for s in specs for l in s.layers})
@@ -231,7 +202,7 @@ def _cmd_kcommunity(args) -> int:
 
 
 def _cmd_cbg(args) -> int:
-    _settings(args)
+    _check_hub_quantile(args)
     mln = fileio.load_mln(args.mln)
     try:
         left, right = args.pair.split(",")

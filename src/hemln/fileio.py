@@ -1,5 +1,5 @@
-"""File formats: layer and inter-layer TSVs, MLN directories, membership
-files, and key=value run configuration.
+"""File formats: layer and inter-layer TSVs, MLN directories and membership
+files.
 
 Layer file:
 
@@ -32,22 +32,7 @@ from .errors import IoError, ParseError
 from .model import MLN, InterLayerEdges, LayerGraph
 
 COMMENT = ";"
-CONFIG_KEYS = ("metric", "seed", "hub_quantile", "spec")  # what hemln.cli reads
 BLOCK = 1 << 16  # characters split into lines at a time
-
-
-def load_config(path: os.PathLike) -> Dict[str, str]:
-    values: Dict[str, str] = {}
-    for lineno, line in _lines(path, COMMENT):
-        if "=" not in line:
-            raise ParseError(f"expected key=value, got {line!r}", lineno)
-        key, _, value = map(str.strip, line.partition("="))
-        if key not in CONFIG_KEYS:
-            raise ParseError(f"key must be one of {CONFIG_KEYS}, got {key!r}", lineno)
-        if key in values:
-            raise ParseError(f"key {key!r} is set twice", lineno)
-        values[key] = value
-    return values
 
 
 def _read_text(path: os.PathLike) -> str:

@@ -143,7 +143,8 @@ def ingest_imdb(records: ImdbRecords,
 
 
 # ---------------------------------------------------------------------------
-# TSV loading (IMDb public-dataset column conventions; extra columns ignored)
+# TSV loading (IMDb public-dataset column conventions; extra columns ignored,
+# a repeated tconst or nconst row is an error)
 
 _MISSING = ("", r"\N")
 
@@ -152,6 +153,8 @@ def load_imdb_tsvs(movies_path, people_path, acts_path, directs_path) -> ImdbRec
     records = ImdbRecords()
     for row, lineno in _tsv_rows(movies_path, ("tconst",)):
         key = row["tconst"]
+        if key in records.movies:
+            raise ParseError(f"repeated tconst {key!r}", lineno)
         raw_rating = row.get("averageRating", "")
         genres = tuple(g for g in row.get("genres", "").split(",")
                        if g and g not in _MISSING)
@@ -162,8 +165,11 @@ def load_imdb_tsvs(movies_path, people_path, acts_path, directs_path) -> ImdbRec
         except ValueError as exc:
             raise ParseError(f"averageRating {raw_rating!r}: {exc}", lineno) from None
         records.movies[key] = Movie(row.get("primaryTitle", key), genres, rating)
-    for row, _ in _tsv_rows(people_path, ("nconst",)):
-        records.people[row["nconst"]] = row.get("primaryName", row["nconst"])
+    for row, lineno in _tsv_rows(people_path, ("nconst",)):
+        key = row["nconst"]
+        if key in records.people:
+            raise ParseError(f"repeated nconst {key!r}", lineno)
+        records.people[key] = row.get("primaryName", key)
     for row, _ in _tsv_rows(acts_path, ("nconst", "tconst")):
         records.acts_in.add((row["nconst"], row["tconst"]))
     for row, _ in _tsv_rows(directs_path, ("nconst", "tconst")):

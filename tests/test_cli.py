@@ -113,13 +113,21 @@ def test_rank_sum_raw_pairs(mln_dir, tmp_path, capsys):
     assert len(lines) == 2 and all(l.startswith("< c_G1^") for l in lines)
 
 
-def test_usage_errors_exit_1(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["kcommunity"])  # missing required flags
-    assert exc.value.code == 1
-    with pytest.raises(SystemExit) as exc:
-        main(["no-such-command"])
-    assert exc.value.code == 1
+def test_usage_errors_exit_1(mln_dir, tmp_path, capsys):
+    specs = tmp_path / "specs.txt"
+    specs.write_text("G1 #(G1,G2) G2\n")
+    run = ["kcommunity", "--mln", str(mln_dir), "--out", str(tmp_path / "out")]
+    for argv in (["kcommunity"],  # missing required flags
+                 ["no-such-command"],
+                 run,  # neither --spec nor --spec-file
+                 run + ["--spec", "G1 #(G1,G2) G2", "--metric", "z"],
+                 run + ["--spec", "G1 #(G1,G2) G2", "--seed", "x"],
+                 # both: --spec is not silently dropped for --spec-file
+                 run + ["--spec", "G1 #(G1,G9) G9", "--spec-file", str(specs)]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_data_errors_exit_2(mln_dir, tmp_path, capsys):
@@ -130,57 +138,6 @@ def test_data_errors_exit_2(mln_dir, tmp_path, capsys):
     code = main(["kcommunity", "--mln", str(tmp_path / "missing"),
                  "--spec", "G1 #(G1,G2) G2", "--out", str(tmp_path / "y")])
     assert code == 2
-
-
-def test_env_seed_overrides_flag(mln_dir, tmp_path, monkeypatch):
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    monkeypatch.setenv("MLN_SEED", "3")
-    main(["kcommunity", "--mln", str(mln_dir), "--seed", "99",
-          "--spec", "G1 #(G1,G2) G2", "--out", str(out1)])
-    monkeypatch.delenv("MLN_SEED")
-    main(["kcommunity", "--mln", str(mln_dir), "--seed", "3",
-          "--spec", "G1 #(G1,G2) G2", "--out", str(out2)])
-    assert (out1 / "membership_G1.tsv").read_bytes() == \
-        (out2 / "membership_G1.tsv").read_bytes()
-
-
-def test_config_file_defaults(mln_dir, tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("spec = G1 #(G1,G2) G2\nmetric = d\nseed = 5\n")
-    out = tmp_path / "cfg-run"
-    code = main(["kcommunity", "--mln", str(mln_dir),
-                 "--config", str(cfg), "--out", str(out)])
-    assert code == 0
-    assert (out / "result.txt").read_text().count("<") == 2
-
-
-def test_detect_reads_and_checks_only_the_seed_of_a_config(tmp_path, capsys):
-    # detect has no metric, hub_quantile or spec, so a config's values for
-    # them are neither read nor checked
-    layer = tmp_path / "layer_A.tsv"
-    save_layer(LayerGraph.build("A", range(6), triangle(0, 1, 2) + triangle(3, 4, 5)),
-               layer)
-    plain, configured = tmp_path / "plain.tsv", tmp_path / "configured.tsv"
-    assert main(["detect", "--layer", str(layer), "--out", str(plain)]) == 0
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("metric = z\nhub_quantile = x\nspec = #(\nseed = 0\n")
-    argv = ["detect", "--layer", str(layer), "--config", str(cfg)]
-    assert main(argv + ["--out", str(configured)]) == 0
-    assert configured.read_bytes() == plain.read_bytes()
-    cfg.write_text("metric = z\nseed = x\n")
-    capsys.readouterr()
-    assert main(argv + ["--out", str(tmp_path / "never.tsv")]) == 2
-    assert capsys.readouterr().err == "hemln: seed must be int, got 'x'\n"
-
-
-def test_cbg_settings_have_no_spec(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("spec = G1 #(G1,G2) G2\nmetric = d\n")
-    args = cli._build_parser().parse_args(
-        ["cbg", "--mln", "mln", "--pair", "G1,G2", "--config", str(cfg)])
-    cli._settings(args)
-    assert (args.seed, args.metric, args.hub_quantile) == (0, "d", 0.8)
-    assert "spec" not in vars(args)
 
 
 def test_overlap_mode_choices_are_the_imdb_modes():
@@ -361,12 +318,6 @@ def _kcommunity(mln_dir, tmp_path, *extra, spec="G1 #(G1,G2) G2"):
             "--out", str(tmp_path / "out"), *extra]
 
 
-def _config(mln_dir, tmp_path, content):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_bytes(content)
-    return _kcommunity(mln_dir, tmp_path, "--config", str(cfg))
-
-
 def _not_utf8_in_mln(mln_dir, tmp_path, name):
     (mln_dir / name).write_bytes(NOT_UTF8)
     return _kcommunity(mln_dir, tmp_path)
@@ -390,9 +341,9 @@ def _out_is_a_file(mln_dir, tmp_path):
     return _kcommunity(mln_dir, tmp_path)
 
 
-def _spec_file(mln_dir, tmp_path, text):
+def _spec_file(mln_dir, tmp_path, content):
     spec_file = tmp_path / "specs.txt"
-    spec_file.write_text(text)
+    spec_file.write_bytes(content)
     return ["kcommunity", "--mln", str(mln_dir), "--spec-file", str(spec_file),
             "--out", str(tmp_path / "out")]
 
@@ -433,23 +384,7 @@ def _imdb(tmp_path, **replaced):
 
 
 BAD_INPUTS = {
-    "env-seed": (lambda d, t: _kcommunity(d, t), "MLN_SEED"),
-    "config-seed": (lambda d, t: _config(d, t, b"seed = x\n"), "seed"),
-    "config-hub-quantile": (lambda d, t: _config(d, t, b"hub_quantile = high\n"),
-                            "hub_quantile"),
-    "config-not-utf8": (lambda d, t: _config(d, t, NOT_UTF8), "utf-8"),
-    # a key given twice is an error, not the later value silently
-    "config-repeated-key": (lambda d, t: _config(d, t, b"seed = 1\nseed = 2\n"),
-                            "line 2: key 'seed' is set twice"),
-    # a key no command reads is an error, not silently a default
-    "config-unknown-key": (lambda d, t: _config(t / "no-mln", t,
-                                                b"; typo\nmetrc = z\n"),
-                           "line 2: key must be one of"),
-    "config-flag-spelling": (lambda d, t: _config(d, t, b"hub-quantile = 0\n"),
-                             "got 'hub-quantile'"),
-    # settings are checked before --mln is read: here it does not exist
-    "config-metric": (lambda d, t: _config(t / "no-mln", t, b"metric = z\n"),
-                      "bad metric 'z'"),
+    # the hub quantile is checked before --mln is read: here it does not exist
     "hub-quantile-zero": (lambda d, t: _kcommunity(t / "no-mln", t,
                                                    "--hub-quantile", "0"),
                           "bad hub_quantile 0.0"),
@@ -465,8 +400,9 @@ BAD_INPUTS = {
     "spec-no-first-layer": (lambda d, t: _kcommunity(d, t, spec="#(G2,G1):z"),
                             "layer name"),
     "out-not-writable": (_out_is_a_file, "out"),
-    "spec-file-empty": (lambda d, t: _spec_file(d, t, "; no specs\n\n  \n"),
+    "spec-file-empty": (lambda d, t: _spec_file(d, t, b"; no specs\n\n  \n"),
                         "no specification"),
+    "spec-file-not-utf8": (lambda d, t: _spec_file(d, t, NOT_UTF8), "utf-8"),
     "rank-not-json": (lambda d, t: _rank(t, "{not json\n"), "line 1"),
     "rank-bad-record": (lambda d, t: _rank(t, '\n{"slots": 3, "x": []}\n'), "line 2"),
     # only what to_jsonl writes: a string layer, an int community, int pairs
@@ -496,6 +432,13 @@ BAD_INPUTS = {
     "imdb-rating-not-a-number": (lambda d, t: _imdb(t, movies=IMDB_TSVS["movies"]
                                                     .replace("7.9", "good")),
                                  "line 2"),
+    # a repeated key is an error, not the later row silently
+    "imdb-movies-repeated-tconst": (lambda d, t: _imdb(
+        t, movies=IMDB_TSVS["movies"] + "t1\tOne\tComedy\t1.0\n"),
+        "line 3: repeated tconst 't1'"),
+    "imdb-people-repeated-nconst": (lambda d, t: _imdb(
+        t, people=IMDB_TSVS["people"] + "p1\tAnn\n"),
+        "line 4: repeated nconst 'p1'"),
     # csv skips blank lines, and the error still names the row's own line
     "imdb-rating-after-blank-lines": (lambda d, t: _imdb(
         t, movies=IMDB_TSVS["movies"].replace("\nt1", "\n\n\nt1")
@@ -523,10 +466,8 @@ BAD_INPUTS = {
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
-def test_bad_input_is_one_line_exit_2(mln_dir, tmp_path, capsys, monkeypatch, case):
+def test_bad_input_is_one_line_exit_2(mln_dir, tmp_path, capsys, case):
     make_argv, expected = BAD_INPUTS[case]
-    if case == "env-seed":
-        monkeypatch.setenv("MLN_SEED", "abc")
     argv = make_argv(mln_dir, tmp_path)
     capsys.readouterr()
     assert main(argv) == 2
@@ -542,6 +483,10 @@ def test_bad_input_is_one_line_exit_2(mln_dir, tmp_path, capsys, monkeypatch, ca
 UNREAD_OPTIONS = {
     "ingest-imdb-seed": ("ingest-imdb", "--seed", "1"),
     "ingest-imdb-config": ("ingest-imdb", "--config", "run.cfg"),
+    # each setting comes from its flag alone: no command reads a config file
+    "detect-config": ("detect", "--config", "run.cfg"),
+    "kcommunity-config": ("kcommunity", "--config", "run.cfg"),
+    "cbg-config": ("cbg", "--config", "run.cfg"),
     "ingest-imdb-hub-quantile": ("ingest-imdb", "--hub-quantile", "0.5"),
     "detect-hub-quantile": ("detect", "--hub-quantile", "0.5"),
     "rank-seed": ("rank", "--seed", "1"),
@@ -556,6 +501,8 @@ def test_unread_option_exits_1(tmp_path, case):
     command, *option = UNREAD_OPTIONS[case]
     argv = {"ingest-imdb": _imdb(tmp_path),
             "detect": ["detect", "--layer", "layer.tsv", "--out", "m.tsv"],
+            "kcommunity": _kcommunity("mln", tmp_path),
+            "cbg": ["cbg", "--mln", "mln", "--pair", "G1,G2"],
             "rank": _rank(tmp_path, "")}[command]
     with pytest.raises(SystemExit) as exc:
         main(argv + option)
@@ -568,11 +515,30 @@ def test_rank_bad_key_exits_1(tmp_path):
     assert exc.value.code == 1
 
 
-def test_rank_ignores_mln_seed(mln_dir, tmp_path, monkeypatch):
-    assert main(_kcommunity(mln_dir, tmp_path)) == 0
-    monkeypatch.setenv("MLN_SEED", "not a seed")  # rank has no --seed
-    assert main(["rank", "--result", str(tmp_path / "out" / "result.jsonl"),
-                 "--key", "sum_raw_pairs"]) == 0
+def test_rank_ignores_mln_seed(mln_dir, tmp_path, monkeypatch, capsysbinary):
+    # no command reads MLN_SEED: each writes the bytes of a run without it
+    def run(name):
+        d = tmp_path / name
+        d.mkdir()
+        mln, result = str(mln_dir), str(tmp_path / "plain" / "kc" / "result.jsonl")
+        argvs = {
+            "kc": ["kcommunity", "--mln", mln, "--spec", "G1 #(G1,G2) G2",
+                   "--out", str(d / "kc")],
+            "cbg": ["cbg", "--mln", mln, "--pair", "G1,G2"],
+            "rank": ["rank", "--result", result, "--key", "sum_raw_pairs"],
+            "detect": ["detect", "--layer", str(mln_dir / "layer_G1.tsv"),
+                       "--out", str(d / "membership_G1.tsv")],
+            "imdb": _imdb(d),
+        }
+        for key, argv in argvs.items():
+            assert main(argv) == 0, key
+            (d / f"{key}.out").write_bytes(capsysbinary.readouterr().out)
+        return {p.relative_to(d): p.read_bytes()
+                for p in sorted(d.rglob("*")) if p.is_file()}
+
+    plain = run("plain")
+    monkeypatch.setenv("MLN_SEED", "not-a-seed")
+    assert run("env") == plain
 
 
 # every command runs with the cyclic collector paused and gives the caller's

@@ -28,7 +28,7 @@ IMDB_TSVS = {
     "directs": "nconst\ttconst\np3\tt1\np3\tt2\np4\tt3\n",
 }
 TARGETS = ("mln/layer_G1.tsv", "mln/inter_G1_G2.tsv", "run/membership_G1.tsv",
-           "run.cfg", "run/result.jsonl", "imdb/movies.tsv", "imdb/people.tsv",
+           "specs.txt", "run/result.jsonl", "imdb/movies.tsv", "imdb/people.tsv",
            "imdb/acts.tsv", "imdb/directs.tsv")
 
 
@@ -46,8 +46,7 @@ def seed_dir(tmp_path_factory):
     save_mln(mln.freeze(), root / "mln")
     assert main(["kcommunity", "--mln", str(root / "mln"), "--spec", SPEC,
                  "--out", str(root / "run")]) == 0
-    (root / "run.cfg").write_text(f"spec = {SPEC}\nmetric = h\nseed = 3\n"
-                                  "hub_quantile = 0.5\n")
+    (root / "specs.txt").write_text(f"; one spec\n{SPEC}\n")
     (root / "imdb").mkdir()
     for name, text in IMDB_TSVS.items():
         (root / "imdb" / f"{name}.tsv").write_text(text)
@@ -57,7 +56,8 @@ def seed_dir(tmp_path_factory):
 def _commands(d: Path):
     mln, run, imdb = d / "mln", d / "run", d / "imdb"
     argvs = [
-        ["kcommunity", "--mln", mln, "--config", d / "run.cfg", "--out", d / "out1"],
+        ["kcommunity", "--mln", mln, "--spec-file", d / "specs.txt", "--metric", "h",
+         "--seed", "3", "--hub-quantile", "0.5", "--out", d / "out1"],
         ["kcommunity", "--mln", mln, "--spec", SPEC, "--memberships", run,
          "--out", d / "out2"],
         ["cbg", "--mln", mln, "--pair", "G1,G2", "--memberships", run],

@@ -3,7 +3,6 @@ import pytest
 from hemln import MLN, InterLayerEdges, LayerGraph, detect_communities
 from hemln.errors import ParseError
 from hemln.fileio import (
-    load_config,
     load_interlayer,
     load_layer,
     load_membership_tsv,
@@ -91,9 +90,3 @@ def test_detected_membership_survives_save_load(tmp_path):
     save_membership_tsv(m, path)
     assert load_membership_tsv(g, path) == m
 
-
-def test_config_parse(tmp_path):
-    path = tmp_path / "run.cfg"
-    path.write_text("; defaults\nmetric = d\nseed=17\nhub_quantile=0.9\n")
-    values = load_config(path)
-    assert values == {"metric": "d", "seed": "17", "hub_quantile": "0.9"}
