@@ -3,7 +3,7 @@
 Subcommands: detect, kcommunity, cbg, rank, ingest-imdb. Exit codes:
 0 success, 1 usage error, 2 data error (details on stderr). Each command
 takes only the options it reads, and each setting comes from its flag
-alone. kcommunity takes exactly one of --spec and --spec-file.
+alone. kcommunity runs each --spec given, in order, over one detection.
 
 kcommunity and cbg detect their layers in forked processes, one per CPU
 the process may use, the parent included, largest layer first. The parent
@@ -28,7 +28,7 @@ from . import engine, fileio
 from .cbg import METRICS, build_cbg, cbg_to_tsv, crossing_pairs
 from .community import Membership, detect_communities, summarize
 from .engine import detect_k_community
-from .errors import EmptySpec, HemlnError, InvariantViolation, NoInterLayerEdges
+from .errors import HemlnError, InvariantViolation, NoInterLayerEdges
 from .kspec import parse_spec, validate_spec
 from .model import MLN, LayerGraph
 
@@ -65,11 +65,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("kcommunity", parents=[seed, network],
-                       help="run a k-community specification over an MLN directory")
+                       help="run k-community specifications over an MLN directory")
     p.set_defaults(run=_cmd_kcommunity)
-    specs = p.add_mutually_exclusive_group(required=True)
-    specs.add_argument("--spec", help="specification string")
-    specs.add_argument("--spec-file", help="file with one specification per line")
+    p.add_argument("--spec", action="append", required=True,
+                   help="specification string; repeat it to run several")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("cbg", parents=[seed, network],
@@ -169,19 +168,10 @@ def _cmd_detect(args) -> int:
     return EXIT_OK
 
 
-def _specs_from_args(args) -> List[str]:
-    if args.spec is not None:
-        return [args.spec]
-    specs = [line for _, line in fileio._lines(args.spec_file, fileio.COMMENT)]
-    if not specs:
-        raise EmptySpec(f"spec file {args.spec_file} has no specification")
-    return specs
-
-
 def _cmd_kcommunity(args) -> int:
     _check_hub_quantile(args)
     mln = fileio.load_mln(args.mln)
-    specs = [validate_spec(parse_spec(t), mln) for t in _specs_from_args(args)]
+    specs = [validate_spec(parse_spec(t), mln) for t in args.spec]
     layers = sorted({l for s in specs for l in s.layers})
     memberships = _memberships_for(mln, layers, args.seed, args.memberships)
     summaries = _summaries(mln, memberships, args.hub_quantile)

@@ -73,11 +73,7 @@ class EmptyCbg(HemlnError):
 
 # --- spec parsing ----------------------------------------------------------
 
-class SpecError(HemlnError):
-    pass
-
-
-class SpecSyntaxError(SpecError):
+class SpecSyntaxError(HemlnError):
     """Bad token; carries position and what was expected."""
 
     def __init__(self, message: str, position: int):
@@ -85,24 +81,24 @@ class SpecSyntaxError(SpecError):
         self.position = position
 
 
-class SubscriptMismatch(SpecError):
+class SubscriptMismatch(HemlnError):
     pass
 
 
-class EmptySpec(SpecError):
+class EmptySpec(HemlnError):
     pass
 
 
-class NonSerialSpec(SpecError):
+class NonSerialSpec(HemlnError):
     """Parenthesized (explicit-precedence) specifications are not supported;
     only serial left-to-right chains are accepted."""
 
 
-class MissingInterLayerEdges(SpecError):
+class MissingInterLayerEdges(HemlnError):
     pass
 
 
-class DisconnectedSpec(SpecError):
+class DisconnectedSpec(HemlnError):
     pass
 
 

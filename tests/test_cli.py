@@ -82,16 +82,22 @@ def test_kcommunity_determinism(mln_dir, tmp_path):
         assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
 
 
-def test_kcommunity_spec_file_multiple(mln_dir, tmp_path):
-    specs = tmp_path / "specs.txt"
-    specs.write_text("G1 #(G1,G2) G2\nG2 #(G2,G1) G1\n")
-    out = tmp_path / "multi"
-    code = main(["kcommunity", "--mln", str(mln_dir),
-                 "--spec-file", str(specs), "--out", str(out)])
-    assert code == 0
-    for i in (0, 1):
-        assert (out / f"result_{i}.txt").exists()
-        assert (out / f"diagnostics_{i}.tsv").exists()
+def test_kcommunity_repeated_spec(mln_dir, tmp_path):
+    # each --spec runs, in order, and the i-th writes its own run's bytes
+    specs = ("G1 #(G1,G2) G2", "G2 #(G2,G1):h G1")
+    run = ["kcommunity", "--mln", str(mln_dir)]
+    batch = tmp_path / "batch"
+    assert main(run + ["--spec", specs[0], "--spec", specs[1],
+                       "--out", str(batch)]) == 0
+    expected = {}
+    for i, spec in enumerate(specs):
+        single = tmp_path / f"single_{i}"
+        assert main(run + ["--spec", spec, "--out", str(single)]) == 0
+        for p in single.iterdir():
+            stem, ext = p.name.split(".")
+            name = p.name if stem.startswith("membership") else f"{stem}_{i}.{ext}"
+            expected[name] = p.read_bytes()
+    assert {p.name: p.read_bytes() for p in batch.iterdir()} == expected
 
 
 def test_cbg_prints_tsv(mln_dir, capsys):
@@ -114,16 +120,14 @@ def test_rank_sum_raw_pairs(mln_dir, tmp_path, capsys):
 
 
 def test_usage_errors_exit_1(mln_dir, tmp_path, capsys):
-    specs = tmp_path / "specs.txt"
-    specs.write_text("G1 #(G1,G2) G2\n")
     run = ["kcommunity", "--mln", str(mln_dir), "--out", str(tmp_path / "out")]
     for argv in (["kcommunity"],  # missing required flags
                  ["no-such-command"],
-                 run,  # neither --spec nor --spec-file
+                 run,  # no --spec
                  run + ["--spec", "G1 #(G1,G2) G2", "--metric", "z"],
                  run + ["--spec", "G1 #(G1,G2) G2", "--seed", "x"],
-                 # both: --spec is not silently dropped for --spec-file
-                 run + ["--spec", "G1 #(G1,G9) G9", "--spec-file", str(specs)]):
+                 # a repeated --spec with no value is not a batch of one
+                 run + ["--spec", "G1 #(G1,G2) G2", "--spec"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 1
@@ -341,13 +345,6 @@ def _out_is_a_file(mln_dir, tmp_path):
     return _kcommunity(mln_dir, tmp_path)
 
 
-def _spec_file(mln_dir, tmp_path, content):
-    spec_file = tmp_path / "specs.txt"
-    spec_file.write_bytes(content)
-    return ["kcommunity", "--mln", str(mln_dir), "--spec-file", str(spec_file),
-            "--out", str(tmp_path / "out")]
-
-
 def _rank(tmp_path, jsonl, key="sum_raw_pairs", *extra):
     result = tmp_path / "result.jsonl"
     result.write_text(jsonl)
@@ -400,9 +397,11 @@ BAD_INPUTS = {
     "spec-no-first-layer": (lambda d, t: _kcommunity(d, t, spec="#(G2,G1):z"),
                             "layer name"),
     "out-not-writable": (_out_is_a_file, "out"),
-    "spec-file-empty": (lambda d, t: _spec_file(d, t, b"; no specs\n\n  \n"),
-                        "no specification"),
-    "spec-file-not-utf8": (lambda d, t: _spec_file(d, t, NOT_UTF8), "utf-8"),
+    # --pair names two layers, split on its one comma
+    **{f"cbg-pair-{name}": (lambda d, t, pair=pair: ["cbg", "--mln", str(d),
+                                                     "--pair", pair],
+                            f"--pair expects 'L1,L2', got {pair!r}")
+       for name, pair in (("one-layer", "G1"), ("three-layers", "G1,G2,G1"))},
     "rank-not-json": (lambda d, t: _rank(t, "{not json\n"), "line 1"),
     "rank-bad-record": (lambda d, t: _rank(t, '\n{"slots": 3, "x": []}\n'), "line 2"),
     # only what to_jsonl writes: a string layer, an int community, int pairs
@@ -487,6 +486,8 @@ UNREAD_OPTIONS = {
     "detect-config": ("detect", "--config", "run.cfg"),
     "kcommunity-config": ("kcommunity", "--config", "run.cfg"),
     "cbg-config": ("cbg", "--config", "run.cfg"),
+    # kcommunity reads its specs from --spec alone: no spec file
+    "kcommunity-spec-file": ("kcommunity", "--spec-file", "specs.txt"),
     "ingest-imdb-hub-quantile": ("ingest-imdb", "--hub-quantile", "0.5"),
     "detect-hub-quantile": ("detect", "--hub-quantile", "0.5"),
     "rank-seed": ("rank", "--seed", "1"),
@@ -507,6 +508,7 @@ def test_unread_option_exits_1(tmp_path, case):
     with pytest.raises(SystemExit) as exc:
         main(argv + option)
     assert exc.value.code == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_rank_bad_key_exits_1(tmp_path):

@@ -195,6 +195,19 @@ def test_rank_min_size_values():
     assert ordered[0] is t2 and ordered[1] is t1
 
 
+def test_rank_sum_size_counts_a_zero_slot_as_0():
+    # sum_size counts an empty slot as 0 and, unlike min_size, does not
+    # rank complete tuples first
+    layers = ("A", "B", "C")
+    x = (frozenset({(0, 1)}), frozenset({(1, 2)}))
+    t1 = KTuple(layers, (1, 1, 1), x)  # 5 + 4 + 3 = 12, min 3
+    t2 = KTuple(layers, (2, 2, 0), (x[0], None))  # 9 + 9 + 0 = 18, partial
+    t3 = KTuple(layers, (3, 3, 3), x)  # 1 + 1 + 8 = 10, min 1
+    sizes = {"A": {1: 5, 2: 9, 3: 1}, "B": {1: 4, 2: 9, 3: 1}, "C": {1: 3, 3: 8}}
+    assert rank([t3, t2, t1], sizes, "sum_size") == [t2, t1, t3]
+    assert rank([t3, t2, t1], sizes, "min_size") == [t1, t3, t2]
+
+
 def test_rank_sum_raw_pairs(three_layer_mln):
     result = run(three_layer_mln, ACYCLIC)
     ordered = rank(result.tuples, {}, "sum_raw_pairs")

@@ -4,11 +4,13 @@ from hemln import (
     MLN,
     Composition,
     InterLayerEdges,
+    KSpec,
     LayerGraph,
     parse_spec,
     validate_spec,
 )
 from hemln.errors import (
+    DisconnectedSpec,
     EmptySpec,
     MissingInterLayerEdges,
     NonSerialSpec,
@@ -106,6 +108,12 @@ def test_validate_unknown_layer():
     spec = parse_spec("G1 #(G1,G9) G9")
     with pytest.raises(UnknownLayer):
         validate_spec(spec, path_mln())
+
+
+def test_validate_spec_without_steps():
+    # parse_spec never builds one: a hand-built spec of one layer
+    with pytest.raises(DisconnectedSpec):
+        validate_spec(KSpec("G1", ()), path_mln())
 
 
 def test_different_orders_are_distinct_values():

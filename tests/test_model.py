@@ -86,8 +86,10 @@ def test_interlayer_bad_endpoint():
     mln = MLN()
     mln.add_layer(LayerGraph.build("A", [1], []))
     mln.add_layer(LayerGraph.build("D", [10], []))
-    with pytest.raises(EndpointNotInLayer):
+    with pytest.raises(EndpointNotInLayer, match=r"^link \(99,10\): 99 not in layer A$"):
         mln.add_interlayer(InterLayerEdges.build("A", "D", [(99, 10)]))
+    with pytest.raises(EndpointNotInLayer, match=r"^link \(1,99\): 99 not in layer D$"):
+        mln.add_interlayer(InterLayerEdges.build("A", "D", [(1, 99)]))
 
 
 def test_interlayer_unknown_layer_and_duplicate_pair():
