@@ -9,7 +9,8 @@ kcommunity and cbg detect their layers in forked processes, one per CPU
 the process may use, the parent included, largest layer first. The parent
 detects any layer a child did not send back and keeps layer order, so
 outputs and errors are a serial run's. One CPU, no os.fork or a caller
-running other Python threads: no fork.
+running other threads (those started in C too, where /proc lists them):
+no fork.
 """
 from __future__ import annotations
 
@@ -26,10 +27,11 @@ from typing import Dict, List, Optional
 
 from . import engine, fileio
 from .cbg import METRICS, build_cbg, cbg_to_tsv, crossing_pairs
-from .community import Membership, detect_communities, summarize
+from .community import (Membership, check_hub_quantile, detect_communities,
+                        summarize)
 from .engine import detect_k_community
-from .errors import HemlnError, InvariantViolation, NoInterLayerEdges
-from .kspec import parse_spec, validate_spec
+from .errors import HemlnError
+from .kspec import Composition, KSpec, parse_spec, validate_spec
 from .model import MLN, LayerGraph
 
 EXIT_OK = 0
@@ -97,12 +99,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _check_hub_quantile(args) -> None:
-    """Reject a hub quantile outside (0, 1], before any input is read."""
-    if not (0.0 < args.hub_quantile <= 1.0):
-        raise InvariantViolation(f"bad hub_quantile {args.hub_quantile}")
-
-
 def _memberships_for(mln: MLN, layers, seed: int,
                      memberships_dir: Optional[str]):
     if memberships_dir:
@@ -116,7 +112,11 @@ def _detect_layers(graphs: List[LayerGraph], seed: int) -> List[Membership]:
     """detect_communities on each graph, in parallel as the module says."""
     affinity = getattr(os, "sched_getaffinity", None)
     cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
-    forks = hasattr(os, "fork") and threading.active_count() == 1
+    try:  # /proc counts threads started in C too, such as a BLAS pool
+        threads = len(os.listdir("/proc/self/task"))
+    except OSError:
+        threads = threading.active_count()
+    forks = hasattr(os, "fork") and threads == 1
     workers = min(len(graphs), cpus if forks else 1) or 1
     order = sorted(range(len(graphs)), key=lambda i: -len(graphs[i].edges))
     own, *shares = [order[w::workers] for w in range(workers)]
@@ -169,7 +169,7 @@ def _cmd_detect(args) -> int:
 
 
 def _cmd_kcommunity(args) -> int:
-    _check_hub_quantile(args)
+    check_hub_quantile(args.hub_quantile)  # before any input is read
     mln = fileio.load_mln(args.mln)
     specs = [validate_spec(parse_spec(t), mln) for t in args.spec]
     layers = sorted({l for s in specs for l in s.layers})
@@ -192,15 +192,13 @@ def _cmd_kcommunity(args) -> int:
 
 
 def _cmd_cbg(args) -> int:
-    _check_hub_quantile(args)
+    check_hub_quantile(args.hub_quantile)  # before any input is read
     mln = fileio.load_mln(args.mln)
     try:
         left, right = args.pair.split(",")
     except ValueError:
         raise HemlnError(f"--pair expects 'L1,L2', got {args.pair!r}") from None
-    mln.layer(left), mln.layer(right)  # the pair is checked before detection
-    if not mln.has_interlayer(left, right):
-        raise NoInterLayerEdges(f"no inter-layer edges between {left} and {right}")
+    validate_spec(KSpec(left, (Composition(left, right),)), mln)  # before detection
     memberships = _memberships_for(mln, (left, right), args.seed, args.memberships)
     summaries = _summaries(mln, memberships, args.hub_quantile)
     buckets = crossing_pairs(mln, left, right, memberships[left], memberships[right])

@@ -195,6 +195,11 @@ def load_membership(g: LayerGraph, rows: Iterable[Tuple[NodeId, int]]) -> Member
     return Membership(g.id, {n: index[raw] for n, raw in seen.items()})
 
 
+def check_hub_quantile(hub_quantile: float) -> None:
+    if not (0.0 < hub_quantile <= 1.0):  # so not NaN
+        raise InvalidQuantile(f"hub_quantile must be in (0,1], got {hub_quantile}")
+
+
 def summarize(g: LayerGraph, m: Membership,
               hub_quantile: float = 0.8) -> Dict[CommunityId, CommunitySummary]:
     """Per-community size, density, and hub set.
@@ -203,15 +208,17 @@ def summarize(g: LayerGraph, m: Membership,
     nearest-rank hub_quantile of degrees among the community's members, so
     every community keeps at least its maximum-degree node.
     """
-    if not (0.0 < hub_quantile <= 1.0):
-        raise InvalidQuantile(f"hub_quantile must be in (0,1], got {hub_quantile}")
+    check_hub_quantile(hub_quantile)
     groups = m.communities()
     degree = Counter(chain.from_iterable(g.edges))  # an isolated node reads 0
     internal: Dict[int, int] = {c: 0 for c in groups}
-    for u, v in g.edges:
-        cu, cv = m.assignment[u], m.assignment[v]
-        if cu == cv:
-            internal[cu] += 1
+    try:
+        for u, v in g.edges:
+            cu, cv = m.assignment[u], m.assignment[v]
+            if cu == cv:
+                internal[cu] += 1
+    except KeyError as exc:  # a hand-built membership that misses a node
+        raise MissingNode(f"node {exc.args[0]} of layer {g.id} has no community") from None
     out: Dict[CommunityId, CommunitySummary] = {}
     for c, members in groups.items():
         n = len(members)

@@ -44,6 +44,12 @@ class ImdbRecords:
         self.directs: Set[Tuple[str, str]] = set()
 
     def validate(self) -> None:
+        for key, movie in self.movies.items():
+            if movie.rating is not None:
+                try:
+                    rating_class(movie.rating)
+                except ValueError as exc:
+                    raise InvariantViolation(f"movie {key}: {exc}") from None
         for rel, name in ((self.acts_in, "acts_in"), (self.directs, "directs")):
             for person, movie in rel:
                 if person not in self.people:

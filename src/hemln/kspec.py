@@ -27,7 +27,6 @@ from .errors import (
     NonSerialSpec,
     SpecSyntaxError,
     SubscriptMismatch,
-    UnknownLayer,
 )
 from .model import MLN
 
@@ -113,8 +112,7 @@ def validate_spec(spec: KSpec, mln: MLN) -> KSpec:
     """Check the spec against an MLN: layers exist, every composition has a
     registered inter-layer edge set. Returns the spec unchanged."""
     for lid in spec.layers:
-        if lid not in mln.layers:
-            raise UnknownLayer(f"spec references unknown layer {lid}")
+        mln.layer(lid)
     for step in spec.steps:
         if not mln.has_interlayer(step.left, step.right):
             raise MissingInterLayerEdges(

@@ -2,7 +2,13 @@
 are known exactly (verified by the brute-force oracle in the tests)."""
 from __future__ import annotations
 
+import os
+
 import pytest
+
+# The scipy and networkx oracles import numpy, whose OpenBLAS pool would be
+# threads of this process: forked detection counts them and would not fork.
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from hemln import (
     MLN,

@@ -5,6 +5,7 @@ from hemln import (
     CommunityId,
     InterLayerEdges,
     LayerGraph,
+    Membership,
     MetaEdge,
     build_cbg,
     cbg_to_tsv,
@@ -14,7 +15,7 @@ from hemln import (
     weight_d,
     weight_e,
 )
-from hemln.errors import EmptyCbg, NoInterLayerEdges, UnknownCommunity
+from hemln.errors import EmptyCbg, MissingNode, NoInterLayerEdges, UnknownCommunity
 
 
 def two_layer_mln(links, a_groups, d_groups, a_edges=(), d_edges=()):
@@ -96,6 +97,17 @@ def test_crossing_pairs_in_key_order_with_one_id_per_community():
             first = {}
             assert all(first.setdefault(key[side], key[side]) is key[side]
                        for key in buckets)
+
+
+@pytest.mark.parametrize("node, layer", [(2, "A"), (11, "D")])
+def test_membership_missing_a_node_raises(node, layer):
+    mln, ma, md, _, _ = two_layer_mln([(1, 10), (2, 11)], [(1, 2)], [(10, 11)])
+    hand_built = {"A": Membership("A", {1: 1}), "D": Membership("D", {10: 1})}
+    ma, md = (hand_built["A"], md) if layer == "A" else (ma, hand_built["D"])
+    for args in (("A", "D", ma, md), ("D", "A", md, ma)):
+        with pytest.raises(MissingNode,
+                           match=f"^node {node} of layer {layer} has no community$"):
+            crossing_pairs(mln, *args)
 
 
 def test_unknown_community_raises():

@@ -384,7 +384,10 @@ BAD_INPUTS = {
     # the hub quantile is checked before --mln is read: here it does not exist
     "hub-quantile-zero": (lambda d, t: _kcommunity(t / "no-mln", t,
                                                    "--hub-quantile", "0"),
-                          "bad hub_quantile 0.0"),
+                          "hub_quantile must be in (0,1], got 0.0"),
+    "cbg-hub-quantile-zero": (lambda d, t: ["cbg", "--mln", str(t / "no-mln"),
+                                            "--pair", "G1,G2", "--hub-quantile", "0"],
+                              "hub_quantile must be in (0,1], got 0.0"),
     "layer-not-utf8": (lambda d, t: _not_utf8_in_mln(d, t, "layer_G1.tsv"), "utf-8"),
     "inter-not-utf8": (lambda d, t: _not_utf8_in_mln(d, t, "inter_G1_G2.tsv"),
                        "utf-8"),
@@ -393,7 +396,7 @@ BAD_INPUTS = {
     "spec-syntax": (lambda d, t: _kcommunity(d, t, spec="G1 #(G1,G2"),
                     "composition operator"),
     "spec-unknown-layer": (lambda d, t: _kcommunity(d, t, spec="G1 #(G1,G9) G9"),
-                           "unknown layer G9"),
+                           "layer G9 not in MLN"),
     "spec-no-first-layer": (lambda d, t: _kcommunity(d, t, spec="#(G2,G1):z"),
                             "layer name"),
     "out-not-writable": (_out_is_a_file, "out"),

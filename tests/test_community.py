@@ -4,7 +4,8 @@ from collections import Counter
 
 import pytest
 
-from hemln import LayerGraph, community, detect_communities, load_membership, summarize
+from hemln import (LayerGraph, Membership, community, detect_communities,
+                   load_membership, summarize)
 from hemln.errors import (
     DuplicateNode,
     EmptyGraph,
@@ -278,6 +279,13 @@ def test_hubs_read_each_node_degree():
 def test_invalid_quantile():
     g = LayerGraph.build("A", [0], [])
     m = load_membership(g, [(0, 1)])
-    for q in (0.0, 1.5, -0.2):
-        with pytest.raises(InvalidQuantile):
+    for q in (0.0, 1.5, -0.2, float("nan")):
+        with pytest.raises(InvalidQuantile,
+                           match=rf"^hub_quantile must be in \(0,1\], got {q}$"):
             summarize(g, m, hub_quantile=q)
+
+
+def test_summarize_membership_missing_a_node():
+    g = LayerGraph.build("A", range(4), triangle(0, 1, 2) + [(2, 3)])
+    with pytest.raises(MissingNode, match="^node 3 of layer A has no community$"):
+        summarize(g, Membership("A", {0: 1, 1: 1, 2: 2}))

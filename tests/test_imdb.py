@@ -156,6 +156,16 @@ def test_ingest_rejects_a_threshold_outside_0_1_or_an_unknown_mode(threshold, mo
         ingest_imdb(records_fixture(), threshold, mode)
 
 
+@pytest.mark.parametrize("rating", [10.5, -0.1, float("nan")])
+def test_ingest_rejects_a_rating_outside_0_10(rating):
+    # a library-built Movie: load_imdb_tsvs checks its ratings as it reads them
+    r = records_fixture()
+    r.movies["t2"] = Movie("Two", ("Drama",), rating)
+    with pytest.raises(InvariantViolation,
+                       match=rf"^movie t2: rating {rating} outside \[0,10\]$"):
+        ingest_imdb(r)
+
+
 def test_ingest_accepts_a_threshold_of_1():
     mln, _ = ingest_imdb(records_fixture(), 1.0, "jaccard")
     assert mln.layer("D").nodes

@@ -15,6 +15,8 @@ def test_minimal_construction():
     mln = MLN().add_layer(LayerGraph.build("A", [1, 2], [(1, 2)]))
     assert set(mln.layers) == {"A"}
     assert len(mln.layer("A").nodes) == 2
+    # an MLN compares equal to MLNs alone
+    assert mln.__eq__(object()) is NotImplemented and mln != object()
 
 
 def test_duplicate_layer_rejected():
@@ -43,6 +45,7 @@ def test_self_loop_and_dangling_edge_rejected():
 
 
 @pytest.mark.parametrize("build", [
+    lambda: LayerGraph.build("", [1, 2], [(1, 2)]),
     lambda: LayerGraph.build("A", [1, 2], [(1, 2, 3)]),
     lambda: LayerGraph.build("A", [1, 2], [(1,)]),
     lambda: LayerGraph.build("A", [1, 2], [7]),
@@ -53,7 +56,7 @@ def test_self_loop_and_dangling_edge_rejected():
     lambda: InterLayerEdges.build("A", "D", [10]),
     lambda: InterLayerEdges.build("A", "D", [(1, 10), (1.0, 11)]),
     lambda: InterLayerEdges.build("A", "D", [(1, True)]),
-], ids=["edge-triple", "edge-single", "edge-int", "bool-node", "edge-float",
+], ids=["empty-layer-id", "edge-triple", "edge-single", "edge-int", "bool-node", "edge-float",
         "edge-bool", "link-triple", "link-int", "link-float", "link-bool"])
 def test_malformed_input_raises_malformed_graph(build):
     with pytest.raises(MalformedGraph):

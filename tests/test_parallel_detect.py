@@ -2,9 +2,10 @@
 
 Memberships, output bytes and errors equal those of a serial run on every
 path: a child that raises, a child that is killed, a fork that fails, a
-single CPU and a caller running a second thread. After every test no child
+single CPU and a caller running a second thread, one started in C too. After every test no child
 process is left, and detection leaves no descriptor open.
 """
+import ctypes
 import errno
 import hashlib
 import os
@@ -241,6 +242,34 @@ def test_threaded_caller_never_forks(mln_dir, cpus, monkeypatch):
     finally:
         release.set()
         waiter.join()
+    assert forks == []
+    assert got == {lid: detect_communities(mln.layer(lid), 0) for lid in layers}
+    cli._memberships_for(mln, layers, 0, None)  # the thread is gone
+    assert forks == [1]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+def test_thread_started_in_c_stops_the_fork(mln_dir, cpus, monkeypatch):
+    # Python does not count a thread started in C, such as a BLAS pool
+    cpus(2)
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    mln = load_mln(mln_dir)
+    layers = sorted(mln.layers)
+    libc = ctypes.CDLL(None)
+    create, join = libc.pthread_create, libc.pthread_join
+    create.argtypes = [ctypes.POINTER(ctypes.c_ulong)] + [ctypes.c_void_p] * 3
+    join.argtypes = [ctypes.c_ulong, ctypes.c_void_p]
+    create.restype = join.restype = ctypes.c_int
+    tid = ctypes.c_ulong()
+    assert create(ctypes.byref(tid), None,  # sleep(3) in a thread Python never sees
+                  ctypes.cast(libc.sleep, ctypes.c_void_p), 3) == 0
+    try:
+        assert threading.active_count() == 1
+        got = cli._memberships_for(mln, layers, 0, None)
+    finally:
+        assert join(tid, None) == 0
     assert forks == []
     assert got == {lid: detect_communities(mln.layer(lid), 0) for lid in layers}
     cli._memberships_for(mln, layers, 0, None)  # the thread is gone
