@@ -17,9 +17,8 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Mapping, NamedTuple, Tuple
 
-from .community import CommunityId, CommunitySummary, Membership
-from .errors import (EmptyCbg, InvariantViolation, MissingNode, NoInterLayerEdges,
-                     UnknownCommunity)
+from .community import CommunityId, CommunitySummary, Membership, check_membership
+from .errors import EmptyCbg, InvariantViolation, NoInterLayerEdges, UnknownCommunity
 from .model import MLN
 
 METRICS = ("e", "d", "h")
@@ -74,18 +73,15 @@ def crossing_pairs(mln: MLN, left: str, right: str,
     community. A composition step scans the links only here and shares them."""
     if not mln.has_interlayer(left, right):
         raise NoInterLayerEdges(f"no inter-layer edges between {left} and {right}")
+    check_membership(mln.layer(left), membership_left)
+    check_membership(mln.layer(right), membership_right)
     of_left, of_right = membership_left.assignment, membership_right.assignment
     buckets: Dict[Tuple[int, int], list] = {}
     stored = mln.stored_interlayer(left, right)
     links = (stored.links if stored.from_layer == left
              else ((b, a) for a, b in stored.links))  # swap, no reversed copy
-    try:
-        for link in links:  # the stored tuples themselves when not swapped
-            buckets.setdefault((of_left[link[0]], of_right[link[1]]), []).append(link)
-    except KeyError as exc:  # a hand-built membership that misses a node
-        node = exc.args[0]
-        layer = left if node in mln.layer(left).nodes else right
-        raise MissingNode(f"node {node} of layer {layer} has no community") from None
+    for link in links:  # the stored tuples themselves when not swapped
+        buckets.setdefault((of_left[link[0]], of_right[link[1]]), []).append(link)
     lids = {c: CommunityId(membership_left.layer, c) for c in set(of_left.values())}
     rids = {c: CommunityId(membership_right.layer, c) for c in set(of_right.values())}
     return {(lids[cl], rids[cr]): frozenset(buckets[(cl, cr)])

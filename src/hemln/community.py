@@ -183,14 +183,10 @@ def load_membership(g: LayerGraph, rows: Iterable[Tuple[NodeId, int]]) -> Member
     so a file written from a detected membership can load back renumbered."""
     seen: Dict[NodeId, int] = {}  # node -> raw index, in first appearance
     for node, raw_idx in rows:
-        if node not in g.nodes:
-            raise UnknownNode(f"node {node} not in layer {g.id}")
         if seen.setdefault(node, raw_idx) != raw_idx:
             raise DuplicateNode(
                 f"node {node} listed with indices {seen[node]} and {raw_idx}")
-    missing = g.nodes - seen.keys()
-    if missing:
-        raise MissingNode(f"nodes without community: {sorted(missing)[:10]}")
+    check_membership(g, Membership(g.id, seen))
     index = dict(zip(dict.fromkeys(seen.values()), range(1, len(seen) + 1)))
     return Membership(g.id, {n: index[raw] for n, raw in seen.items()})
 
@@ -198,6 +194,16 @@ def load_membership(g: LayerGraph, rows: Iterable[Tuple[NodeId, int]]) -> Member
 def check_hub_quantile(hub_quantile: float) -> None:
     if not (0.0 < hub_quantile <= 1.0):  # so not NaN
         raise InvalidQuantile(f"hub_quantile must be in (0,1], got {hub_quantile}")
+
+
+def check_membership(g: LayerGraph, m: Membership) -> None:
+    """A membership assigns every node of its layer and no other node."""
+    if m.assignment.keys() != g.nodes:
+        extra = m.assignment.keys() - g.nodes
+        if extra:
+            raise UnknownNode(f"node {min(extra)} not in layer {g.id}")
+        raise MissingNode(f"node {min(g.nodes - m.assignment.keys())} of layer "
+                          f"{g.id} has no community")
 
 
 def summarize(g: LayerGraph, m: Membership,
@@ -209,16 +215,14 @@ def summarize(g: LayerGraph, m: Membership,
     every community keeps at least its maximum-degree node.
     """
     check_hub_quantile(hub_quantile)
+    check_membership(g, m)
     groups = m.communities()
     degree = Counter(chain.from_iterable(g.edges))  # an isolated node reads 0
     internal: Dict[int, int] = {c: 0 for c in groups}
-    try:
-        for u, v in g.edges:
-            cu, cv = m.assignment[u], m.assignment[v]
-            if cu == cv:
-                internal[cu] += 1
-    except KeyError as exc:  # a hand-built membership that misses a node
-        raise MissingNode(f"node {exc.args[0]} of layer {g.id} has no community") from None
+    for u, v in g.edges:
+        cu, cv = m.assignment[u], m.assignment[v]
+        if cu == cv:
+            internal[cu] += 1
     out: Dict[CommunityId, CommunitySummary] = {}
     for c, members in groups.items():
         n = len(members)

@@ -15,7 +15,7 @@ from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .cbg import Buckets, build_cbg, crossing_pairs
 from .community import CommunityId, CommunitySummary, Membership
-from .errors import ParseError, UnknownCommunity, UnknownKey
+from .errors import InvariantViolation, ParseError, UnknownCommunity, UnknownKey
 from .kspec import CASE_CYCLE, CASE_NEW_LAYER, Composition, KSpec
 from .matching import max_flow_match
 from .model import MLN
@@ -41,10 +41,6 @@ class KTuple(NamedTuple):
 
     def slot(self, layer: str) -> int:
         return self.communities[self.layers.index(layer)]
-
-    def sort_key(self):
-        return (self.communities,
-                tuple(tuple(sorted(x)) if x is not None else () for x in self.x_slots))
 
 
 class StepDiagnostics(NamedTuple):
@@ -90,6 +86,9 @@ def detect_k_community(mln: MLN,
                        spec: KSpec,
                        default_metric: str = "e") -> KCommunityResult:
     """Execute the composition plan and return the set of result tuples."""
+    for lid in spec.layers:
+        if lid not in memberships or lid not in summaries:
+            raise InvariantViolation(f"layer {lid} has no membership or summaries")
     tuples: Optional[List[KTuple]] = None  # None until the base step has run
     diagnostics: List[StepDiagnostics] = []
 
@@ -113,7 +112,7 @@ def detect_k_community(mln: MLN,
         diagnostics.append(StepDiagnostics(len(u_left), len(u_right),
                                            len(cbg.edges), len(mp.pairs)))
 
-    tuples = sorted(tuples or (), key=KTuple.sort_key)
+    tuples = sorted(tuples or (), key=lambda t: t.communities)  # no two share slots
     return KCommunityResult(spec, tuple(tuples), tuple(diagnostics))
 
 
@@ -150,7 +149,7 @@ def rank(tuples: Sequence[KTuple],
     and its density under min_density; sum_raw_pairs reads none. Zero slots
     contribute 0 to size keys and are excluded from min_density; under min_*
     keys any tuple with a zero slot ranks below all complete tuples. Ties
-    break on the lexicographic slot sequence.
+    break on the lexicographic slot sequence, then keep their given order.
     """
     if key not in RANK_KEYS:
         raise UnknownKey(f"rank key must be one of {RANK_KEYS}, got {key!r}")
@@ -172,7 +171,7 @@ def rank(tuples: Sequence[KTuple],
         return (0 if has_zero else 1, min(found, default=0))
 
     return sorted(tuples, key=lambda t: (tuple(-v for v in value(t)),
-                                         t.sort_key()))
+                                         t.communities))
 
 
 # ---------------------------------------------------------------------------

@@ -340,6 +340,17 @@ def _membership_missing(mln_dir, tmp_path):
     return _kcommunity(mln_dir, tmp_path, "--memberships", str(memberships))
 
 
+def _membership_rows(mln_dir, tmp_path, g1_rows):
+    """Good G2 memberships, and G1 memberships of the given rows."""
+    memberships = tmp_path / "memberships"
+    memberships.mkdir()
+    (memberships / "membership_G2.tsv").write_text(
+        "".join(f"{n}\t1\n" for n in range(10, 16)))
+    (memberships / "membership_G1.tsv").write_text(
+        "".join(f"{n}\t{c}\n" for n, c in g1_rows))
+    return _kcommunity(mln_dir, tmp_path, "--memberships", str(memberships))
+
+
 def _out_is_a_file(mln_dir, tmp_path):
     (tmp_path / "out").write_text("in the way\n")
     return _kcommunity(mln_dir, tmp_path)
@@ -393,6 +404,14 @@ BAD_INPUTS = {
                        "utf-8"),
     "membership-not-utf8": (_membership_not_utf8, "utf-8"),
     "membership-missing": (_membership_missing, "membership_G1.tsv"),
+    # a membership file assigns every node of its layer, once, and no other
+    "membership-node-outside-layer": (lambda d, t: _membership_rows(
+        d, t, [(n, 1) for n in (*range(6), 99)]), "node 99 not in layer G1"),
+    "membership-misses-a-node": (lambda d, t: _membership_rows(
+        d, t, [(n, 1) for n in range(5)]), "node 5 of layer G1 has no community"),
+    "membership-node-twice": (lambda d, t: _membership_rows(
+        d, t, [(n, 1) for n in range(6)] + [(0, 2)]),
+        "node 0 listed with indices 1 and 2"),
     "spec-syntax": (lambda d, t: _kcommunity(d, t, spec="G1 #(G1,G2"),
                     "composition operator"),
     "spec-unknown-layer": (lambda d, t: _kcommunity(d, t, spec="G1 #(G1,G9) G9"),

@@ -289,3 +289,9 @@ def test_summarize_membership_missing_a_node():
     g = LayerGraph.build("A", range(4), triangle(0, 1, 2) + [(2, 3)])
     with pytest.raises(MissingNode, match="^node 3 of layer A has no community$"):
         summarize(g, Membership("A", {0: 1, 1: 1, 2: 2}))
+    # an isolated node missed, and a node outside the layer named
+    g = LayerGraph.build("A", range(4), [(0, 1), (1, 2)])
+    with pytest.raises(MissingNode, match="^node 3 of layer A has no community$"):
+        summarize(g, Membership("A", {0: 1, 1: 1, 2: 1}))
+    with pytest.raises(UnknownNode, match="^node 99 not in layer A$"):
+        summarize(g, Membership("A", {0: 1, 1: 1, 2: 1, 3: 2, 99: 2}))

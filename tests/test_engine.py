@@ -258,3 +258,23 @@ def test_per_step_metric_override(three_layer_mln):
     # the override path just has to run
     result = run(three_layer_mln, "G1 #(G1,G2):d G2 #(G2,G3):h G3")
     assert len(result.tuples) == 3
+
+
+@pytest.mark.parametrize("missing", ["memberships", "summaries"])
+def test_spec_layer_without_membership_or_summaries(three_layer_mln, missing):
+    mln, memberships, summaries = three_layer_mln
+    given = {"memberships": memberships, "summaries": summaries}
+    given[missing] = {lid: v for lid, v in given[missing].items() if lid != "G3"}
+    spec = validate_spec(parse_spec(ACYCLIC), mln)
+    with pytest.raises(InvariantViolation,
+                       match="^layer G3 has no membership or summaries$"):
+        detect_k_community(mln, given["memberships"], given["summaries"], spec)
+
+
+def test_rank_keeps_the_order_of_tuples_with_equal_slots():
+    # hand-edited records may repeat a slot sequence; the sort is stable
+    layers = ("A", "B")
+    t1 = KTuple(layers, (1, 1), (frozenset({(5, 6)}),))
+    t2 = KTuple(layers, (1, 1), (frozenset({(0, 1)}),))
+    assert rank([t1, t2], {}, "sum_raw_pairs") == [t1, t2]
+    assert rank([t2, t1], {}, "sum_raw_pairs") == [t2, t1]
