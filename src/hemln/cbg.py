@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, Mapping, NamedTuple, Tuple
 
 from .community import CommunityId, CommunitySummary, Membership, check_membership
-from .errors import EmptyCbg, InvariantViolation, NoInterLayerEdges, UnknownCommunity
+from .errors import EmptyCbg, InvariantViolation, UnknownCommunity
 from .model import MLN
 
 METRICS = ("e", "d", "h")
@@ -71,13 +71,11 @@ def crossing_pairs(mln: MLN, left: str, right: str,
     """Inter-layer links oriented (left node, right node), keyed in order by
     the (left community, right community) pair they cross, with one id per
     community. A composition step scans the links only here and shares them."""
-    if not mln.has_interlayer(left, right):
-        raise NoInterLayerEdges(f"no inter-layer edges between {left} and {right}")
+    stored = mln.stored_interlayer(left, right)
     check_membership(mln.layer(left), membership_left)
     check_membership(mln.layer(right), membership_right)
     of_left, of_right = membership_left.assignment, membership_right.assignment
     buckets: Dict[Tuple[int, int], list] = {}
-    stored = mln.stored_interlayer(left, right)
     links = (stored.links if stored.from_layer == left
              else ((b, a) for a, b in stored.links))  # swap, no reversed copy
     for link in links:  # the stored tuples themselves when not swapped

@@ -83,7 +83,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(run=_cmd_rank)
     p.add_argument("--result", required=True)
     p.add_argument("--key", required=True, choices=engine.RANK_KEYS)
-    p.add_argument("--mln", help="with --memberships, needed for size/density keys")
+    p.add_argument("--mln", help="with --memberships, for size/density keys only")
     p.add_argument("--memberships")
 
     p = sub.add_parser("ingest-imdb",
@@ -212,7 +212,10 @@ def _cmd_cbg(args) -> int:
 def _cmd_rank(args) -> int:
     tuples = engine.from_jsonl(fileio._read_text(args.result))
     values: Dict[str, Dict[int, float]] = {}
-    if args.key != "sum_raw_pairs":
+    if args.key == "sum_raw_pairs":
+        if args.mln is not None or args.memberships is not None:
+            raise HemlnError("key sum_raw_pairs takes neither --mln nor --memberships")
+    else:
         if not (args.mln and args.memberships):
             raise HemlnError(f"key {args.key} needs --mln and --memberships, the "
                              "kcommunity --out directory with membership_<layer>.tsv")

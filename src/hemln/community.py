@@ -32,6 +32,7 @@ from .errors import (
     DuplicateNode,
     EmptyGraph,
     InvalidQuantile,
+    InvariantViolation,
     MissingNode,
     UnknownNode,
 )
@@ -197,7 +198,9 @@ def check_hub_quantile(hub_quantile: float) -> None:
 
 
 def check_membership(g: LayerGraph, m: Membership) -> None:
-    """A membership assigns every node of its layer and no other node."""
+    """A membership of this layer assigns every node of it and no other node."""
+    if m.layer != g.id:
+        raise InvariantViolation(f"membership of layer {m.layer} given for layer {g.id}")
     if m.assignment.keys() != g.nodes:
         extra = m.assignment.keys() - g.nodes
         if extra:

@@ -39,6 +39,10 @@ class DuplicatePair(HemlnError):
     """A second inter-layer edge set for the same layer pair."""
 
 
+class NoInterLayerEdges(HemlnError):
+    """A layer pair with no inter-layer edge set registered."""
+
+
 # --- community -------------------------------------------------------------
 
 class EmptyGraph(HemlnError):
@@ -58,10 +62,6 @@ class InvalidQuantile(HemlnError):
 
 
 # --- cbg -------------------------------------------------------------------
-
-class NoInterLayerEdges(HemlnError):
-    pass
-
 
 class UnknownCommunity(HemlnError):
     pass
@@ -92,10 +92,6 @@ class EmptySpec(HemlnError):
 class NonSerialSpec(HemlnError):
     """Parenthesized (explicit-precedence) specifications are not supported;
     only serial left-to-right chains are accepted."""
-
-
-class MissingInterLayerEdges(HemlnError):
-    pass
 
 
 class DisconnectedSpec(HemlnError):

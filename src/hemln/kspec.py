@@ -23,7 +23,6 @@ from .cbg import METRICS
 from .errors import (
     DisconnectedSpec,
     EmptySpec,
-    MissingInterLayerEdges,
     NonSerialSpec,
     SpecSyntaxError,
     SubscriptMismatch,
@@ -114,9 +113,7 @@ def validate_spec(spec: KSpec, mln: MLN) -> KSpec:
     for lid in spec.layers:
         mln.layer(lid)
     for step in spec.steps:
-        if not mln.has_interlayer(step.left, step.right):
-            raise MissingInterLayerEdges(
-                f"no inter-layer edges between {step.left} and {step.right}")
+        mln.stored_interlayer(step.left, step.right)
     if not spec.steps:
         raise DisconnectedSpec("a specification needs at least one composition")
     return spec

@@ -42,13 +42,25 @@ class MatchedPairs(NamedTuple):
 
 def _indexed_edges(cbg: CommunityBipartiteGraph):
     """Lefts/rights sorted, plus edges as (left idx, right idx, float w)
-    in lexicographic (left, right) order."""
+    in lexicographic (left, right) order. As ``build_cbg`` makes them, each
+    edge joins an offered left to an offered right, once, and weighs a
+    finite w > 0."""
     lefts = sorted(cbg.left_nodes)
     rights = sorted(cbg.right_nodes)
     lpos = {c: i for i, c in enumerate(lefts)}
     rpos = {c: i for i, c in enumerate(rights)}
-    edges = sorted((lpos[e.left], rpos[e.right], e.weight) for e in cbg.edges)
-    return lefts, rights, edges
+    weights = {}
+    for e in cbg.edges:
+        key = (lpos.get(e.left), rpos.get(e.right))
+        if None in key:
+            raise InvariantViolation(f"meta edge {e.left}-{e.right} leaves the CBG's nodes")
+        if key in weights:
+            raise InvariantViolation(f"meta edge {e.left}-{e.right} given twice")
+        if not 0.0 < e.weight < _INF:  # so not NaN
+            raise InvariantViolation(
+                f"meta edge {e.left}-{e.right} weighs {e.weight!r}, not a finite w > 0")
+        weights[key] = e.weight
+    return lefts, rights, sorted((l, r, w) for (l, r), w in weights.items())
 
 
 class _Network:

@@ -13,6 +13,7 @@ from .errors import (
     DuplicatePair,
     EndpointNotInLayer,
     MalformedGraph,
+    NoInterLayerEdges,
     NodeIdCollision,
     UnknownLayer,
 )
@@ -148,12 +149,12 @@ class MLN:
         except KeyError:
             raise UnknownLayer(f"layer {lid} not in MLN") from None
 
-    def has_interlayer(self, l1: str, l2: str) -> bool:
-        return self._pair_key(l1, l2) in self._inter
-
     def stored_interlayer(self, l1: str, l2: str) -> InterLayerEdges:
-        """The pair's registered links in their stored orientation, uncopied."""
-        return self._inter[self._pair_key(l1, l2)]
+        """The pair's links as stored, uncopied; raises NoInterLayerEdges if unset."""
+        key = self._pair_key(l1, l2)
+        if key not in self._inter:
+            raise NoInterLayerEdges(f"no inter-layer edges between {l1} and {l2}")
+        return self._inter[key]
 
     def interlayer_pairs(self):
         """All registered unordered layer pairs, sorted."""

@@ -15,7 +15,13 @@ from hemln import (
     weight_d,
     weight_e,
 )
-from hemln.errors import EmptyCbg, MissingNode, NoInterLayerEdges, UnknownCommunity
+from hemln.errors import (
+    EmptyCbg,
+    InvariantViolation,
+    MissingNode,
+    NoInterLayerEdges,
+    UnknownCommunity,
+)
 
 
 def two_layer_mln(links, a_groups, d_groups, a_edges=(), d_edges=()):
@@ -69,8 +75,11 @@ def test_missing_interlayer_raises():
     md = load_membership(mln.layer("D"), [(10, 1)])
     sa = summarize(mln.layer("A"), ma)
     sd = summarize(mln.layer("D"), md)
-    with pytest.raises(NoInterLayerEdges):
+    with pytest.raises(NoInterLayerEdges, match="^no inter-layer edges between A and D$"):
         crossing_pairs(mln, "A", "D", ma, md)
+    # the pair is checked before the memberships
+    with pytest.raises(NoInterLayerEdges, match="^no inter-layer edges between D and A$"):
+        crossing_pairs(mln, "D", "A", Membership("X", {}), ma)
 
 
 def test_crossing_pairs_against_stored_orientation():
@@ -107,6 +116,17 @@ def test_membership_missing_a_node_raises(node, layer):
     for args in (("A", "D", ma, md), ("D", "A", md, ma)):
         with pytest.raises(MissingNode,
                            match=f"^node {node} of layer {layer} has no community$"):
+            crossing_pairs(mln, *args)
+
+
+@pytest.mark.parametrize("layer", ["A", "D"])
+def test_membership_of_another_layer_raises(layer):
+    mln, ma, md, _, _ = two_layer_mln([(1, 10), (2, 11)], [(1, 2)], [(10, 11)])
+    other = {"A": ma._replace(layer="X"), "D": md._replace(layer="X")}
+    ma, md = (other["A"], md) if layer == "A" else (ma, other["D"])
+    for args in (("A", "D", ma, md), ("D", "A", md, ma)):
+        with pytest.raises(InvariantViolation,
+                           match=f"^membership of layer X given for layer {layer}$"):
             crossing_pairs(mln, *args)
 
 

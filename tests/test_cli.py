@@ -450,6 +450,10 @@ BAD_INPUTS = {
                                                         "--mln", str(d)),
                                      "--memberships"),
     "rank-unknown-community": (_rank_unknown_community, "c_G1^9"),
+    # a key needs both options or takes neither: sum_raw_pairs reads no file
+    "rank-sum-raw-pairs-unread-options": (lambda d, t: _rank(
+        t, "", "sum_raw_pairs", "--mln", str(t / "nonexistent"),
+        "--memberships", str(t / "nope")), "takes neither --mln nor --memberships"),
     "imdb-rating-not-a-number": (lambda d, t: _imdb(t, movies=IMDB_TSVS["movies"]
                                                     .replace("7.9", "good")),
                                  "line 2"),

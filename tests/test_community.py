@@ -10,6 +10,7 @@ from hemln.errors import (
     DuplicateNode,
     EmptyGraph,
     InvalidQuantile,
+    InvariantViolation,
     MissingNode,
     UnknownNode,
 )
@@ -295,3 +296,10 @@ def test_summarize_membership_missing_a_node():
         summarize(g, Membership("A", {0: 1, 1: 1, 2: 1}))
     with pytest.raises(UnknownNode, match="^node 99 not in layer A$"):
         summarize(g, Membership("A", {0: 1, 1: 1, 2: 1, 3: 2, 99: 2}))
+
+
+def test_summarize_membership_of_another_layer():
+    g = LayerGraph.build("A", range(2), [(0, 1)])
+    with pytest.raises(InvariantViolation,
+                       match="^membership of layer B given for layer A$"):
+        summarize(g, Membership("B", {0: 1, 1: 1}))

@@ -12,7 +12,7 @@ from hemln import (
 from hemln.errors import (
     DisconnectedSpec,
     EmptySpec,
-    MissingInterLayerEdges,
+    NoInterLayerEdges,
     NonSerialSpec,
     SpecSyntaxError,
     SubscriptMismatch,
@@ -100,7 +100,7 @@ def test_validate_path_spec():
 
 def test_validate_missing_interlayer():
     spec = parse_spec("G1 #(G1,G2) G2 #(G2,G3) G3 #(G3,G1) G1")
-    with pytest.raises(MissingInterLayerEdges):
+    with pytest.raises(NoInterLayerEdges, match="between G3 and G1"):
         validate_spec(spec, path_mln())
 
 

@@ -67,6 +67,21 @@ def test_two_by_two_complete():
     assert pairs_idx(max_flow_match(cbg)) == [(1, 1), (2, 2)]  # a+d > b+c
 
 
+@pytest.mark.parametrize("cbg, message", [
+    (CommunityBipartiteGraph(frozenset({A(1)}), frozenset({D(1)}), (
+        MetaEdge(A(1), D(2), frozenset(), 1.0),)), "leaves the CBG's nodes"),
+    (make_cbg([(1, 1, 0.6), (1, 1, 0.6)]), "given twice"),
+    (make_cbg([(1, 1, float("nan"))]), "weighs nan"),
+    (make_cbg([(1, 1, float("inf"))]), "weighs inf"),
+    (make_cbg([(1, 1, -5.0), (1, 2, 1e-12)]), "weighs -5.0"),
+    (make_cbg([(1, 1, 0.0)]), "weighs 0.0"),
+], ids=["end-outside", "pair-twice", "nan", "inf", "negative", "zero"])
+def test_hand_built_cbg_breaking_the_build_cbg_rules(cbg, message):
+    # build_cbg never makes these; each raised a raw error or matched wrongly
+    with pytest.raises(InvariantViolation, match=message):
+        max_flow_match(cbg)
+
+
 def test_brute_force_guard():
     edges = [(i, i, 0.5) for i in range(1, 10)]
     with pytest.raises(TooLarge):

@@ -6,6 +6,7 @@ from hemln.errors import (
     DuplicatePair,
     EndpointNotInLayer,
     MalformedGraph,
+    NoInterLayerEdges,
     NodeIdCollision,
     UnknownLayer,
 )
@@ -83,6 +84,17 @@ def test_interlayer_registration_and_symmetry():
         stored.append(mln.stored_interlayer("D", "A"))
     # either orientation is stored as (A, D); the (D, A) links are swapped
     assert stored == [InterLayerEdges("A", "D", frozenset({(1, 10)}))] * 2
+
+
+def test_stored_interlayer_names_a_missing_pair_in_the_callers_order():
+    mln = MLN()
+    for lid, n in (("A", 1), ("D", 10), ("M", 20)):
+        mln.add_layer(LayerGraph.build(lid, [n], []))
+    mln.add_interlayer(InterLayerEdges.build("A", "M", [(1, 20)]))
+    with pytest.raises(NoInterLayerEdges, match="^no inter-layer edges between D and A$"):
+        mln.stored_interlayer("D", "A")
+    with pytest.raises(NoInterLayerEdges, match="^no inter-layer edges between A and A$"):
+        mln.stored_interlayer("A", "A")
 
 
 def test_interlayer_bad_endpoint():

@@ -1,7 +1,8 @@
 """The runtime is pure standard library: every absolute import in
 ``src/hemln`` names a stdlib module. numpy, scipy or networkx may be
 installed for the test oracles, so an accidental runtime import of one of
-them would pass every other test. And every name a module imports is used.
+them would pass every other test. And every name a module imports is used,
+and every error class is raised somewhere.
 
 Every command pays for what ``import hemln.cli`` loads, so that import
 leaves out the modules only some commands or no command needs."""
@@ -49,6 +50,23 @@ def test_runtime_modules_use_every_name_they_import():
     unused = {f"{p.name}: {name}" for p in sorted(PACKAGE.glob("*.py"))
               if p.name != "__init__.py" for name in _unused_imports(p)}
     assert not unused
+
+
+def _raised_names(path: Path):
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                yield exc.id
+
+
+def test_every_error_class_is_raised():
+    # an error class no code raises is dead weight beside the one that is
+    tree = ast.parse((PACKAGE / "errors.py").read_text(encoding="utf-8"))
+    classes = {n.name for n in tree.body if isinstance(n, ast.ClassDef)}
+    raised = {name for p in PACKAGE.glob("*.py") for name in _raised_names(p)}
+    assert len(classes) >= 20
+    assert sorted(classes - raised) == []
 
 
 # dataclasses pulls in inspect; logging is needed only to warn of a
