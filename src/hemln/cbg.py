@@ -105,6 +105,10 @@ def build_cbg(left: str,
         for c in cid:
             if c.layer != layer or c not in summaries:
                 raise UnknownCommunity(f"{c} is not a community of layer {layer}")
+            s = summaries[c]  # d and h divide by the node count, h by the hub count
+            if metric != "e" and (s.node_count < 1 or (metric == "h" and not s.hubs)):
+                what = "nodes" if s.node_count < 1 else "hubs"
+                raise InvariantViolation(f"{c} has no {what}, which metric {metric} divides by")
 
     # linear on crossing_pairs' ordered buckets; other callers may pass any order
     kept = sorted(key for key in buckets if key[0] in u_left and key[1] in u_right)

@@ -2,25 +2,26 @@
 
 Among weight-maximal matchings the lexicographically smallest pair sequence
 (sorted by left then right) is returned, so results are reproducible.
-Weights are exact integers (scaled by 1e9, half-even rounding). Both phases
-run successive shortest augmenting paths (Jonker & Volgenant 1987, Crouse
-2016): one Dijkstra on reduced costs per left.
+Weights are exact integers (scaled by 1e9, half-even rounding).
 
-1. Maximum weight on the small integers. The kernel's right potentials v,
-   negated, are an optimal LP dual: each Dijkstra keeps every reduced cost
-   ``-w_lr - u_l - v_r`` >= 0; ``v[j] -= d - dist[j]`` with ``dist[j] <= d``
-   only lowers potentials, so every price ``-v[r]`` is >= 0; a right enters
-   ``done`` only while matched, so a free right keeps price 0; and left l's
-   private zero-weight right keeps ``u_l >= 0``. The prices ``-v[r]`` and
-   ``w(l, m) + v[m]`` for l matched to m (0 for a free left) must pass an
-   O(E) optimality certificate: u, v >= 0, free rights at 0,
-   ``u_l + v_r >= w_lr``, equality on matched edges.
-2. Tie-break on the tight edges T, ``u_l + v_r == w_lr``. The prices are an
-   optimal LP dual, so by complementary slackness every maximum-weight
-   matching lies in T, and a matching of T is globally maximal when its
-   weight is. Edge t of T (lexicographic order) weighs ``w << |T| | 2^(|T|-1-t)``:
-   the unique best objective is maximum weight, then the smallest pair set,
-   so any exact kernel returns the same matching.
+1. Maximum weight by successive shortest augmenting paths (Jonker & Volgenant
+   1987, Crouse 2016): one Dijkstra on reduced costs per left. The kernel's
+   right potentials v, negated, are an optimal LP dual: each Dijkstra keeps
+   every reduced cost ``-w_lr - u_l - v_r`` >= 0; ``v[j] -= d - dist[j]`` with
+   ``dist[j] <= d`` only lowers potentials, so every price ``-v[r]`` is >= 0; a
+   right enters ``done`` only while matched, so a free right keeps price 0; and
+   left l's private zero-weight right keeps ``u_l >= 0``. The prices ``-v[r]``
+   and ``w(l, m) + v[m]`` for l matched to m (0 for a free left) are certified
+   optimal in O(E): u, v >= 0, free rights at 0, ``u_l + v_r >= w_lr``, and
+   equality on matched edges.
+2. Tie-break on the tight edges T, ``u_l + v_r == w_lr``, with no weight
+   arithmetic. By complementary slackness (Schrijver, *Combinatorial
+   Optimization*, 2003, ch. 17) the maximum-weight matchings are the matchings
+   in T that cover S_L = {l : u_l > 0} and S_R = {r : v_r > 0}. Each left in
+   turn tries its tight rights in order: a try puts (l, r) into the matching
+   and fixes both ends, and each freed vertex of S_L or S_R is covered again by
+   an alternating path over the unfixed part of T, a side at a time
+   (Mendelsohn-Dulmage). The first try that holds stays.
 """
 from __future__ import annotations
 
@@ -131,19 +132,63 @@ class _Network:
             raise InvariantViolation("matching duals fail the optimality certificate")
         return u, v
 
+    def tie_break(self) -> None:
+        """Phase 2 (module docstring), in place on phase 1's matching."""
+        (u, v), match_l, match_r = self.prices(), self.match_l, self.match_r
+        adj, radj = [[] for _ in match_l], [[] for _ in match_r]
+        for (l, r), w in self.weight.items():  # lexicographic order
+            if u[l] + v[r] == w:
+                adj[l].append(r)
+                radj[r].append(l)
+        fixed_l, fixed_r = [False] * len(match_l), [False] * len(match_r)
+        for l, rights in enumerate(adj):
+            fixed_l[l], m, reach, dead = True, match_l[l], None, set()
+            if m != -1 and next(r for r in rights if not fixed_r[r]) != m:
+                match_l[l] = match_r[m] = -1  # cover m now, or by a right it reaches
+                reach = v[m] and _dead_ends(m, radj, match_r, match_l, v, fixed_l, set())
+            for r in rights:
+                if fixed_r[r] or (reach and r not in reach):
+                    continue
+                lp = match_r[r]
+                match_l[l], match_r[r], fixed_r[r] = r, l, True
+                if lp not in (-1, l):  # l keeps m when no earlier right is open
+                    match_l[lp] = -1
+                    if u[lp] and _dead_ends(lp, adj, match_l, match_r, u, fixed_r, dead):
+                        match_l[l], match_r[r], fixed_r[r], match_l[lp] = -1, lp, False, r
+                        continue
+                if reach and match_r[m] == -1:  # r is in reach: a path covers m
+                    _dead_ends(m, radj, match_r, match_l, v, fixed_l, set())
+                break
+
+
+def _dead_ends(x, adj, mate, other_mate, price, fixed, seen):
+    """Flip an alternating path from the free vertex x over unfixed far ends to
+    a free or a price-0 vertex and return None; else return ``seen`` + x's reach."""
+    parent, order = {x: None}, [x]
+    for a in order:
+        for b in adj[a]:
+            y = other_mate[b]
+            if fixed[b] or y in parent or y in seen:
+                continue
+            if y == -1 or not price[y]:  # the path ends: y, if any, goes free
+                mate[x if y == -1 else y] = -1  # (x is free already)
+                while a is not None:
+                    mate[a], other_mate[b], b, a = b, a, mate[a], parent[a]
+                return None
+            parent[y] = a
+            order.append(y)
+    seen.update(parent)
+    return seen
+
 
 def max_flow_match(cbg: CommunityBipartiteGraph) -> MatchedPairs:
     """Weight-maximal one-to-one matching with deterministic tie-breaking."""
     lefts, rights, edges = _indexed_edges(cbg)
     if not edges:
         return MatchedPairs((), 0.0)
-    scaled = [(l, r, max(1, round(w * WEIGHT_SCALE))) for l, r, w in edges]
-    u, v = _Network(len(lefts), len(rights), scaled).augment().prices()
-    tight = [(l, r, w) for l, r, w in scaled if u[l] + v[r] == w]
-    bits = len(tight)
-    tie_break = _Network(len(lefts), len(rights),
-                         [(l, r, (w << bits) | (1 << (bits - 1 - t)))
-                          for t, (l, r, w) in enumerate(tight)]).augment()
-    matched = [(l, r, w) for l, r, w in edges if tie_break.match_l[l] == r]
+    net = _Network(len(lefts), len(rights),
+                   [(l, r, max(1, round(w * WEIGHT_SCALE))) for l, r, w in edges])
+    net.augment().tie_break()
+    matched = [(l, r, w) for l, r, w in edges if net.match_l[l] == r]
     return MatchedPairs(tuple((lefts[l], rights[r]) for l, r, _ in matched),
                         sum(w for _, _, w in matched))

@@ -15,6 +15,11 @@ it runs successive augmenting paths on one composite integer per meta edge,
 weight in the high bits and a tie-break bit per edge in the low bits, so
 every matching has a distinct objective.
 
+``bit_tie_break_match`` is ``max_flow_match`` with the tie-break phase it
+had before the alternating-path greedy: it reruns the kernel on the tight
+edges, edge t of T weighing ``w << |T| | 2^(|T|-1-t)``, so the unique best
+objective is the maximum weight and then the smallest pair set.
+
 ``reference_prices`` is the label-correcting pass that prices a matching
 on its own: from every free left and matched right at gain 0, it prices
 each right r at its best alternating-path gain ``v_r`` and each left l at
@@ -42,7 +47,7 @@ from hemln.cbg import CommunityBipartiteGraph
 from hemln.community import Membership, _renumber
 from hemln.errors import EmptyGraph, ParseError
 from hemln.fileio import COMMENT, _int, _read_text
-from hemln.matching import WEIGHT_SCALE, MatchedPairs, _indexed_edges
+from hemln.matching import WEIGHT_SCALE, MatchedPairs, _indexed_edges, _Network
 from hemln.model import InterLayerEdges, LayerGraph
 
 BRUTE_FORCE_NODE_LIMIT = 16
@@ -169,6 +174,23 @@ def composite_reference_match(cbg: CommunityBipartiteGraph) -> MatchedPairs:
     pairs = sorted((lefts[l], rights[r]) for l, r in enumerate(match_l) if r != -1)
     total = sum(float_w[p] for p in pairs)
     return MatchedPairs(tuple(pairs), total)
+
+
+def bit_tie_break_match(cbg: CommunityBipartiteGraph) -> MatchedPairs:
+    """Phase 1, then the kernel again on |T| + ~30-bit tie-break weights."""
+    lefts, rights, edges = _indexed_edges(cbg)
+    if not edges:
+        return MatchedPairs((), 0.0)
+    scaled = [(l, r, max(1, round(w * WEIGHT_SCALE))) for l, r, w in edges]
+    u, v = _Network(len(lefts), len(rights), scaled).augment().prices()
+    tight = [(l, r, w) for l, r, w in scaled if u[l] + v[r] == w]
+    bits = len(tight)
+    tie_break = _Network(len(lefts), len(rights),
+                         [(l, r, (w << bits) | (1 << (bits - 1 - t)))
+                          for t, (l, r, w) in enumerate(tight)]).augment()
+    matched = [(l, r, w) for l, r, w in edges if tie_break.match_l[l] == r]
+    return MatchedPairs(tuple((lefts[l], rights[r]) for l, r, _ in matched),
+                        sum(w for _, _, w in matched))
 
 
 def reference_prices(net) -> Tuple[List[int], List[int]]:

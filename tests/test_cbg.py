@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from hemln import (
@@ -134,6 +136,22 @@ def test_unknown_community_raises():
     mln, ma, md, sa, sd = two_layer_mln([(1, 10)], [(1,)], [(10,)])
     with pytest.raises(UnknownCommunity):
         build(mln, ma, md, sa, sd, u_left=[CommunityId("A", 9)])
+
+
+@pytest.mark.parametrize("metric, summary, message", [
+    ("d", (0, 0.0, frozenset()), "c_A^1 has no nodes, which metric d divides by"),
+    ("h", (0, 0.0, frozenset({1})), "c_A^1 has no nodes, which metric h divides by"),
+    ("h", (1, 1.0, frozenset()), "c_A^1 has no hubs, which metric h divides by"),
+], ids=["d-no-nodes", "h-no-nodes", "h-no-hubs"])
+def test_hand_built_summary_a_metric_divides_by_zero(metric, summary, message):
+    # summarize never makes these; each raised a raw ZeroDivisionError
+    from hemln import CommunitySummary
+    a1, d1 = CommunityId("A", 1), CommunityId("D", 1)
+    args = ("A", "D", {(a1, d1): frozenset({(1, 10)})}, [a1], [d1],
+            {a1: CommunitySummary(*summary)}, {d1: CommunitySummary(1, 1.0, frozenset({10}))})
+    with pytest.raises(InvariantViolation, match=f"^{re.escape(message)}$"):
+        build_cbg(*args, metric)
+    assert len(build_cbg(*args, "e").edges) == 1  # e reads neither count
 
 
 def test_weight_e_normalization():

@@ -4,11 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hemln import CommunityId, MatchedPairs, max_flow_match
-from hemln.cbg import CommunityBipartiteGraph, MetaEdge
+from hemln import (MLN, CommunityId, InterLayerEdges, LayerGraph, MatchedPairs,
+                   Membership, max_flow_match, summarize)
+from hemln.cbg import METRICS, CommunityBipartiteGraph, MetaEdge, build_cbg, crossing_pairs
 from hemln.errors import InvariantViolation
 from hemln.matching import _indexed_edges, _Network
-from oracle import (TooLarge, _scaled, brute_force_match,
+from oracle import (TooLarge, _scaled, bit_tie_break_match, brute_force_match,
                     composite_reference_match, reference_prices)
 
 A = lambda i: CommunityId("A", i)
@@ -224,7 +225,10 @@ def ladder_cbg(n, grid):
 
 def test_prices_equal_label_correcting_reference():
     # the dual read off the potentials is the one the label-correcting pass
-    # finds, so the tight edges T, and with them phase 2, do not change
+    # finds, so T is the same whichever pass prices the matching (phase 2's
+    # pairs would not move with another optimal dual either: for every one,
+    # the matchings inside its T that cover its S_L and S_R are exactly the
+    # maximum-weight matchings)
     for seed in range(300):
         net = _phase_one(random_wide_cbg(seed))
         assert net.prices() == reference_prices(net), seed
@@ -243,3 +247,103 @@ def test_total_weight_matches_networkx():
         graph.add_weighted_edges_from((l, r, w) for (l, r), w in scaled.items())
         best = sum(graph.edges[e]["weight"] for e in nx.max_weight_matching(graph))
         assert sum(scaled[p] for p in max_flow_match(cbg).pairs) == best, seed
+
+
+def _phase_one_view(cbg):
+    """Phase 1's pairs, S_L = {l : u_l > 0}, S_R = {r : v_r > 0} and the
+    tight edges, by meta-node index."""
+    lefts, rights, edges = _indexed_edges(cbg)
+    net = _phase_one(cbg)
+    u, v = net.prices()
+    return (sorted((lefts[l].index, rights[r].index)
+                   for l, r in enumerate(net.match_l) if r != -1),
+            [lefts[l].index for l, p in enumerate(u) if p],
+            [rights[r].index for r, p in enumerate(v) if p],
+            [(lefts[l].index, rights[r].index) for l, r, w in edges
+             if u[l] + v[r] == _scaled(w)])
+
+
+@pytest.mark.parametrize("edges, phase_one, s_left, s_right, tight, expected", [
+    # lefts 2 and 4 tie to right 1; phase 1 matches 4, the smaller pair set has 2
+    ([(2, 1, 2.0), (4, 1, 2.0)],
+     [(4, 1)], [], [1], [(2, 1), (4, 1)], [(2, 1)]),
+    # left 1 takes right 2 from left 2 (in S_L), whose path to right 3 ends
+    # at left 3, outside S_L, which goes free
+    ([(1, 2, 1.0), (2, 2, 2.0), (2, 3, 3.0), (3, 3, 2.0)],
+     [(2, 2), (3, 3)], [2], [2, 3], [(1, 2), (2, 2), (2, 3), (3, 3)],
+     [(1, 2), (2, 3)]),
+    # left 1 leaves right 2 (in S_R) for right 1; left 4 covers right 2 again
+    ([(1, 1, 1.0), (1, 2, 3.0), (4, 1, 1.0), (4, 2, 3.0)],
+     [(1, 2), (4, 1)], [1, 4], [2], [(1, 1), (1, 2), (4, 1), (4, 2)],
+     [(1, 1), (4, 2)]),
+    # lefts 1 and 3 have a tight right, but taking it would free left 4 (in
+    # S_L), which has no other right: both stay free
+    ([(1, 1, 2.0), (3, 1, 2.0), (4, 1, 3.0)],
+     [(4, 1)], [4], [1], [(1, 1), (3, 1), (4, 1)], [(4, 1)]),
+    # left 2 leaves right 4 (in S_R), and no path covers it again alone: only
+    # a right that search reached may close one, so left 2 skips right 1 and
+    # takes right 2, and left 3, freed, covers right 4
+    ([(1, 2, 2.0), (1, 3, 1.0), (1, 4, 2.0), (2, 1, 1.0), (2, 2, 3.0),
+      (2, 4, 2.0), (3, 2, 2.0), (3, 4, 1.0)],
+     [(1, 4), (2, 1), (3, 2)], [1, 2], [2, 4],
+     [(1, 3), (1, 4), (2, 1), (2, 2), (2, 4), (3, 2), (3, 4)],
+     [(1, 3), (2, 2), (3, 4)]),
+], ids=["phase-one-not-lexicographic", "left-path-ends-outside-s-left",
+        "freed-right-covered-again", "left-with-tight-rights-stays-free",
+        "right-covered-through-the-taken-right"])
+def test_tie_break_branches(edges, phase_one, s_left, s_right, tight, expected):
+    cbg = make_cbg(edges)
+    assert _phase_one_view(cbg) == (phase_one, s_left, s_right, tight)
+    assert pairs_idx(max_flow_match(cbg)) == expected
+    assert max_flow_match(cbg) == brute_force_match(cbg)
+
+
+def test_tie_break_equals_the_bit_weight_kernel():
+    # the greedy against the |T|-bit tie-break it replaced, on tie-heavy
+    # CBGs of 1-40 meta nodes a side, unequal sides and edgeless meta nodes
+    for seed in range(4000):
+        rng = random.Random(seed)
+        side = rng.choice((4, 9, 16, 40))
+        n_left, n_right = rng.randint(1, side), rng.randint(1, side)
+        density, levels = rng.uniform(0.05, 0.7), rng.randint(1, 4)
+        edges = [(l, r, rng.randint(1, levels) / levels)
+                 for l in range(1, n_left + 1) for r in range(1, n_right + 1)
+                 if rng.random() < density]
+        cbg = make_cbg(edges, extra_left=range(1, n_left + 1),
+                       extra_right=range(1, n_right + 1))
+        assert max_flow_match(cbg) == bit_tie_break_match(cbg), seed
+
+
+def dense_cbgs(seed, groups=250, size=10, fanout=20):
+    """The CBG of one layer pair under each metric, in the shape of the
+    benchmark's composition workload: two layers of ``groups`` planted groups
+    of ``size`` nodes (a ring plus ``size // 2`` chords), memberships by
+    group, and each left group linking to ``fanout`` right groups with 1-3
+    links each."""
+    rng = random.Random(seed)
+    mln, memberships = MLN(), {}
+    for lid, offset in (("A", 0), ("D", 10 ** 5)):
+        edges = set()
+        for base in range(offset, offset + groups * size, size):
+            members = range(base, base + size)
+            edges.update((n, base + (n - base + 1) % size) for n in members)
+            edges.update(tuple(rng.sample(members, 2)) for _ in range(size // 2))
+        mln.add_layer(LayerGraph.build(lid, range(offset, offset + groups * size), edges))
+        memberships[lid] = Membership(lid, {n: (n - offset) // size + 1
+                                            for n in range(offset, offset + groups * size)})
+    mln.add_interlayer(InterLayerEdges.build("A", "D", {
+        (g * size + rng.randrange(size), 10 ** 5 + h * size + rng.randrange(size))
+        for g in range(groups) for h in rng.sample(range(groups), fanout)
+        for _ in range(rng.randint(1, 3))}))
+    mln.freeze()
+    sa, sd = (summarize(mln.layer(lid), memberships[lid]) for lid in "AD")
+    buckets = crossing_pairs(mln, "A", "D", memberships["A"], memberships["D"])
+    return {metric: build_cbg("A", "D", buckets, sorted(sa), sorted(sd), sa, sd, metric)
+            for metric in METRICS}
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_tie_break_equals_the_bit_weight_kernel_on_dense_cbgs(seed):
+    for metric, cbg in dense_cbgs(seed).items():
+        assert len(cbg.edges) + len(cbg.dropped) == 250 * 20, metric
+        assert max_flow_match(cbg) == bit_tie_break_match(cbg), metric
