@@ -51,7 +51,7 @@ def _numbered(text: str) -> Iterator[Tuple[int, str]]:
         start, n = 0, len(text)
         while start < n:
             end = text.find("\n", start + BLOCK) + 1 or n
-            yield text if start == 0 and end == n else text[start:end]
+            yield text[start:end]
             start = end
     return enumerate(chain.from_iterable(map(str.splitlines, blocks())), 1)
 

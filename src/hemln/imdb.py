@@ -150,7 +150,7 @@ def ingest_imdb(records: ImdbRecords,
 
 # ---------------------------------------------------------------------------
 # TSV loading (IMDb public-dataset column conventions; extra columns ignored,
-# a repeated tconst or nconst row is an error)
+# a repeated, empty or \N tconst or nconst is an error)
 
 _MISSING = ("", r"\N")
 
@@ -184,7 +184,8 @@ def load_imdb_tsvs(movies_path, people_path, acts_path, directs_path) -> ImdbRec
 
 
 def _tsv_rows(path, required: Tuple[str, ...]):
-    """Rows as dicts with their line numbers; short rows read as empty fields."""
+    """Rows as dicts with their line numbers; short rows read as empty fields,
+    and no row may leave a ``required`` column empty or ``\\N``."""
     try:
         with Path(path).open(encoding="utf-8", newline="") as handle:
             reader = csv.DictReader(handle, delimiter="\t", restval="",
@@ -193,7 +194,11 @@ def _tsv_rows(path, required: Tuple[str, ...]):
                 if column not in (reader.fieldnames or ()):
                     raise ParseError(f"{path}: missing column {column!r}", 1)
             for row in reader:  # DictReader.line_num lags past blank lines
-                yield row, reader.reader.line_num
+                lineno = reader.reader.line_num
+                for column in required:
+                    if row[column] in _MISSING:
+                        raise ParseError(f"{path}: {column} is empty or \\N", lineno)
+                yield row, lineno
     except UnicodeDecodeError as exc:
         raise IoError(f"{path}: {exc}") from None
     except csv.Error as exc:  # e.g. an oversized field; DictReader.line_num lags

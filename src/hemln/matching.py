@@ -2,7 +2,9 @@
 
 Among weight-maximal matchings the lexicographically smallest pair sequence
 (sorted by left then right) is returned, so results are reproducible.
-Weights are exact integers (scaled by 1e9, half-even rounding).
+Weights are exact integers (scaled by 1e9, half-even rounding) in one table,
+a row ``{right: w}`` per left. Only phase 2 reads a row's order, and sorts:
+phase 1's heap breaks ties by right, and its prices come from the matching.
 
 1. Maximum weight by successive shortest augmenting paths (Jonker & Volgenant
    1987, Crouse 2016): one Dijkstra on reduced costs per left. The kernel's
@@ -26,7 +28,7 @@ Weights are exact integers (scaled by 1e9, half-even rounding).
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import List, NamedTuple, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from .cbg import CommunityBipartiteGraph
 from .community import CommunityId
@@ -42,37 +44,32 @@ class MatchedPairs(NamedTuple):
 
 
 def _indexed_edges(cbg: CommunityBipartiteGraph):
-    """Lefts/rights sorted, plus edges as (left idx, right idx, float w)
-    in lexicographic (left, right) order. As ``build_cbg`` makes them, each
-    edge joins an offered left to an offered right, once, and weighs a
-    finite w > 0."""
-    lefts = sorted(cbg.left_nodes)
-    rights = sorted(cbg.right_nodes)
+    """Lefts/rights sorted, plus one row per left: ``{right idx: float w}``
+    in the CBG's edge order. As ``build_cbg`` makes them, each edge joins an
+    offered left to an offered right, once, and weighs a finite w > 0."""
+    lefts, rights = sorted(cbg.left_nodes), sorted(cbg.right_nodes)
     lpos = {c: i for i, c in enumerate(lefts)}
     rpos = {c: i for i, c in enumerate(rights)}
-    weights = {}
+    rows: List[Dict[int, float]] = [{} for _ in lefts]
     for e in cbg.edges:
-        key = (lpos.get(e.left), rpos.get(e.right))
-        if None in key:
+        l, r = lpos.get(e.left), rpos.get(e.right)
+        if l is None or r is None:
             raise InvariantViolation(f"meta edge {e.left}-{e.right} leaves the CBG's nodes")
-        if key in weights:
+        if r in rows[l]:
             raise InvariantViolation(f"meta edge {e.left}-{e.right} given twice")
         if not 0.0 < e.weight < _INF:  # so not NaN
             raise InvariantViolation(
                 f"meta edge {e.left}-{e.right} weighs {e.weight!r}, not a finite w > 0")
-        weights[key] = e.weight
-    return lefts, rights, sorted((l, r, w) for (l, r), w in weights.items())
+        rows[l][r] = e.weight
+    return lefts, rights, rows
 
 
 class _Network:
-    """Integer-weighted edges (l, r, w) with the matching built on them."""
+    """Integer weights ``adj[l][r]``, a row per left, and the matching on them."""
 
-    def __init__(self, n_left: int, n_right: int, edges: List[Tuple[int, int, int]]):
-        self.weight = {(l, r): w for l, r, w in edges}
-        self.adj: List[List[Tuple[int, int]]] = [[] for _ in range(n_left)]
-        for l, r, w in edges:
-            self.adj[l].append((r, w))
-        self.match_l, self.match_r = [-1] * n_left, [-1] * n_right
+    def __init__(self, n_right: int, adj: List[Dict[int, int]]):
+        self.adj = adj
+        self.match_l, self.match_r = [-1] * len(adj), [-1] * n_right
         self.v = [0] * n_right  # right potentials for cost -w
 
     def augment(self) -> "_Network":
@@ -85,8 +82,7 @@ class _Network:
         search early on tie-heavy weights. Right ``n_right + l`` is left l's
         private zero-weight right: l stays unmatched when that weighs more.
         """
-        adj, weight = self.adj, self.weight
-        match_l, match_r, v = self.match_l, self.match_r, self.v
+        adj, match_l, match_r, v = self.adj, self.match_l, self.match_r, self.v
         n_right = len(match_r)
         dist = [_INF] * (n_right + len(adj))  # reset per search: it costs what it touches
         parent = [-1] * len(dist)
@@ -94,7 +90,7 @@ class _Network:
             done, heap = [], []
             l, dl, ul = source, 0, 0
             while True:
-                for r, w in adj[l]:
+                for r, w in adj[l].items():
                     nd = dl - w - ul - v[r]
                     if nd < dist[r]:
                         dist[r], parent[r] = nd, l
@@ -108,7 +104,7 @@ class _Network:
                     break
                 done.append(r)
                 l, dl = match_r[r], d
-                ul = -weight[(l, r)] - v[r]
+                ul = -adj[l][r] - v[r]
             for j in done:
                 v[j] -= d - dist[j]
             for j in done + [r] + [j for _, _, j in heap]:
@@ -122,23 +118,23 @@ class _Network:
 
     def prices(self) -> Tuple[List[int], List[int]]:
         """Optimal dual prices (u, v) read off the potentials, certified."""
-        weight, match_l, match_r = self.weight, self.match_l, self.match_r
+        adj, match_l, match_r = self.adj, self.match_l, self.match_r
         v = [-p for p in self.v]
-        u = [0 if r == -1 else weight[(l, r)] - v[r] for l, r in enumerate(match_l)]
+        u = [0 if r == -1 else adj[l][r] - v[r] for l, r in enumerate(match_l)]
         if min(u + v, default=0) < 0 or any(
                 v[r] for r, l in enumerate(match_r) if l == -1) or any(
                 u[l] + v[r] < w or (match_l[l] == r and u[l] + v[r] != w)
-                for (l, r), w in weight.items()):
+                for l, row in enumerate(adj) for r, w in row.items()):
             raise InvariantViolation("matching duals fail the optimality certificate")
         return u, v
 
     def tie_break(self) -> None:
         """Phase 2 (module docstring), in place on phase 1's matching."""
         (u, v), match_l, match_r = self.prices(), self.match_l, self.match_r
-        adj, radj = [[] for _ in match_l], [[] for _ in match_r]
-        for (l, r), w in self.weight.items():  # lexicographic order
-            if u[l] + v[r] == w:
-                adj[l].append(r)
+        adj, radj = [], [[] for _ in match_r]
+        for l, row in enumerate(self.adj):  # the only pass that needs an order
+            adj.append(sorted(r for r, w in row.items() if u[l] + v[r] == w))
+            for r in adj[l]:
                 radj[r].append(l)
         fixed_l, fixed_r = [False] * len(match_l), [False] * len(match_r)
         for l, rights in enumerate(adj):
@@ -183,12 +179,10 @@ def _dead_ends(x, adj, mate, other_mate, price, fixed, seen):
 
 def max_flow_match(cbg: CommunityBipartiteGraph) -> MatchedPairs:
     """Weight-maximal one-to-one matching with deterministic tie-breaking."""
-    lefts, rights, edges = _indexed_edges(cbg)
-    if not edges:
-        return MatchedPairs((), 0.0)
-    net = _Network(len(lefts), len(rights),
-                   [(l, r, max(1, round(w * WEIGHT_SCALE))) for l, r, w in edges])
+    lefts, rights, rows = _indexed_edges(cbg)
+    net = _Network(len(rights), [{r: max(1, round(w * WEIGHT_SCALE)) for r, w in row.items()}
+                                 for row in rows])
     net.augment().tie_break()
-    matched = [(l, r, w) for l, r, w in edges if net.match_l[l] == r]
-    return MatchedPairs(tuple((lefts[l], rights[r]) for l, r, _ in matched),
-                        sum(w for _, _, w in matched))
+    matched = [(l, r) for l, r in enumerate(net.match_l) if r != -1]
+    return MatchedPairs(tuple((lefts[l], rights[r]) for l, r in matched),
+                        sum((rows[l][r] for l, r in matched), 0.0))

@@ -60,13 +60,29 @@ def _scaled(w: float) -> int:
     return max(1, round(w * WEIGHT_SCALE))
 
 
+def _sorted_edges(cbg: CommunityBipartiteGraph):
+    """Lefts and rights sorted, plus the rows of ``_indexed_edges`` as
+    (left idx, right idx, float w) in lexicographic order."""
+    lefts, rights, rows = _indexed_edges(cbg)
+    return lefts, rights, sorted((l, r, w) for l, row in enumerate(rows)
+                                 for r, w in row.items())
+
+
+def _rows(n_left: int, edges) -> List[Dict[int, int]]:
+    """Edges (l, r, w) as ``_Network``'s table: a row {r: w} per left."""
+    rows: List[Dict[int, int]] = [{} for _ in range(n_left)]
+    for l, r, w in edges:
+        rows[l][r] = w
+    return rows
+
+
 class TooLarge(Exception):
     """Brute-force oracle guard exceeded."""
 
 
 def brute_force_match(cbg: CommunityBipartiteGraph) -> MatchedPairs:
     """Exhaustive oracle: same objective and tie-break as max_flow_match."""
-    lefts, rights, edges = _indexed_edges(cbg)
+    lefts, rights, edges = _sorted_edges(cbg)
     if len(lefts) + len(rights) > BRUTE_FORCE_NODE_LIMIT:
         raise TooLarge(
             f"{len(lefts)}+{len(rights)} meta nodes exceed the oracle guard "
@@ -108,7 +124,7 @@ def brute_force_match(cbg: CommunityBipartiteGraph) -> MatchedPairs:
 def composite_reference_match(cbg: CommunityBipartiteGraph) -> MatchedPairs:
     """One-pass reference: successive longest augmenting paths on the
     composite integers ``scaled(w) << E | 2^(E-1-t)`` over all E edges."""
-    lefts, rights, edges = _indexed_edges(cbg)
+    lefts, rights, edges = _sorted_edges(cbg)
     n_left, n_right = len(lefts), len(rights)
     n_edges = len(edges)
     if n_edges == 0:
@@ -178,16 +194,16 @@ def composite_reference_match(cbg: CommunityBipartiteGraph) -> MatchedPairs:
 
 def bit_tie_break_match(cbg: CommunityBipartiteGraph) -> MatchedPairs:
     """Phase 1, then the kernel again on |T| + ~30-bit tie-break weights."""
-    lefts, rights, edges = _indexed_edges(cbg)
+    lefts, rights, edges = _sorted_edges(cbg)
     if not edges:
         return MatchedPairs((), 0.0)
     scaled = [(l, r, max(1, round(w * WEIGHT_SCALE))) for l, r, w in edges]
-    u, v = _Network(len(lefts), len(rights), scaled).augment().prices()
+    u, v = _Network(len(rights), _rows(len(lefts), scaled)).augment().prices()
     tight = [(l, r, w) for l, r, w in scaled if u[l] + v[r] == w]
     bits = len(tight)
-    tie_break = _Network(len(lefts), len(rights),
-                         [(l, r, (w << bits) | (1 << (bits - 1 - t)))
-                          for t, (l, r, w) in enumerate(tight)]).augment()
+    tie_break = _Network(len(rights), _rows(len(lefts), [
+        (l, r, (w << bits) | (1 << (bits - 1 - t)))
+        for t, (l, r, w) in enumerate(tight)])).augment()
     matched = [(l, r, w) for l, r, w in edges if tie_break.match_l[l] == r]
     return MatchedPairs(tuple((lefts[l], rights[r]) for l, r, _ in matched),
                         sum(w for _, _, w in matched))
@@ -195,9 +211,8 @@ def bit_tie_break_match(cbg: CommunityBipartiteGraph) -> MatchedPairs:
 
 def reference_prices(net) -> Tuple[List[int], List[int]]:
     """Dual prices (u, v) of ``net``'s matching by label correcting."""
-    adj, weight = net.adj, net.weight
-    match_l, match_r = net.match_l, net.match_r
-    dist_l = [0 if r == -1 else -weight[(l, r)] for l, r in enumerate(match_l)]
+    adj, match_l, match_r = net.adj, net.match_l, net.match_r
+    dist_l = [0 if r == -1 else -adj[l][r] for l, r in enumerate(match_l)]
     dist_r = [-float("inf") if l == -1 else 0 for l in match_r]
     in_queue = [True] * len(dist_l)
     queue = deque(range(len(dist_l)))
@@ -205,13 +220,13 @@ def reference_prices(net) -> Tuple[List[int], List[int]]:
         l = queue.popleft()
         in_queue[l] = False
         dl, own = dist_l[l], match_l[l]
-        for r, w in adj[l]:
+        for r, w in adj[l].items():
             nd = dl + w
             if r != own and nd > dist_r[r]:
                 dist_r[r] = nd
                 l2 = match_r[r]
-                if l2 != -1 and nd - weight[(l2, r)] > dist_l[l2]:
-                    dist_l[l2] = nd - weight[(l2, r)]
+                if l2 != -1 and nd - adj[l2][r] > dist_l[l2]:
+                    dist_l[l2] = nd - adj[l2][r]
                     if not in_queue[l2]:
                         queue.append(l2)
                         in_queue[l2] = True

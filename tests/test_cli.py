@@ -471,6 +471,12 @@ BAD_INPUTS = {
     "imdb-rating-out-of-range": (lambda d, t: _imdb(t, movies=IMDB_TSVS["movies"]
                                                     .replace("7.9", "10.5")),
                                  "line 2"),
+    # a key column that is empty or \\N names no record
+    "imdb-movies-null-tconst": (lambda d, t: _imdb(
+        t, movies=IMDB_TSVS["movies"] + "\\N\tNull\tDrama\t7.0\n"),
+        "movies.tsv: tconst is empty or \\N"),
+    "imdb-acts-row-without-tconst": (lambda d, t: _imdb(t, acts="nconst\ttconst\np1\n"),
+                                     "acts.tsv: tconst is empty"),
     "imdb-people-no-nconst": (lambda d, t: _imdb(t, people="id\tprimaryName\np1\tAnn\n"),
                               "nconst"),
     "imdb-acts-no-tconst": (lambda d, t: _imdb(t, acts="nconst\tmovie\np1\tt1\n"),

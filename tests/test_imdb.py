@@ -3,7 +3,7 @@ import random
 import pytest
 
 from hemln import InterLayerEdges, LayerGraph
-from hemln.errors import EmptyInput, InvariantViolation, ReferentialIntegrity
+from hemln.errors import EmptyInput, InvariantViolation, ParseError, ReferentialIntegrity
 from hemln.imdb import (
     OVERLAP_MODES,
     ImdbRecords,
@@ -210,3 +210,26 @@ def test_load_imdb_tsvs(tmp_path):
     assert records.directs == {("p2", "t1"), ("p2", "t2")}
     mln, _ = ingest_imdb(records)
     assert set(mln.layers) == {"A", "D", "M"}
+
+
+MOVIES_HEADER = "tconst\tprimaryTitle\tgenres\taverageRating\n"
+
+
+@pytest.mark.parametrize("file, text, message", [
+    ("movies", MOVIES_HEADER + "t1\tOne\tDrama\t7.9\n\\N\tNull\tDrama\t7.0\n",
+     r"line 3: .*movies\.tsv: tconst is empty or \\N"),
+    ("movies", MOVIES_HEADER + "\tNull\tDrama\t7.0\n",
+     r"line 2: .*movies\.tsv: tconst is empty"),
+    ("people", "nconst\tprimaryName\np1\tAnn\n\\N\tNobody\n",
+     r"line 3: .*people\.tsv: nconst is empty or \\N"),
+    ("acts", "nconst\ttconst\np1\n", r"line 2: .*acts\.tsv: tconst is empty"),
+    ("directs", "nconst\ttconst\n\tt1\n", r"line 2: .*directs\.tsv: nconst is empty"),
+], ids=["movie-null-key", "movie-empty-key", "person-null-key", "credit-short-row",
+        "credit-empty-person"])
+def test_load_imdb_tsvs_rejects_an_empty_or_null_key(tmp_path, file, text, message):
+    # each such row named no record: it made the node M:\N or M:, or failed
+    # later as an unknown movie with an empty name and no line
+    paths = dict(zip(("movies", "people", "acts", "directs"), write_tsvs(tmp_path)))
+    paths[file].write_text(text)
+    with pytest.raises(ParseError, match=message):
+        load_imdb_tsvs(*paths.values())

@@ -185,9 +185,45 @@ def test_equals_composite_reference_past_brute_force_guard():
         assert max_flow_match(cbg) == composite_reference_match(cbg), seed
 
 
+def tie_heavy_cbg(seed):
+    """1-25 meta nodes a side, sides of unequal size, weights in thirds, and
+    edges in (left, right) order, as ``build_cbg`` emits them."""
+    rng = random.Random(seed)
+    n_left, n_right = rng.randint(1, 25), rng.randint(1, 25)
+    density = rng.uniform(0.1, 0.7)
+    return make_cbg([(l, r, rng.randint(1, 3) / 3)
+                     for l in range(1, n_left + 1) for r in range(1, n_right + 1)
+                     if rng.random() < density],
+                    extra_left=range(1, n_left + 1), extra_right=range(1, n_right + 1))
+
+
+def test_result_does_not_depend_on_edge_order():
+    # only the tie-break orders a left's rights; every other pass must give
+    # the same result for the edges in any order
+    for seed in range(600):
+        cbg = tie_heavy_cbg(seed)
+        edges = list(cbg.edges)
+        random.Random(seed).shuffle(edges)
+        shuffled = cbg._replace(edges=tuple(edges))
+        assert max_flow_match(shuffled) == max_flow_match(cbg), seed
+
+
+def test_indexed_edges_hold_each_meta_edge_once():
+    # every differential oracle reads the CBG through this table, so a fault
+    # in it would pass them all
+    for seed in range(100):
+        cbg = random_wide_cbg(seed, max_side=60)
+        lefts, rights, rows = _indexed_edges(cbg)
+        assert lefts == sorted(cbg.left_nodes) and rights == sorted(cbg.right_nodes)
+        assert len(rows) == len(lefts)
+        held = [(lefts[l], rights[r], w) for l, row in enumerate(rows)
+                for r, w in row.items()]
+        assert sorted(held) == sorted((e.left, e.right, e.weight) for e in cbg.edges)
+
+
 def test_price_certificate_rejects_a_matching_short_of_maximum():
     # left 0 is matched to right 1 (weight 3) although right 0 pays 5
-    net = _Network(1, 2, [(0, 0, 5), (0, 1, 3)])
+    net = _Network(2, [{0: 5, 1: 3}])
     net.match_l, net.match_r = [1], [-1, 0]
     with pytest.raises(InvariantViolation):
         net.prices()
@@ -202,7 +238,7 @@ def test_price_certificate_rejects_injected_potentials(potentials):
     # the optimal matching, but potentials that price right 1 (free, no
     # edge) at 1, right 0 at -1, or left 0 at 5 - 6 = -1; the one edge stays
     # tight, so each case breaks only the condition it names
-    net = _Network(1, 2, [(0, 0, 5)])
+    net = _Network(2, [{0: 5}])
     net.match_l, net.match_r = [0], [0, -1]
     net.v = potentials
     with pytest.raises(InvariantViolation):
@@ -210,9 +246,9 @@ def test_price_certificate_rejects_injected_potentials(potentials):
 
 
 def _phase_one(cbg):
-    lefts, rights, edges = _indexed_edges(cbg)
-    return _Network(len(lefts), len(rights),
-                    [(l, r, _scaled(w)) for l, r, w in edges]).augment()
+    _, rights, rows = _indexed_edges(cbg)
+    return _Network(len(rights), [{r: _scaled(w) for r, w in row.items()}
+                                  for row in rows]).augment()
 
 
 def ladder_cbg(n, grid):
@@ -252,15 +288,15 @@ def test_total_weight_matches_networkx():
 def _phase_one_view(cbg):
     """Phase 1's pairs, S_L = {l : u_l > 0}, S_R = {r : v_r > 0} and the
     tight edges, by meta-node index."""
-    lefts, rights, edges = _indexed_edges(cbg)
+    lefts, rights, rows = _indexed_edges(cbg)
     net = _phase_one(cbg)
     u, v = net.prices()
     return (sorted((lefts[l].index, rights[r].index)
                    for l, r in enumerate(net.match_l) if r != -1),
             [lefts[l].index for l, p in enumerate(u) if p],
             [rights[r].index for r, p in enumerate(v) if p],
-            [(lefts[l].index, rights[r].index) for l, r, w in edges
-             if u[l] + v[r] == _scaled(w)])
+            sorted((lefts[l].index, rights[r].index) for l, row in enumerate(rows)
+                   for r, w in row.items() if u[l] + v[r] == _scaled(w)))
 
 
 @pytest.mark.parametrize("edges, phase_one, s_left, s_right, tight, expected", [

@@ -2,7 +2,8 @@
 ``src/hemln`` names a stdlib module. numpy, scipy or networkx may be
 installed for the test oracles, so an accidental runtime import of one of
 them would pass every other test. And every name a module imports is used,
-and every error class is raised somewhere.
+every error class is raised somewhere, and every function is called or
+exported.
 
 Every command pays for what ``import hemln.cli`` loads, so that import
 leaves out the modules only some commands or no command needs."""
@@ -67,6 +68,41 @@ def test_every_error_class_is_raised():
     raised = {name for p in PACKAGE.glob("*.py") for name in _raised_names(p)}
     assert len(classes) >= 20
     assert sorted(classes - raised) == []
+
+
+def _functions(tree):
+    """Module-level functions and non-dunder methods, as (qualified, name)."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name, node.name
+        elif isinstance(node, ast.ClassDef):
+            yield from ((f"{node.name}.{n.name}", n.name) for n in node.body
+                        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not (n.name.startswith("__") and n.name.endswith("__")))
+
+
+def _referenced(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            yield from ast.literal_eval(node.value)
+
+
+CALLED_FROM_OUTSIDE = {"cli.py: _Parser.error"}  # argparse calls the override
+
+
+def test_every_runtime_function_is_referenced():
+    # a function no module calls and the package does not export is dead code
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8"))
+             for p in sorted(PACKAGE.glob("*.py"))}
+    referenced = {name for tree in trees.values() for name in _referenced(tree)}
+    unreferenced = {f"{module}: {qualified}" for module, tree in trees.items()
+                    for qualified, name in _functions(tree) if name not in referenced}
+    assert sorted(unreferenced - CALLED_FROM_OUTSIDE) == []
 
 
 # dataclasses pulls in inspect; logging is needed only to warn of a
