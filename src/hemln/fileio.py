@@ -13,8 +13,8 @@ Inter-layer file:
     interlayer <TAB> A <TAB> D
     1 <TAB> 10
 
-Both are UTF-8 with ';' comment lines. An edge names nodes declared on
-earlier lines, whose tokens a load resolves to ints once. Membership files
+Both are UTF-8 with ';' comment lines. Node ids are non-negative, and an
+edge names two distinct nodes declared on earlier lines. Membership files
 are ``node <TAB> community`` with '#' comments. Saves are canonically
 sorted so save -> load -> save is byte-identical. A load decodes the whole
 file, so a decode error wins over any parse error, then splits it into lines
@@ -69,14 +69,12 @@ def _lines(path: os.PathLike, comment: str) -> Iterator[Tuple[int, str]]:
 
 
 def load_layer(path: os.PathLike) -> LayerGraph:
-    """The layer in ``path``; ``LayerGraph.build`` checks it only if it has a
-    negative node or a self-loop, the faults this parse lets through."""
+    """The layer in ``path``; the first faulty line raises a ParseError naming it."""
     layer_id: Optional[str] = None
     nodes: set = set()
     ids: Dict[str, int] = {}  # node token -> its int, shared by every edge
     edges: Dict[Tuple[int, int], None] = {}  # canonical, in file order
     token_int = ids.get
-    self_loop = False
     for lineno, raw in _numbered(_read_text(path)):
         line = raw.strip()  # as _lines, inlined on the hot path
         if not line or line[0] == COMMENT:
@@ -95,21 +93,23 @@ def load_layer(path: os.PathLike) -> LayerGraph:
                 if u not in nodes or v not in nodes:
                     raise ParseError(f"edge ({u},{v}) references undeclared node",
                                      lineno)
+            if u == v:
+                raise ParseError(f"self-loop on node {u} in layer {layer_id}", lineno)
             edge = (u, v) if u < v else (v, u)
-            self_loop = self_loop or u == v
             if edge in edges:
                 import logging
                 logging.getLogger(__name__).warning(
                     "%s line %d: duplicate edge (%d,%d) ignored", path, lineno, u, v)
             edges[edge] = None  # a duplicate keeps its first position
         elif len(fields) == 1:
-            nodes.add(ids.setdefault(fields[0], _int(fields[0], lineno)))
+            n = ids.setdefault(fields[0], _int(fields[0], lineno))
+            if n < 0:
+                raise ParseError(f"node id {n} is not a non-negative integer", lineno)
+            nodes.add(n)
         else:
             raise ParseError(f"unrecognized line {line!r}", lineno)
     if layer_id is None:
         raise ParseError("missing layer header", 1)
-    if self_loop or min(nodes, default=0) < 0:  # raises build's first error
-        return LayerGraph.build(layer_id, nodes, edges)
     return LayerGraph(layer_id, frozenset(nodes), frozenset(edges))
 
 

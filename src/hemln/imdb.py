@@ -88,9 +88,9 @@ def ingest_imdb(records: ImdbRecords,
         raise InvariantViolation(f"bad genre overlap threshold {genre_overlap_threshold}")
     if overlap_mode not in OVERLAP_MODES:
         raise InvariantViolation(f"bad overlap mode {overlap_mode!r}")
-    if not records.movies and not records.people:
-        raise EmptyInput("no movies or people to ingest")
     records.validate()
+    if not records.movies:  # then no credit either: no layer would have a node
+        raise EmptyInput("no movies to ingest")
 
     movies_of_director: Dict[str, Set[str]] = {}
     for person, movie in records.directs:
@@ -199,6 +199,8 @@ def _tsv_rows(path, required: Tuple[str, ...]):
                     if row[column] in _MISSING:
                         raise ParseError(f"{path}: {column} is empty or \\N", lineno)
                 yield row, lineno
+    except OSError as exc:
+        raise IoError(str(exc)) from exc
     except UnicodeDecodeError as exc:
         raise IoError(f"{path}: {exc}") from None
     except csv.Error as exc:  # e.g. an oversized field; DictReader.line_num lags

@@ -30,6 +30,7 @@ potentials instead and must return the same prices.
 ``reference_load_layer`` is the layer-file loader that parses every edge
 token and keeps an edge list plus a seen-set; ``hemln.fileio.load_layer``
 resolves node tokens once and must return equal graphs, warnings and errors.
+Both raise each fault, a self-loop or a negative node included, at its line.
 ``reference_load_interlayer`` parses each link token with ``_int``;
 ``hemln.fileio.load_interlayer`` calls ``int`` inline and must return equal
 link sets and errors. Both reference loaders split the whole decoded text
@@ -347,6 +348,8 @@ def reference_load_layer(path) -> LayerGraph:
             u, v = _int(fields[1], lineno), _int(fields[2], lineno)
             if u not in nodes or v not in nodes:
                 raise ParseError(f"edge ({u},{v}) references undeclared node", lineno)
+            if u == v:
+                raise ParseError(f"self-loop on node {u} in layer {layer_id}", lineno)
             canon = (u, v) if u < v else (v, u)
             if canon in seen_edges:
                 log.warning("%s line %d: duplicate edge (%d,%d) ignored",
@@ -354,7 +357,11 @@ def reference_load_layer(path) -> LayerGraph:
             seen_edges.add(canon)
             edges.append((u, v))
         elif len(fields) == 1:
-            nodes.add(_int(fields[0], lineno))
+            node = _int(fields[0], lineno)
+            if node < 0:
+                raise ParseError(f"node id {node} is not a non-negative integer",
+                                 lineno)
+            nodes.add(node)
         else:
             raise ParseError(f"unrecognized line {line!r}", lineno)
     if layer_id is None:

@@ -2,6 +2,7 @@ import argparse
 import gc
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -327,6 +328,12 @@ def _not_utf8_in_mln(mln_dir, tmp_path, name):
     return _kcommunity(mln_dir, tmp_path)
 
 
+def _layer_g1_line(mln_dir, tmp_path, line):
+    with (mln_dir / "layer_G1.tsv").open("a") as layer:
+        layer.write(line + "\n")
+    return _kcommunity(mln_dir, tmp_path)
+
+
 def _membership_not_utf8(mln_dir, tmp_path):
     memberships = tmp_path / "memberships"
     memberships.mkdir()
@@ -402,6 +409,11 @@ BAD_INPUTS = {
     "layer-not-utf8": (lambda d, t: _not_utf8_in_mln(d, t, "layer_G1.tsv"), "utf-8"),
     "inter-not-utf8": (lambda d, t: _not_utf8_in_mln(d, t, "inter_G1_G2.tsv"),
                        "utf-8"),
+    # layer_G1.tsv holds 13 lines: the header, 6 nodes and 6 edges
+    "layer-self-loop": (lambda d, t: _layer_g1_line(d, t, "edge\t0\t0"),
+                        "line 14: self-loop on node 0"),
+    "layer-negative-node": (lambda d, t: _layer_g1_line(d, t, "-1"),
+                            "line 14: node id -1"),
     "membership-not-utf8": (_membership_not_utf8, "utf-8"),
     "membership-missing": (_membership_missing, "membership_G1.tsv"),
     # a membership file assigns every node of its layer, once, and no other
@@ -489,6 +501,10 @@ BAD_INPUTS = {
         lambda d, t, text=text: _imdb(t) + ["--genre-overlap-threshold", text],
         f"bad genre overlap threshold {float(text)}")
        for text in ("nan", "inf", "2", "0", "-1")},
+    # with no movie, no credit can stand and no layer would have a node
+    "imdb-no-movies": (lambda d, t: _imdb(
+        t, movies=IMDB_TSVS["movies"].split("\n")[0] + "\n",
+        acts="nconst\ttconst\n", directs="nconst\ttconst\n"), "no movies"),
     # past csv's default field size limit of 131072 characters
     "imdb-field-too-long": (lambda d, t: _imdb(t, movies=IMDB_TSVS["movies"]
                                                .replace("One", "x" * 200_000)),
@@ -506,8 +522,8 @@ def test_bad_input_is_one_line_exit_2(mln_dir, tmp_path, capsys, case):
     assert "Traceback" not in err
     assert err.startswith("hemln: ") and err.count("\n") == 1
     assert expected in err
-    if case != "out-not-writable":  # kcommunity checks its inputs before --out
-        assert not (tmp_path / "out").exists()
+    if "--out" in argv and case != "out-not-writable":  # inputs are checked first
+        assert not Path(argv[argv.index("--out") + 1]).exists()
 
 
 # options a command does not read are usage errors, not silently ignored

@@ -135,6 +135,16 @@ def test_ingest_referential_integrity():
         ingest_imdb(ImdbRecords())
 
 
+def test_people_without_movies_is_empty_input():
+    r = ImdbRecords()
+    r.people.update(p1="Ann", p2="Bob")
+    with pytest.raises(EmptyInput, match="no movies"):
+        ingest_imdb(r)
+    r.acts_in.add(("p1", "t1"))  # a credit to no movie is still dangling
+    with pytest.raises(ReferentialIntegrity, match="unknown movie t1"):
+        ingest_imdb(r)
+
+
 def test_jaccard_threshold_changes_director_edges():
     r = records_fixture()
     r.movies["t3"] = Movie("Three", ("Comedy", "Drama"), 8.4)

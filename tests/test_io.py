@@ -1,7 +1,7 @@
 import pytest
 
 from hemln import MLN, InterLayerEdges, LayerGraph, detect_communities
-from hemln.errors import ParseError
+from hemln.errors import IoError, ParseError
 from hemln.fileio import (
     load_interlayer,
     load_layer,
@@ -10,6 +10,7 @@ from hemln.fileio import (
     save_membership_tsv,
     save_mln,
 )
+from hemln.imdb import load_imdb_tsvs
 
 
 def test_layer_file_minimal(tmp_path):
@@ -41,6 +42,30 @@ def test_layer_file_comments_and_bad_header(tmp_path):
     bad.write_text("1\n2\n")
     with pytest.raises(ParseError):
         load_layer(bad)
+
+
+# every public loader: a path it cannot read is an IoError, never a raw
+# OSError; the wrong kind is a directory, or for load_mln a plain file
+LOADERS = {
+    "load_layer": load_layer,
+    "load_interlayer": load_interlayer,
+    "load_membership_tsv": lambda path: load_membership_tsv(
+        LayerGraph.build("A", [1], []), path),
+    "load_mln": load_mln,
+    "load_imdb_tsvs": lambda path: load_imdb_tsvs(path, path, path, path),
+}
+
+
+@pytest.mark.parametrize("kind", ["missing", "wrong-kind"])
+@pytest.mark.parametrize("name", sorted(LOADERS))
+def test_unreadable_path_is_an_io_error(tmp_path, name, kind):
+    path = tmp_path / "input"
+    if kind == "wrong-kind" and name == "load_mln":
+        path.write_text("layer\tA\n1\n")
+    elif kind == "wrong-kind":
+        path.mkdir()
+    with pytest.raises(IoError):
+        LOADERS[name](path)
 
 
 def test_interlayer_file(tmp_path):

@@ -6,9 +6,11 @@ keeps an edge list plus a seen-set. ``hemln.fileio.load_interlayer`` parses
 link tokens with ``int`` inline; ``oracle.reference_load_interlayer`` calls
 ``_int`` on each. For any file each pair must return equal graphs and log
 the same duplicate-edge warnings, or raise the same exception class with the
-same message (line number included). The hypothesis examples insert lines
-into valid files and mutate their bytes; they are derandomized, so the tests
-are reproducible and their cost bounded.
+same message (line number included). Every fault in a line, a self-loop
+and a negative node included, is a ``ParseError`` naming that line, and the
+first faulty line wins; only an unreadable file is an ``IoError``. The
+hypothesis examples insert lines into valid files and mutate their bytes;
+they are derandomized, so the tests are reproducible and their cost bounded.
 
 ``hemln.fileio`` splits a decoded file into lines one ``BLOCK`` at a time,
 and the reference loaders split it whole. Every differential test runs again
@@ -23,6 +25,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from hemln import fileio
+from hemln.errors import IoError, ParseError
 from hemln.fileio import load_interlayer, load_layer
 from oracle import reference_load_interlayer, reference_load_layer
 from test_fuzz_cli import _mutate
@@ -45,9 +48,10 @@ CASES = {
     "two self-loops": "layer\tA\n1\n2\n5\nedge\t5\t5\nedge\t1\t2\nedge\t1\t1\n",
     "repeated self-loop": "layer\tA\n1\nedge\t1\t1\nedge\t1\t1\n",
     "negative nodes": "layer\tA\n-1\n-2\n3\nedge\t-1\t3\n",
-    # build checks nodes before edges, wherever the lines stand
+    # the first faulty line wins, a node line or an edge line
     "negative node and a self-loop": "layer\tA\n-1\n2\nedge\t2\t2\n",
     "self-loop, then a negative node line": "layer\tA\n1\nedge\t1\t1\n-3\n",
+    "self-loop on an undeclared node": "layer\tA\n1\nedge\t3\t3\n",
     "duplicate edges": "layer\tA\n1\n2\n3\nedge\t1\t2\nedge\t2\t1\nedge\t1\t2\n",
     "crlf with comments and blanks":
         "; head\r\n\r\nlayer\tA\r\n1\r\n ; not a comment\r\n",
@@ -78,6 +82,8 @@ def _assert_same(path, caplog, load=load_layer, reference=reference_load_layer):
         got = _outcome(load, path, caplog)
         want = _outcome(reference, path, caplog)
     assert got == want
+    # a fault is a ParseError at its line, or the file is unreadable
+    assert got[0][0] == "ok" or got[0][1] in (ParseError, IoError)
 
 
 @pytest.mark.parametrize("text", CASES.values(), ids=CASES.keys())
