@@ -118,7 +118,7 @@ def _detect_layers(graphs: List[LayerGraph], seed: int) -> List[Membership]:
         threads = threading.active_count()
     forks = hasattr(os, "fork") and threads == 1
     workers = min(len(graphs), cpus if forks else 1) or 1
-    order = sorted(range(len(graphs)), key=lambda i: -len(graphs[i].edges))
+    order = sorted(range(len(graphs)), key=lambda i: -sum(map(len, graphs[i].nbrs)))
     own, *shares = [order[w::workers] for w in range(workers)]
     done: Dict[int, Membership] = {}
     children = []  # (pid, read end of its pipe, its share)

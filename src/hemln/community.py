@@ -6,10 +6,10 @@ shuffled by the seed, and among equal-gain moves the target community with
 the smallest current index wins. Precomputed memberships can be loaded
 instead, keeping the per-layer analysis pluggable.
 
-Nodes are dense ids 0..n-1 in ascending order with neighbour lists. A super
-edge of weight w lists its far end w times, edges inside a super node are
-dropped, and a super node's degree ``k`` is its members' sum, so a level
-holds at most 2|E| ints. A visit counts neighbour communities in C with
+Detection runs on the layer's rows (``LayerGraph.nbrs``). A super edge of
+weight w lists its far end w times, edges inside a super node are dropped,
+and a super node's degree ``k`` is its members' sum, so a level holds at
+most 2|E| ints. A visit counts neighbour communities in C with
 ``_count_elements`` (the loop behind ``Counter.update``). Counts are ints,
 ``tot`` and ``k`` integer-valued floats, and the gain ``l - tot[c]*k/2m`` is
 that of weighted adjacency, so every gain and tie is the same bit for bit.
@@ -24,9 +24,10 @@ from __future__ import annotations
 
 import math
 import random
-from collections import Counter, _count_elements
-from itertools import chain
-from typing import Dict, Iterable, List, NamedTuple, Tuple
+from collections import _count_elements
+from itertools import chain, compress
+from operator import countOf
+from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 from .errors import (
     DuplicateNode,
@@ -74,7 +75,7 @@ class CommunitySummary(NamedTuple):
 # modularity maximization
 
 
-def _one_level(nbrs: List[List[int]], k: List[float], two_m: float,
+def _one_level(nbrs: Sequence[Sequence[int]], k: List[float], two_m: float,
                rng: random.Random) -> Tuple[List[int], bool]:
     """One local-move phase. Returns (node -> community label, moved_any)."""
     n = len(nbrs)
@@ -118,7 +119,7 @@ def _one_level(nbrs: List[List[int]], k: List[float], two_m: float,
     return comm, moved_any
 
 
-def _aggregate(nbrs: List[List[int]], k: List[float], comm: List[int]
+def _aggregate(nbrs: Sequence[Sequence[int]], k: List[float], comm: List[int]
                ) -> Tuple[List[List[int]], List[float], List[int]]:
     """Collapse each community into a super node; returns its neighbour
     lists and degrees plus each old node's super node."""
@@ -142,21 +143,12 @@ def detect_communities(g: LayerGraph, seed: int = 0) -> Membership:
     if not g.nodes:
         raise EmptyGraph(f"layer {g.id} has no nodes")
     nodes = sorted(g.nodes)
-    index = dict(zip(nodes, range(len(nodes))))
-    if not g.edges:
-        return _renumber(g.id, index)
-
-    rng = random.Random(seed)
-    nbrs: List[List[int]] = [[] for _ in nodes]
-    for u, v in g.edges:
-        iu, iv = index[u], index[v]
-        nbrs[iu].append(iv)
-        nbrs[iv].append(iu)
+    nbrs = g.nbrs
     k = [float(len(ns)) for ns in nbrs]
-    two_m = 2.0 * len(g.edges)
-
+    two_m = sum(k)  # aggregation keeps it; with no edge every node stays alone
+    rng = random.Random(seed)
     node2cur = list(range(len(nodes)))  # node index -> current super node
-    while True:
+    while two_m:
         comm, moved = _one_level(nbrs, k, two_m, rng)
         if not moved:
             break
@@ -213,26 +205,24 @@ def summarize(g: LayerGraph, m: Membership,
               hub_quantile: float = 0.8) -> Dict[CommunityId, CommunitySummary]:
     """Per-community size, density, and hub set.
 
-    Hubs are members whose degree in the full layer graph is at least the
-    nearest-rank hub_quantile of degrees among the community's members, so
-    every community keeps at least its maximum-degree node.
+    Hubs are members whose degree (the length of their row in the layer) is at
+    least the nearest-rank hub_quantile of their community's degrees, so every
+    community keeps its maximum-degree node. Internal edges are read off rows.
     """
     check_hub_quantile(hub_quantile)
     check_membership(g, m)
-    groups = m.communities()
-    degree = Counter(chain.from_iterable(g.edges))  # an isolated node reads 0
-    internal: Dict[int, int] = {c: 0 for c in groups}
-    for u, v in g.edges:
-        cu, cv = m.assignment[u], m.assignment[v]
-        if cu == cv:
-            internal[cu] += 1
+    order = sorted(g.nodes)
+    row = dict(zip(order, g.nbrs))  # node -> its neighbour positions
+    comm = list(map(m.assignment.__getitem__, order))  # position -> community
     out: Dict[CommunityId, CommunitySummary] = {}
-    for c, members in groups.items():
+    for c, members in m.communities().items():
         n = len(members)
-        density = 1.0 if n < 2 else 2.0 * internal[c] / (n * (n - 1))
-        degs = sorted(degree[v] for v in members)
+        rows = list(map(row.__getitem__, members))
+        ends = countOf(map(comm.__getitem__, chain.from_iterable(rows)), c)  # 2 per edge
+        density = 1.0 if n < 2 else ends / (n * (n - 1))
+        degrees = list(map(len, rows))
         rank = max(1, math.ceil(hub_quantile * n - 1e-9))
-        cutoff = degs[rank - 1]
-        hubs = frozenset(v for v in members if degree[v] >= cutoff)
+        cutoff = sorted(degrees)[rank - 1]
+        hubs = frozenset(compress(members, map(cutoff.__le__, degrees)))
         out[CommunityId(m.layer, c)] = CommunitySummary(n, density, hubs)
     return out

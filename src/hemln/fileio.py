@@ -69,12 +69,13 @@ def _lines(path: os.PathLike, comment: str) -> Iterator[Tuple[int, str]]:
 
 
 def load_layer(path: os.PathLike) -> LayerGraph:
-    """The layer in ``path``; the first faulty line raises a ParseError naming it."""
+    """The layer in ``path``; the first faulty line raises a ParseError naming it.
+    Rows fill in node-line order and are renumbered once if it is not ascending."""
     layer_id: Optional[str] = None
-    nodes: set = set()
-    ids: Dict[str, int] = {}  # node token -> its int, shared by every edge
-    edges: Dict[Tuple[int, int], None] = {}  # canonical, in file order
-    token_int = ids.get
+    position: Dict[int, int] = {}  # node -> its row, in node-line order
+    row_of: Dict[str, int] = {}  # node token -> its row, shared by every edge
+    rows: List[set] = []
+    token_row = row_of.get
     for lineno, raw in _numbered(_read_text(path)):
         line = raw.strip()  # as _lines, inlined on the hot path
         if not line or line[0] == COMMENT:
@@ -87,36 +88,46 @@ def load_layer(path: os.PathLike) -> LayerGraph:
         elif fields[0] == "edge":
             if len(fields) != 3:
                 raise ParseError("expected 'edge <TAB> u <TAB> v'", lineno)
-            u, v = token_int(fields[1]), token_int(fields[2])
-            if u is None or v is None:  # e.g. '07', '+7' or an undeclared node
+            i, j = token_row(fields[1]), token_row(fields[2])
+            if i is None or j is None:  # e.g. '07', '+7' or an undeclared node
                 u, v = _int(fields[1], lineno), _int(fields[2], lineno)
-                if u not in nodes or v not in nodes:
+                i, j = position.get(u), position.get(v)
+                if i is None or j is None:
                     raise ParseError(f"edge ({u},{v}) references undeclared node",
                                      lineno)
-            if u == v:
-                raise ParseError(f"self-loop on node {u} in layer {layer_id}", lineno)
-            edge = (u, v) if u < v else (v, u)
-            if edge in edges:
+            if i == j:  # both tokens are ints by now, as in the messages
+                raise ParseError(f"self-loop on node {int(fields[1])} in layer "
+                                 f"{layer_id}", lineno)
+            if j in rows[i]:
                 import logging
                 logging.getLogger(__name__).warning(
-                    "%s line %d: duplicate edge (%d,%d) ignored", path, lineno, u, v)
-            edges[edge] = None  # a duplicate keeps its first position
+                    "%s line %d: duplicate edge (%d,%d) ignored",
+                    path, lineno, int(fields[1]), int(fields[2]))
+            rows[i].add(j)
+            rows[j].add(i)
         elif len(fields) == 1:
-            n = ids.setdefault(fields[0], _int(fields[0], lineno))
+            n = _int(fields[0], lineno)
             if n < 0:
                 raise ParseError(f"node id {n} is not a non-negative integer", lineno)
-            nodes.add(n)
+            row_of[fields[0]] = i = position.setdefault(n, len(rows))
+            if i == len(rows):
+                rows.append(set())
         else:
             raise ParseError(f"unrecognized line {line!r}", lineno)
     if layer_id is None:
         raise ParseError("missing layer header", 1)
-    return LayerGraph(layer_id, frozenset(nodes), frozenset(edges))
+    nodes = sorted(position)
+    if nodes != list(position):  # node lines out of order: rows follow sorted nodes
+        new = list(map(dict(zip(nodes, range(len(nodes)))).__getitem__, position))
+        rows = [map(new.__getitem__, rows[position[n]]) for n in nodes]
+    return LayerGraph(layer_id, frozenset(nodes), tuple(map(tuple, map(sorted, rows))))
 
 
 def save_layer(g: LayerGraph, path: os.PathLike) -> None:
-    lines = [f"layer\t{g.id}"]
-    lines += [str(n) for n in sorted(g.nodes)]
-    lines += [f"edge\t{u}\t{v}" for u, v in sorted(g.edges)]
+    order = sorted(g.nodes)
+    lines = [f"layer\t{g.id}", *map(str, order)]
+    lines += [f"edge\t{u}\t{order[j]}" for i, (u, row) in enumerate(zip(order, g.nbrs))
+              for j in row if i < j]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

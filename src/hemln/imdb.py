@@ -108,20 +108,19 @@ def ingest_imdb(records: ImdbRecords,
     ids = {f"{role}:{key}": i for role, of in (("A", aid), ("D", did), ("M", mid))
            for key, i in of.items()}
 
-    # ids rise with sorted keys, so each pair is already (low, high): no .build
     # layer A: co-acting
     cast: Dict[str, Set[str]] = {}
     for person, movie in records.acts_in:
         cast.setdefault(movie, set()).add(person)
-    layer_a = LayerGraph("A", frozenset(aid.values()), frozenset(
+    layer_a = LayerGraph.of("A", frozenset(aid.values()), (
         (aid[u], aid[v]) for members in cast.values()
-        for u, v in combinations(sorted(members), 2)))
+        for u, v in combinations(members, 2)))
 
     # layer D: aggregated genre overlap
     genres: Dict[str, FrozenSet[str]] = {
         d: frozenset(g for m in ms for g in records.movies[m].genres)
         for d, ms in movies_of_director.items()}
-    layer_d = LayerGraph("D", frozenset(did.values()), frozenset(
+    layer_d = LayerGraph.of("D", frozenset(did.values()), (
         (did[u], did[v]) for u, v in combinations(directors, 2)
         if genre_overlap(genres[u], genres[v], overlap_mode)
         >= genre_overlap_threshold))
@@ -132,7 +131,7 @@ def ingest_imdb(records: ImdbRecords,
         rating = records.movies[m].rating
         if rating is not None:
             by_class.setdefault(rating_class(rating), []).append(m)
-    layer_m = LayerGraph("M", frozenset(mid.values()), frozenset(
+    layer_m = LayerGraph.of("M", frozenset(mid.values()), (
         (mid[u], mid[v]) for group in by_class.values()
         for u, v in combinations(group, 2)))
 

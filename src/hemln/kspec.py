@@ -64,7 +64,7 @@ def parse_spec(text: str) -> KSpec:
     if not tokens:
         raise EmptySpec("specification is empty")
     for tok in tokens:
-        if "(" in tok and not tok.startswith("#("):
+        if "(" in tok.replace("#(", ""):  # a '(' that opens no composition
             raise NonSerialSpec(
                 "explicit precedence parentheses are not supported; "
                 "only serial left-to-right specifications are accepted")

@@ -6,7 +6,7 @@ unordered pair of distinct layers (only ``MLN.add_interlayer`` checks it).
 """
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, NamedTuple, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Set, Tuple
 
 from .errors import (
     DuplicateLayer,
@@ -23,11 +23,17 @@ Edge = Tuple[NodeId, NodeId]
 
 
 class LayerGraph(NamedTuple):
-    """One layer: a simple undirected graph."""
+    """One layer: a simple undirected graph as sorted rows, so equal graphs are equal."""
 
     id: str
     nodes: frozenset
-    edges: frozenset
+    nbrs: Tuple[Tuple[int, ...], ...]  # [i]: positions of sorted(nodes)[i]'s neighbours
+
+    @property
+    def edges(self) -> FrozenSet[Edge]:  # every edge as (low, high), derived at each call
+        order = sorted(self.nodes)
+        return frozenset((order[i], order[j])
+                         for i, row in enumerate(self.nbrs) for j in row if i < j)
 
     @staticmethod
     def build(layer_id: str,
@@ -41,9 +47,8 @@ class LayerGraph(NamedTuple):
             if type(n) is not int or n < 0:  # bool is an int subclass: rejected
                 raise MalformedGraph(f"node id {n!r} is not a non-negative integer")
 
-        def canonical() -> Iterator[Edge]:  # valid edges as (low, high), uncopied
-            for e in edges:
-                u, v = e
+        def checked() -> Iterator[Edge]:
+            for u, v in edges:
                 if type(u) is not int or type(v) is not int:  # 1.0 and True equal ints
                     raise MalformedGraph(
                         f"edge ({u!r},{v!r}) of layer {layer_id} is not an int pair")
@@ -52,11 +57,21 @@ class LayerGraph(NamedTuple):
                 if u not in node_set or v not in node_set:
                     raise MalformedGraph(
                         f"edge ({u},{v}) references a node outside layer {layer_id}")
-                yield (v, u) if v < u else (e if type(e) is tuple else (u, v))
+                yield u, v
         try:
-            return LayerGraph(layer_id, node_set, frozenset(canonical()))
+            return LayerGraph.of(layer_id, node_set, checked())
         except (TypeError, ValueError):
             raise MalformedGraph(f"an edge of layer {layer_id} is not a pair") from None
+
+    @staticmethod
+    def of(layer_id: str, nodes: frozenset, edges: Iterable[Edge]) -> "LayerGraph":
+        """The layer on ``nodes`` with ``edges`` (a repeat is one edge), unchecked."""
+        at = dict(zip(sorted(nodes), range(len(nodes))))  # node -> its position
+        rows: List[Set[int]] = [set() for _ in at]
+        for u, v in edges:
+            rows[at[u]].add(at[v])
+            rows[at[v]].add(at[u])
+        return LayerGraph(layer_id, nodes, tuple(map(tuple, map(sorted, rows))))
 
 
 class InterLayerEdges(NamedTuple):

@@ -27,6 +27,10 @@ each right r at its best alternating-path gain ``v_r`` and each left l at
 ``hemln.matching._Network.prices`` reads the dual off the shortest-path
 potentials instead and must return the same prices.
 
+``reference_summarize`` walks the layer's edges, as ``summarize`` did
+before it read degrees and internal edges off the neighbour rows, and must
+return equal summaries in the same order.
+
 ``reference_load_layer`` is the layer-file loader that parses every edge
 token and keeps an edge list plus a seen-set; ``hemln.fileio.load_layer``
 resolves node tokens once and must return equal graphs, warnings and errors.
@@ -40,12 +44,14 @@ splits it one block at a time.
 from __future__ import annotations
 
 import logging
+import math
 import random
-from collections import deque
+from collections import Counter, deque
+from itertools import chain
 from typing import Dict, List, Optional, Tuple
 
 from hemln.cbg import CommunityBipartiteGraph
-from hemln.community import Membership, _renumber
+from hemln.community import CommunityId, CommunitySummary, Membership, _renumber
 from hemln.errors import EmptyGraph, ParseError
 from hemln.fileio import COMMENT, _int, _read_text
 from hemln.matching import WEIGHT_SCALE, MatchedPairs, _indexed_edges, _Network
@@ -329,6 +335,27 @@ def _reference_lines(path, comment):
         line = raw.strip()
         if line and not line.startswith(comment):
             yield lineno, line
+
+
+def reference_summarize(g: LayerGraph, m: Membership, hub_quantile: float = 0.8
+                        ) -> Dict[CommunityId, CommunitySummary]:
+    """Per-community size, density and hubs from a degree count over the
+    edges and one more pass over them for the internal edges."""
+    groups = m.communities()
+    degree = Counter(chain.from_iterable(g.edges))  # an isolated node reads 0
+    internal = {c: 0 for c in groups}
+    for u, v in g.edges:
+        if m.assignment[u] == m.assignment[v]:
+            internal[m.assignment[u]] += 1
+    out = {}
+    for c, members in groups.items():
+        n = len(members)
+        density = 1.0 if n < 2 else 2.0 * internal[c] / (n * (n - 1))
+        degs = sorted(degree[v] for v in members)
+        cutoff = degs[max(1, math.ceil(hub_quantile * n - 1e-9)) - 1]
+        hubs = frozenset(v for v in members if degree[v] >= cutoff)
+        out[CommunityId(m.layer, c)] = CommunitySummary(n, density, hubs)
+    return out
 
 
 def reference_load_layer(path) -> LayerGraph:

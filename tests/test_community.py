@@ -14,7 +14,7 @@ from hemln.errors import (
     MissingNode,
     UnknownNode,
 )
-from oracle import reference_detect_communities
+from oracle import reference_detect_communities, reference_summarize
 
 
 def modularity(g: LayerGraph, parts):
@@ -209,6 +209,23 @@ def test_equals_reference_louvain(monkeypatch):
     for name, (levels, heavy) in reached.items():
         assert levels >= 3 and heavy, (name, levels, heavy)
     assert len(reached) == 2
+
+
+def test_summarize_equals_reference():
+    """Summaries read off the rows equal those of the edge walks, density
+    bit for bit, on every reference graph with its node ids spread out so
+    that no id equals its position, under a detected and a random membership."""
+    rng = random.Random(11)
+    for case, g in reference_cases():
+        spread = {n: 5000 - 3 * n for n in g.nodes}
+        g = LayerGraph.build("A", spread.values(),
+                             [(spread[u], spread[v]) for u, v in g.edges])
+        labels = rng.randint(1, 6)
+        for m in (detect_communities(g, 0),
+                  Membership("A", {n: rng.randint(1, labels) for n in g.nodes})):
+            for q in (0.1, 0.5, 0.8, 1.0):
+                got, want = summarize(g, m, q), reference_summarize(g, m, q)
+                assert list(got.items()) == list(want.items()), (case, q)
 
 
 def test_load_membership_renumbers():

@@ -75,6 +75,13 @@ def test_non_serial_rejected():
         parse_spec("( A #(A,D) D ) #(D,M) M")
 
 
+def test_missing_space_before_an_operator_is_a_syntax_error():
+    """A '(' inside '#(' is no precedence parenthesis, wherever it stands."""
+    with pytest.raises(SpecSyntaxError,
+                       match=r"^at token 0: expected a layer name, got 'A#\(A,D\)'$"):
+        parse_spec("A#(A,D) D")
+
+
 def test_k_increments_only_on_new_layers():
     spec = parse_spec("A #(A,D) D #(D,M) M #(M,A) A #(A,D) D")
     assert len(spec.steps) == 4

@@ -64,12 +64,20 @@ def test_malformed_input_raises_malformed_graph(build):
         build()
 
 
-def test_build_keeps_canonical_tuples():
-    e = (1, 2)
-    g = LayerGraph.build("A", [1, 2, 3], [e, (3, 2), [1, 3], (2, 1)])
-    assert g.edges == {(1, 2), (2, 3), (1, 3)}
-    assert any(x is e for x in g.edges)
-    assert all(type(x) is tuple for x in g.edges)
+def test_build_canonicalizes_into_sorted_rows():
+    """Edge order, orientation and repeats give one layer: rows of sorted
+    positions in sorted node order, from which ``edges`` is derived."""
+    edges = [(40, 7), (7, 12), (12, 40), (3, 40)]
+    variants = [edges, edges[::-1], [(v, u) for u, v in edges],
+                [[u, v] for u, v in edges] + [(7, 40), (40, 12)]]
+    built = [LayerGraph.build("A", [40, 3, 12, 7, 99], es) for es in variants]
+    assert all(g == built[0] for g in built)
+    assert len({hash(g) for g in built}) == 1
+    g = built[0]
+    assert g.nbrs == ((3,), (2, 3), (1, 3), (0, 1, 2), ())  # nodes 3, 7, 12, 40, 99
+    assert all(type(row) is tuple and list(row) == sorted(row) for row in g.nbrs)
+    assert g.edges == {(7, 40), (7, 12), (12, 40), (3, 40)}
+    assert all(type(e) is tuple and e[0] < e[1] for e in g.edges)
 
 
 def test_interlayer_registration_and_symmetry():
