@@ -85,7 +85,7 @@ def detect_k_community(mln: MLN,
                        summaries: Mapping[str, Mapping[CommunityId, CommunitySummary]],
                        spec: KSpec,
                        default_metric: str = "e") -> KCommunityResult:
-    """Execute the composition plan and return the set of result tuples."""
+    """Run the composition plan, one step alive at a time; return the result tuples."""
     for lid in spec.layers:
         if lid not in memberships or lid not in summaries:
             raise InvariantViolation(f"layer {lid} has no membership or summaries")
@@ -111,6 +111,7 @@ def detect_k_community(mln: MLN,
 
         diagnostics.append(StepDiagnostics(len(u_left), len(u_right),
                                            len(cbg.edges), len(mp.pairs)))
+        del buckets, cbg, mp, matched  # freed before the next step builds its own
 
     tuples = sorted(tuples or (), key=lambda t: t.communities)  # no two share slots
     return KCommunityResult(spec, tuple(tuples), tuple(diagnostics))

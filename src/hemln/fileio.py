@@ -23,13 +23,14 @@ a ``BLOCK`` at a time: a list of every line would hold ~5x the file.
 from __future__ import annotations
 
 import os
-from itertools import chain
+from functools import cache
+from itertools import chain, islice
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .community import Membership, load_membership
 from .errors import IoError, ParseError
-from .model import MLN, InterLayerEdges, LayerGraph
+from .model import MLN, InterLayerEdges, LayerGraph, sorted_rows
 
 COMMENT = ";"
 BLOCK = 1 << 16  # characters split into lines at a time
@@ -70,57 +71,79 @@ def _lines(path: os.PathLike, comment: str) -> Iterator[Tuple[int, str]]:
 
 def load_layer(path: os.PathLike) -> LayerGraph:
     """The layer in ``path``; the first faulty line raises a ParseError naming it.
-    Rows fill in node-line order and are renumbered once if it is not ascending."""
+    Rows fill as lists in node-line order (renumbered once if it is not ascending);
+    a repeat ``sorted_rows`` finds, at the end or at a fault, is logged per line."""
+    text = _read_text(path)
     layer_id: Optional[str] = None
     position: Dict[int, int] = {}  # node -> its row, in node-line order
     row_of: Dict[str, int] = {}  # node token -> its row, shared by every edge
-    rows: List[set] = []
+    rows: List[List[int]] = []
     token_row = row_of.get
-    for lineno, raw in _numbered(_read_text(path)):
-        line = raw.strip()  # as _lines, inlined on the hot path
-        if not line or line[0] == COMMENT:
-            continue
-        fields = line.split("\t")
-        if layer_id is None:
-            if len(fields) != 2 or fields[0] != "layer":
-                raise ParseError("expected header 'layer <TAB> <id>'", lineno)
-            layer_id = fields[1]
-        elif fields[0] == "edge":
-            if len(fields) != 3:
-                raise ParseError("expected 'edge <TAB> u <TAB> v'", lineno)
-            i, j = token_row(fields[1]), token_row(fields[2])
-            if i is None or j is None:  # e.g. '07', '+7' or an undeclared node
-                u, v = _int(fields[1], lineno), _int(fields[2], lineno)
-                i, j = position.get(u), position.get(v)
-                if i is None or j is None:
-                    raise ParseError(f"edge ({u},{v}) references undeclared node",
-                                     lineno)
-            if i == j:  # both tokens are ints by now, as in the messages
-                raise ParseError(f"self-loop on node {int(fields[1])} in layer "
-                                 f"{layer_id}", lineno)
-            if j in rows[i]:
-                import logging
-                logging.getLogger(__name__).warning(
-                    "%s line %d: duplicate edge (%d,%d) ignored",
-                    path, lineno, int(fields[1]), int(fields[2]))
-            rows[i].add(j)
-            rows[j].add(i)
-        elif len(fields) == 1:
-            n = _int(fields[0], lineno)
-            if n < 0:
-                raise ParseError(f"node id {n} is not a non-negative integer", lineno)
-            row_of[fields[0]] = i = position.setdefault(n, len(rows))
-            if i == len(rows):
-                rows.append(set())
-        else:
-            raise ParseError(f"unrecognized line {line!r}", lineno)
+    try:
+        for lineno, raw in _numbered(text):
+            line = raw.strip()  # as _lines, inlined on the hot path
+            if not line or line[0] == COMMENT:
+                continue
+            fields = line.split("\t")
+            if layer_id is None:
+                if len(fields) != 2 or fields[0] != "layer":
+                    raise ParseError("expected header 'layer <TAB> <id>'", lineno)
+                layer_id = fields[1]
+            elif fields[0] == "edge":
+                if len(fields) != 3:
+                    raise ParseError("expected 'edge <TAB> u <TAB> v'", lineno)
+                i, j = token_row(fields[1]), token_row(fields[2])
+                if i is None or j is None:  # e.g. '07', '+7' or an undeclared node
+                    u, v = _int(fields[1], lineno), _int(fields[2], lineno)
+                    i, j = position.get(u), position.get(v)
+                    if i is None or j is None:
+                        raise ParseError(f"edge ({u},{v}) references undeclared node",
+                                         lineno)
+                if i == j:  # both tokens are ints by now, as in the messages
+                    raise ParseError(f"self-loop on node {int(fields[1])} in layer "
+                                     f"{layer_id}", lineno)
+                rows[i].append(j)
+                rows[j].append(i)
+            elif len(fields) == 1:
+                n = _int(fields[0], lineno)
+                if n < 0:
+                    raise ParseError(f"node id {n} is not a non-negative integer", lineno)
+                row_of[fields[0]] = i = position.setdefault(n, len(rows))
+                if i == len(rows):
+                    rows.append([])
+            else:
+                raise ParseError(f"unrecognized line {line!r}", lineno)
+    except ParseError as exc:  # every line before the fault is valid
+        order = list(position)  # rows are in node-line order until the remap
+        _log_duplicates(path, text, {order[i] for i in sorted_rows(rows)}, exc.line - 1)
+        raise
     if layer_id is None:
         raise ParseError("missing layer header", 1)
     nodes = sorted(position)
     if nodes != list(position):  # node lines out of order: rows follow sorted nodes
         new = list(map(dict(zip(nodes, range(len(nodes)))).__getitem__, position))
         rows = [map(new.__getitem__, rows[position[n]]) for n in nodes]
-    return LayerGraph(layer_id, frozenset(nodes), tuple(map(tuple, map(sorted, rows))))
+    _log_duplicates(path, text, {nodes[i] for i in sorted_rows(rows)})
+    return LayerGraph(layer_id, frozenset(nodes), tuple(rows))
+
+
+def _log_duplicates(path: os.PathLike, text: str, ends: set,
+                    lines: Optional[int] = None) -> None:
+    """Warn of each repeated edge line in the first ``lines`` of ``text``; ``ends``
+    holds the ends of every such line: the nodes whose rows held a repeat."""
+    if not ends:
+        return
+    import logging  # only a file with a repeated edge line needs it
+    seen: set = set()
+    for lineno, raw in islice(_numbered(text), lines):
+        fields = raw.strip().split("\t")
+        if fields[0] == "edge" and int(fields[1]) in ends:
+            u, v = int(fields[1]), int(fields[2])
+            edge = (u, v) if u < v else (v, u)
+            if edge in seen:
+                logging.getLogger(__name__).warning(
+                    "%s line %d: duplicate edge (%d,%d) ignored", path, lineno, u, v)
+            seen.add(edge)
 
 
 def save_layer(g: LayerGraph, path: os.PathLike) -> None:
@@ -132,8 +155,10 @@ def save_layer(g: LayerGraph, path: os.PathLike) -> None:
 
 
 def load_interlayer(path: os.PathLike) -> InterLayerEdges:
+    """The links in ``path``; each distinct token becomes one int, shared by its links."""
     header: Optional[Tuple[str, str]] = None
     links: List[Tuple[int, int]] = []
+    ints = cache(int)
     for lineno, line in _lines(path, COMMENT):
         fields = line.split("\t")
         if header is None:
@@ -145,7 +170,7 @@ def load_interlayer(path: os.PathLike) -> InterLayerEdges:
             if len(fields) != 2:
                 raise ParseError("expected 'u <TAB> v'", lineno)
             try:
-                links.append((int(fields[0]), int(fields[1])))
+                links.append((ints(fields[0]), ints(fields[1])))
             except ValueError:  # _int raises the ParseError naming the token
                 _int(fields[0], lineno), _int(fields[1], lineno)
     if header is None:

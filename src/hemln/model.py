@@ -6,7 +6,7 @@ unordered pair of distinct layers (only ``MLN.add_interlayer`` checks it).
 """
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Tuple
 
 from .errors import (
     DuplicateLayer,
@@ -65,13 +65,29 @@ class LayerGraph(NamedTuple):
 
     @staticmethod
     def of(layer_id: str, nodes: frozenset, edges: Iterable[Edge]) -> "LayerGraph":
-        """The layer on ``nodes`` with ``edges`` (a repeat is one edge), unchecked."""
+        """The layer on ``nodes`` with ``edges`` (a repeat is one edge), unchecked:
+        each edge is appended to two list rows, which ``sorted_rows`` makes tuples."""
         at = dict(zip(sorted(nodes), range(len(nodes))))  # node -> its position
-        rows: List[Set[int]] = [set() for _ in at]
+        rows: List[List[int]] = [[] for _ in at]
         for u, v in edges:
-            rows[at[u]].add(at[v])
-            rows[at[v]].add(at[u])
-        return LayerGraph(layer_id, nodes, tuple(map(tuple, map(sorted, rows))))
+            rows[at[u]].append(at[v])
+            rows[at[v]].append(at[u])
+        sorted_rows(rows)
+        return LayerGraph(layer_id, nodes, tuple(rows))
+
+
+def sorted_rows(rows: list) -> List[int]:
+    """Replace each row in ``rows`` (an iterable of positions) by the sorted tuple
+    of its distinct entries, in place, so each row is freed as its tuple is made;
+    return the indices of the rows that held a repeat."""
+    repeats = []
+    for i, row in enumerate(rows):
+        row = sorted(row)
+        if len(set(row)) < len(row):
+            repeats.append(i)
+            row = sorted(set(row))
+        rows[i] = tuple(row)
+    return repeats
 
 
 class InterLayerEdges(NamedTuple):

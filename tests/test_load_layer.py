@@ -1,10 +1,12 @@
 """Differential tests of the layer- and inter-layer-file loaders.
 
-``hemln.fileio.load_layer`` resolves each node token once and keeps one
-canonical edge set; ``oracle.reference_load_layer`` parses every token and
-keeps an edge list plus a seen-set. ``hemln.fileio.load_interlayer`` parses
-link tokens with ``int`` inline; ``oracle.reference_load_interlayer`` calls
-``_int`` on each. For any file each pair must return equal graphs and log
+``hemln.fileio.load_layer`` resolves each node token once and appends each
+edge to two list rows; only when sorting the rows finds a repeat, at the
+end or at a fault, does it walk the text again for the warnings.
+``oracle.reference_load_layer`` parses every token and keeps an edge list
+plus a seen-set. ``hemln.fileio.load_interlayer`` parses each distinct link
+token once; ``oracle.reference_load_interlayer`` calls ``_int`` on each.
+For any file each pair must return equal graphs and log
 the same duplicate-edge warnings, or raise the same exception class with the
 same message (line number included). Every fault in a line, a self-loop
 and a negative node included, is a ``ParseError`` naming that line, and the
@@ -53,6 +55,14 @@ CASES = {
     "self-loop, then a negative node line": "layer\tA\n1\nedge\t1\t1\n-3\n",
     "self-loop on an undeclared node": "layer\tA\n1\nedge\t3\t3\n",
     "duplicate edges": "layer\tA\n1\n2\n3\nedge\t1\t2\nedge\t2\t1\nedge\t1\t2\n",
+    # a repeat's warnings come from a walk over the text, before any fault
+    "duplicate, then a fault": "layer\tA\n1\n2\nedge\t1\t2\nedge\t2\t1\nedge\t1\tx\n",
+    "padded duplicate, then an undeclared node":
+        "layer\tA\n7\n8\nedge\t7\t8\nedge\t08\t+7\nedge\t7\t9\n",
+    "node lines out of order with a repeated edge":
+        "layer\tA\n3\n1\n2\nedge\t3\t1\nedge\t1\t3\nedge\t2\t3\n",
+    "node lines out of order, a repeated edge, then a fault":
+        "layer\tA\n3\n1\n2\nedge\t3\t1\nedge\t1\t3\nedge\t2\t-\n",
     "crlf with comments and blanks":
         "; head\r\n\r\nlayer\tA\r\n1\r\n ; not a comment\r\n",
     "crlf edges": "layer\tA\r\n1\r\n2\r\n\r\n; c\r\nedge\t1\t2\r\nedge\t2\t1\r\n",
@@ -91,6 +101,17 @@ def test_load_layer_matches_reference(tmp_path, caplog, text):
     path = tmp_path / "layer.tsv"
     path.write_bytes(text.encode())
     _assert_same(path, caplog)
+
+
+def test_duplicate_warning_comes_before_the_fault(tmp_path, caplog):
+    path = tmp_path / "layer.tsv"
+    path.write_text(CASES["duplicate, then a fault"], encoding="utf-8")
+    with caplog.at_level(logging.WARNING, logger="hemln.fileio"):
+        with pytest.raises(ParseError) as raised:
+            load_layer(path)
+    assert str(raised.value) == "line 6: expected an integer, got 'x'"
+    assert [r.getMessage() for r in caplog.records] == [
+        f"{path} line 5: duplicate edge (2,1) ignored"]
 
 
 def test_not_utf8_matches_reference(tmp_path, caplog):

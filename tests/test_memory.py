@@ -1,7 +1,8 @@
 """Memory guards for a loaded layer: a layer is held once, as rows of
-neighbour positions, a load holds one block of lines at a time, detection on
-it builds no per-edge dicts, and a composition step's buckets share the
-stored link tuples.
+neighbour positions filled as lists, a load holds one block of lines at a
+time, and detection on it builds no per-edge dicts. An inter-layer load
+parses each node token to one int, a composition step's buckets share the
+stored link tuples, and a composition holds one step at a time.
 
 The layer is shaped like the movie layer of an IMDb-style network: a few
 large rating-class cliques plus sparse noise, ~80k edges, written in
@@ -16,8 +17,8 @@ from itertools import combinations
 import pytest
 
 from hemln import (MLN, InterLayerEdges, LayerGraph, Membership, crossing_pairs,
-                   detect_communities, summarize)
-from hemln.fileio import load_layer
+                   detect_communities, detect_k_community, parse_spec, summarize)
+from hemln.fileio import load_interlayer, load_layer, save_interlayer
 
 MIB = 1 << 20
 
@@ -74,12 +75,23 @@ def test_load_keeps_at_most_2_mib(clique_layer):
 
 def test_load_peak_at_most_9_mib(clique_layer):
     """Lines are split one block at a time, next to the 1.15 MiB of decoded
-    text and the row sets: 7.5 MiB here on Python 3.10-3.13. A list of every
-    line read 10.9-11.6 MiB, and an edge dict beside its frozenset 10.9 MiB."""
+    text and the list rows: 2.9 MiB here on Python 3.10-3.13. A list of every
+    line read 10.9-11.6 MiB, an edge dict beside its frozenset 10.9 MiB, and
+    row sets 7.5 MiB."""
     path, _ = clique_layer
     g, _, peak = _traced(lambda: load_layer(path))
     assert len(g.edges) >= 80_000
     assert peak <= 9 * MIB, peak / MIB
+
+
+def test_load_peak_at_most_4_mib(clique_layer):
+    """Rows are filled as lists (1.34 MiB here), not as sets (5.93 MiB), and
+    each list is freed as its tuple is made: the peak is 2.88-2.93 MiB on
+    Python 3.10-3.13, against 7.49-7.55 MiB with row sets."""
+    path, _ = clique_layer
+    g, _, peak = _traced(lambda: load_layer(path))
+    assert len(g.nbrs) == 750
+    assert peak <= 4 * MIB, peak / MIB
 
 
 def test_summarize_builds_no_adjacency(clique_layer):
@@ -103,33 +115,71 @@ def test_detection_peak_below_3_mib(clique_layer):
 
 
 @pytest.fixture(scope="module")
-def dense_pair():
-    """A layer pair shaped like a ``match-dense`` step: 250 groups of 10 nodes
-    a side, each left group linked to 20 right groups by 1-3 links (~9.9k
-    links, 5000 buckets), with the groups as memberships."""
+def dense_mln():
+    """(MLN, memberships) shaped like ``match-dense``: three layers of 250
+    groups of 10 nodes, each group a ring plus 5 chords and one community.
+    Each left group of a layer pair is linked to 20 right groups by 1-3 links
+    (~9.9k links and 5000 buckets a pair)."""
     rng = random.Random(7)
     size, groups = 10, 250
-    left, right = range(2000, 2000 + size * groups), range(5000, 5000 + size * groups)
-    links = {(left[g * size + rng.randrange(size)], right[h * size + rng.randrange(size)])
-             for g in range(groups) for h in rng.sample(range(groups), 20)
-             for _ in range(rng.randint(1, 3))}
-    mln = MLN()
-    for lid, nodes in (("L", left), ("R", right)):
-        mln.add_layer(LayerGraph.build(lid, nodes, ()))
-    mln.add_interlayer(InterLayerEdges.build("L", "R", links))
-    ml = Membership("L", {n: (n - left[0]) // size + 1 for n in left})
-    mr = Membership("R", {n: (n - right[0]) // size + 1 for n in right})
-    return mln.freeze(), ml, mr
+    span = {lid: range(base, base + size * groups)
+            for lid, base in (("L", 2000), ("R", 5000), ("S", 8000))}
+
+    def links(a, b):
+        left, right = span[a], span[b]
+        return {(left[g * size + rng.randrange(size)], right[h * size + rng.randrange(size)])
+                for g in range(groups) for h in rng.sample(range(groups), 20)
+                for _ in range(rng.randint(1, 3))}
+    pairs = {pair: links(*pair) for pair in (("L", "R"), ("R", "S"), ("L", "S"))}
+    mln, members = MLN(), {}
+    for lid, nodes in span.items():
+        edges = set()
+        for g in range(groups):
+            group = nodes[g * size:(g + 1) * size]
+            edges.update((group[k], group[(k + 1) % size]) for k in range(size))
+            edges.update(tuple(rng.sample(group, 2)) for _ in range(size // 2))
+        mln.add_layer(LayerGraph.build(lid, nodes, edges))
+        members[lid] = Membership(lid, {n: (n - nodes[0]) // size + 1 for n in nodes})
+    for (a, b), both in pairs.items():
+        mln.add_interlayer(InterLayerEdges.build(a, b, both))
+    return mln.freeze(), members
 
 
-def test_crossing_pairs_buckets_share_the_stored_links(dense_pair):
+def test_crossing_pairs_buckets_share_the_stored_links(dense_mln):
     """In the stored orientation every bucket holds the stored tuples
     themselves. Re-made tuples read a 3.49 MiB peak on this step; shared
     ones read 2.35 MiB."""
-    mln, ml, mr = dense_pair
+    mln, members = dense_mln
+    ml, mr = members["L"], members["R"]
     buckets, _, peak = _traced(lambda: crossing_pairs(mln, "L", "R", ml, mr))
     stored = mln.stored_interlayer("L", "R").links
     own = {link: link for link in stored}
     assert sum(map(len, buckets.values())) == len(stored) >= 9_000
     assert peak <= 3 * MIB, peak / MIB
     assert all(p is own[p] for bucket in buckets.values() for p in bucket)
+
+
+def test_interlayer_load_holds_one_int_per_endpoint(dense_mln, tmp_path):
+    """Each distinct token is parsed once, so all of a node's links share one
+    int. Parsing each token of each link made two new ints per link."""
+    mln, _ = dense_mln
+    path = tmp_path / "inter_L_R.tsv"
+    save_interlayer(mln.stored_interlayer("L", "R"), path)
+    x = load_interlayer(path)
+    ends = [n for link in x.links for n in link]
+    assert x == mln.stored_interlayer("L", "R") and len(x.links) >= 9_000
+    assert len(set(map(id, ends))) == len(set(ends)) < len(ends) // 2
+
+
+def test_composition_holds_one_step_at_a_time(dense_mln):
+    """Each step's 5000 buckets, its CBG and its matching are freed before the
+    next step's ``crossing_pairs``: the three steps peak 2.98-3.00 MiB above
+    what the result keeps on Python 3.10-3.13, against 4.78-4.79 MiB when a
+    step's buckets and CBG live on while the next step builds its own."""
+    mln, members = dense_mln
+    summaries = {lid: summarize(mln.layers[lid], m) for lid, m in members.items()}
+    spec = parse_spec("L #(L,R):e R #(R,S):d S #(S,L):h L")
+    result, kept, peak = _traced(
+        lambda: detect_k_community(mln, members, summaries, spec))
+    assert [d.mp_size for d in result.diagnostics] == [250, 250, 246]
+    assert peak - kept <= 4 * MIB, (peak - kept) / MIB
