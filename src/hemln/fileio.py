@@ -159,7 +159,10 @@ def load_interlayer(path: os.PathLike) -> InterLayerEdges:
     header: Optional[Tuple[str, str]] = None
     links: List[Tuple[int, int]] = []
     ints = cache(int)
-    for lineno, line in _lines(path, COMMENT):
+    for lineno, raw in _numbered(_read_text(path)):
+        line = raw.strip()  # as _lines, inlined on the hot path
+        if not line or line[0] == COMMENT:
+            continue
         fields = line.split("\t")
         if header is None:
             if len(fields) != 3 or fields[0] != "interlayer":

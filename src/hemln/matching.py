@@ -7,7 +7,11 @@ a row ``{right: w}`` per left. Only phase 2 reads a row's order, and sorts:
 phase 1's heap breaks ties by right, and its prices come from the matching.
 
 1. Maximum weight by successive shortest augmenting paths (Jonker & Volgenant
-   1987, Crouse 2016): one Dijkstra on reduced costs per left. The kernel's
+   1987, Crouse 2016): one Dijkstra on reduced costs per left, the lefts taken
+   by their row's heaviest weight, largest first (ties by index), which on
+   planted CBGs cuts the later searches short. A search pushes no entry above
+   the least distance of a free or private right it has pushed: that right
+   pops first and ends the search, so such an entry never pops. The kernel's
    right potentials v, negated, are an optimal LP dual: each Dijkstra keeps
    every reduced cost ``-w_lr - u_l - v_r`` >= 0; ``v[j] -= d - dist[j]`` with
    ``dist[j] <= d`` only lowers potentials, so every price ``-v[r]`` is >= 0; a
@@ -73,7 +77,8 @@ class _Network:
         self.v = [0] * n_right  # right potentials for cost -w
 
     def augment(self) -> "_Network":
-        """Shortest augmenting paths for cost -w, one left at a time.
+        """Shortest augmenting paths for cost -w, one left at a time, from the
+        heaviest row's left down (ties by index).
 
         Dijkstra runs on the reduced costs ``-w_lr - u_l - v_r`` (right
         potentials ``v``, ``u_l = -w_lm - v_m`` for l's match m), which are
@@ -81,30 +86,37 @@ class _Network:
         popped; free rights pop first at equal distance, which ends the
         search early on tie-heavy weights. Right ``n_right + l`` is left l's
         private zero-weight right: l stays unmatched when that weighs more.
+        ``bound`` is the least distance of a free or private right pushed so
+        far; an entry above it would pop after that right, which ends the
+        search, so it is never pushed: the pops are those of the full search.
         """
         adj, match_l, match_r, v = self.adj, self.match_l, self.match_r, self.v
         n_right = len(match_r)
         dist = [_INF] * (n_right + len(adj))  # reset per search: it costs what it touches
         parent = [-1] * len(dist)
-        for source in range(len(adj)):
-            done, heap = [], []
-            l, dl, ul = source, 0, 0
+        for source in sorted(range(len(adj)), key=lambda l: -max(adj[l].values(), default=0)):
+            done, heap, bound = [], [], _INF
+            l, c = source, 0  # c: l's distance less u_l, added to each of its edges
             while True:
                 for r, w in adj[l].items():
-                    nd = dl - w - ul - v[r]
-                    if nd < dist[r]:
+                    nd = c - w - v[r]
+                    if nd <= bound and nd < dist[r]:
                         dist[r], parent[r] = nd, l
                         heappush(heap, (nd, match_r[r] != -1, r))
-                dist[n_right + l], parent[n_right + l] = dl - ul, l
-                heappush(heap, (dl - ul, False, n_right + l))
+                        if match_r[r] == -1:
+                            bound = nd
+                if c <= bound:
+                    bound = dist[n_right + l] = c
+                    parent[n_right + l] = l
+                    heappush(heap, (bound, False, n_right + l))
                 d, _, r = heappop(heap)
                 while d > dist[r]:
                     d, _, r = heappop(heap)
                 if r >= n_right or match_r[r] == -1:
                     break
                 done.append(r)
-                l, dl = match_r[r], d
-                ul = -adj[l][r] - v[r]
+                l = match_r[r]
+                c = d + adj[l][r] + v[r]
             for j in done:
                 v[j] -= d - dist[j]
             for j in done + [r] + [j for _, _, j in heap]:

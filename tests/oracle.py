@@ -20,6 +20,12 @@ had before the alternating-path greedy: it reruns the kernel on the tight
 edges, edge t of T weighing ``w << |T| | 2^(|T|-1-t)``, so the unique best
 objective is the maximum weight and then the smallest pair set.
 
+``reference_augment`` is phase 1's kernel as it was before it ordered its
+sources and bounded its pushes: one Dijkstra per left, in the order given,
+pushing every improved right. ``hemln.matching._Network.augment`` must leave
+the same matching and potentials as this kernel run over the lefts from the
+heaviest row down, and the same total weight as it run in index order.
+
 ``reference_prices`` is the label-correcting pass that prices a matching
 on its own: from every free left and matched right at gain 0, it prices
 each right r at its best alternating-path gain ``v_r`` and each left l at
@@ -47,6 +53,7 @@ import logging
 import math
 import random
 from collections import Counter, deque
+from heapq import heappop, heappush
 from itertools import chain
 from typing import Dict, List, Optional, Tuple
 
@@ -214,6 +221,44 @@ def bit_tie_break_match(cbg: CommunityBipartiteGraph) -> MatchedPairs:
     matched = [(l, r, w) for l, r, w in edges if tie_break.match_l[l] == r]
     return MatchedPairs(tuple((lefts[l], rights[r]) for l, r, _ in matched),
                         sum(w for _, _, w in matched))
+
+
+def reference_augment(net, sources):
+    """Phase 1 on ``net`` (a ``_Network``), one full Dijkstra per left of
+    ``sources`` in that order; returns ``net``."""
+    adj, match_l, match_r, v = net.adj, net.match_l, net.match_r, net.v
+    n_right = len(match_r)
+    dist = [math.inf] * (n_right + len(adj))
+    parent = [-1] * len(dist)
+    for source in sources:
+        done, heap = [], []
+        l, dl, ul = source, 0, 0
+        while True:
+            for r, w in adj[l].items():
+                nd = dl - w - ul - v[r]
+                if nd < dist[r]:
+                    dist[r], parent[r] = nd, l
+                    heappush(heap, (nd, match_r[r] != -1, r))
+            dist[n_right + l], parent[n_right + l] = dl - ul, l
+            heappush(heap, (dl - ul, False, n_right + l))
+            d, _, r = heappop(heap)
+            while d > dist[r]:
+                d, _, r = heappop(heap)
+            if r >= n_right or match_r[r] == -1:
+                break
+            done.append(r)
+            l, dl = match_r[r], d
+            ul = -adj[l][r] - v[r]
+        for j in done:
+            v[j] -= d - dist[j]
+        for j in done + [r] + [j for _, _, j in heap]:
+            dist[j] = math.inf
+        while r != -1:  # flip the path back to the source
+            l = parent[r]
+            match_l[l], r = (r if r < n_right else -1), match_l[l]
+            if match_l[l] != -1:
+                match_r[match_l[l]] = l
+    return net
 
 
 def reference_prices(net) -> Tuple[List[int], List[int]]:

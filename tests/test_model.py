@@ -113,6 +113,15 @@ def test_interlayer_bad_endpoint():
         mln.add_interlayer(InterLayerEdges.build("A", "D", [(99, 10)]))
     with pytest.raises(EndpointNotInLayer, match=r"^link \(1,99\): 99 not in layer D$"):
         mln.add_interlayer(InterLayerEdges.build("A", "D", [(1, 99)]))
+    # one bad endpoint among ~1000 valid links: the same message, on each side
+    big = MLN()
+    big.add_layer(LayerGraph.build("A", range(1000), []))
+    big.add_layer(LayerGraph.build("D", range(1000, 2000), []))
+    valid = [(a, 1000 + (7 * a) % 1000) for a in range(1000)]
+    with pytest.raises(EndpointNotInLayer, match=r"^link \(2000,1500\): 2000 not in layer A$"):
+        big.add_interlayer(InterLayerEdges.build("A", "D", valid + [(2000, 1500)]))
+    with pytest.raises(EndpointNotInLayer, match=r"^link \(500,999\): 999 not in layer D$"):
+        big.add_interlayer(InterLayerEdges.build("A", "D", valid + [(500, 999)]))
 
 
 def test_interlayer_unknown_layer_and_duplicate_pair():
