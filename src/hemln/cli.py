@@ -4,35 +4,23 @@ Subcommands: detect, kcommunity, cbg, rank, ingest-imdb. Exit codes:
 0 success, 1 usage error, 2 data error (details on stderr). Each command
 takes only the options it reads, and each setting comes from its flag
 alone. kcommunity runs each --spec given, in order, over one detection.
-
-kcommunity and cbg detect their layers in forked processes, one per CPU
-the process may use, the parent included, largest layer first. The parent
-detects any layer a child did not send back and keeps layer order, so
-outputs and errors are a serial run's. One CPU, no os.fork or a caller
-running other threads (those started in C too, where /proc lists them):
-no fork.
 """
 from __future__ import annotations
 
 import argparse
 import gc
-import marshal
-import os
 import sys
-import threading
 from collections import Counter
-from contextlib import suppress
 from pathlib import Path
 from typing import Dict, List, Optional
 
 from . import engine, fileio
 from .cbg import METRICS, build_cbg, cbg_to_tsv, crossing_pairs
-from .community import (Membership, check_hub_quantile, detect_communities,
-                        summarize)
+from .community import check_hub_quantile, detect_communities, summarize
 from .engine import detect_k_community
 from .errors import HemlnError
 from .kspec import Composition, KSpec, parse_spec, validate_spec
-from .model import MLN, LayerGraph
+from .model import MLN
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -105,55 +93,7 @@ def _memberships_for(mln: MLN, layers, seed: int,
         return {lid: fileio.load_membership_tsv(
                     mln.layer(lid), Path(memberships_dir) / f"membership_{lid}.tsv")
                 for lid in layers}
-    return dict(zip(layers, _detect_layers([mln.layer(lid) for lid in layers], seed)))
-
-
-def _detect_layers(graphs: List[LayerGraph], seed: int) -> List[Membership]:
-    """detect_communities on each graph, in parallel as the module says."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
-    try:  # /proc counts threads started in C too, such as a BLAS pool
-        threads = len(os.listdir("/proc/self/task"))
-    except OSError:
-        threads = threading.active_count()
-    forks = hasattr(os, "fork") and threads == 1
-    workers = min(len(graphs), cpus if forks else 1) or 1
-    order = sorted(range(len(graphs)), key=lambda i: -sum(map(len, graphs[i].nbrs)))
-    own, *shares = [order[w::workers] for w in range(workers)]
-    done: Dict[int, Membership] = {}
-    children = []  # (pid, read end of its pipe, its share)
-    try:
-        for share in shares:
-            pipe = ()
-            try:
-                pipe = r, w = os.pipe()
-                pid = os.fork()
-            except OSError:  # no descriptor or process to spare
-                for fd in pipe:
-                    os.close(fd)
-                continue
-            if pid == 0:  # the child sends its assignments and never returns
-                try:
-                    with open(w, "wb") as out:
-                        out.write(marshal.dumps([detect_communities(graphs[i], seed)
-                                                 .assignment for i in share]))
-                    os._exit(0)
-                finally:
-                    os._exit(1)  # runs no atexit and flushes no parent stdio
-            os.close(w)
-            children.append((pid, r, share))
-        for i in own:
-            with suppress(HemlnError):  # raised below, in layer order, as serially
-                done[i] = detect_communities(graphs[i], seed)
-    finally:
-        for pid, r, share in children:
-            with open(r, "rb") as into:
-                data = into.read()
-            if os.waitpid(pid, 0)[1] == 0 and data:
-                done.update((i, Membership(graphs[i].id, a))
-                            for i, a in zip(share, marshal.loads(data)))
-    return [done[i] if i in done else detect_communities(g, seed)  # not sent back
-            for i, g in enumerate(graphs)]
+    return {lid: detect_communities(mln.layer(lid), seed) for lid in layers}
 
 
 def _summaries(mln: MLN, memberships, hub_quantile: float):

@@ -101,9 +101,9 @@ def imdb_argv(tmp_path):
     return argv
 
 
-def _every_command(mln_dir, imdb_argv, work, capsys, set_cpus):
+def _every_command(mln_dir, imdb_argv, work, capsys):
     """(exit code, stdout) of each command that reads or writes a layer, and
-    every file they wrote; kcommunity runs forked and on one CPU."""
+    every file they wrote."""
     work.mkdir()
     runs = {}
 
@@ -112,15 +112,13 @@ def _every_command(mln_dir, imdb_argv, work, capsys, set_cpus):
 
     run("detect", "detect", "--layer", str(mln_dir / "layer_L1.tsv"),
         "--out", str(work / "membership_L1.tsv"))
-    for cpus in (3, 1):
-        set_cpus(cpus)
-        run(f"kcommunity-{cpus}", "kcommunity", "--mln", str(mln_dir), "--spec", SPEC,
-            "--metric", "h", "--out", str(work / f"kcommunity-{cpus}"))
+    run("kcommunity", "kcommunity", "--mln", str(mln_dir), "--spec", SPEC,
+        "--metric", "h", "--out", str(work / "kcommunity"))
     run("cbg", "cbg", "--mln", str(mln_dir), "--pair", "L1,L2", "--metric", "d")
     for key in ("min_size", "min_density"):
-        run(key, "rank", "--result", str(work / "kcommunity-1" / "result.jsonl"),
+        run(key, "rank", "--result", str(work / "kcommunity" / "result.jsonl"),
             "--key", key, "--mln", str(mln_dir), "--memberships",
-            str(work / "kcommunity-1"))
+            str(work / "kcommunity"))
     run("ingest-imdb", "ingest-imdb", *imdb_argv, "--out", str(work / "imdb"))
     return runs, {str(p.relative_to(work)): p.read_bytes()
                   for p in sorted(work.rglob("*")) if p.is_file()}
@@ -130,30 +128,20 @@ def _underived(self):
     raise AssertionError("LayerGraph.edges derived at runtime")
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_no_command_derives_edges(mln_dir, imdb_argv, tmp_path, capsys, monkeypatch):
-    def set_cpus(n):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
-                            raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: n)
+def _no_fork():
+    raise AssertionError("a command forked")
 
-    usual = _every_command(mln_dir, imdb_argv, tmp_path / "usual", capsys, set_cpus)
-    forks = []
-    fork = os.fork
-    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+
+def test_no_command_derives_edges(mln_dir, imdb_argv, tmp_path, capsys, monkeypatch):
+    # nor forks: every command detects its layers in its own process
+    usual = _every_command(mln_dir, imdb_argv, tmp_path / "usual", capsys)
+    monkeypatch.setattr(os, "fork", _no_fork, raising=False)
     monkeypatch.setattr(LayerGraph, "edges", property(_underived))
     with pytest.raises(AssertionError, match="derived at runtime"):
         LayerGraph.build("A", [1, 2], [(1, 2)]).edges
-    runs, files = _every_command(mln_dir, imdb_argv, tmp_path / "guarded", capsys,
-                                 set_cpus)
-    assert forks  # kcommunity-3 detected in forked children
+    runs, files = _every_command(mln_dir, imdb_argv, tmp_path / "guarded", capsys)
     codes = {name: code for name, (code, _) in runs.items()}
     assert codes == dict.fromkeys(codes, 0)
     assert (runs, files) == usual
-
-    def written(directory):
-        return {k.split("/", 1)[1]: v for k, v in files.items()
-                if k.startswith(f"{directory}/")}
-    assert written("kcommunity-3") == written("kcommunity-1") != {}
-    assert "layer_M.tsv" in written("imdb")
+    assert "kcommunity/membership_L1.tsv" in files and "imdb/layer_M.tsv" in files
     assert runs["cbg"][1] and runs["min_size"][1] and runs["min_density"][1]
