@@ -1,6 +1,9 @@
 """Shared fixtures: a hand-built 3-layer network whose per-step matchings
-are known exactly (verified by the brute-force oracle in the tests)."""
+are known exactly (verified by the brute-force oracle in the tests), and a
+saved network of three planted layers of unequal size."""
 from __future__ import annotations
+
+import random
 
 import pytest
 
@@ -11,6 +14,7 @@ from hemln import (
     load_membership,
     summarize,
 )
+from hemln.fileio import save_mln
 
 
 def triangle(nodes):
@@ -58,3 +62,42 @@ def three_layer_mln():
         memberships[lid] = load_membership(mln.layer(lid), rows)
         summaries[lid] = summarize(mln.layer(lid), memberships[lid])
     return mln, memberships, summaries
+
+
+def _canonical(a, b):
+    return (a, b) if a < b else (b, a)
+
+
+def _planted_layer(lid, first, groups, size, rng):
+    """groups of size nodes, each a ring with size random chords, plus a few
+    edges between groups."""
+    nodes = list(range(first, first + groups * size))
+    edges = set()
+    for g in range(groups):
+        members = nodes[g * size:(g + 1) * size]
+        edges.update(map(_canonical, members, members[1:] + members[:1]))
+        edges.update(_canonical(*rng.sample(members, 2)) for _ in range(size))
+    edges.update(_canonical(*rng.sample(nodes, 2)) for _ in range(groups))
+    return LayerGraph.build(lid, nodes, sorted(edges))
+
+
+def _links(rng, left, right, count):
+    return sorted({(rng.choice(sorted(left.nodes)), rng.choice(sorted(right.nodes)))
+                   for _ in range(count)})
+
+
+@pytest.fixture
+def planted_mln_dir(tmp_path):
+    """Three layers of unequal size (L1 > L0 > L2), L0-L1 and L1-L2 linked."""
+    rng = random.Random(14)
+    l0 = _planted_layer("L0", 0, 4, 12, rng)
+    l1 = _planted_layer("L1", 1000, 8, 12, rng)
+    l2 = _planted_layer("L2", 2000, 2, 12, rng)
+    mln = MLN()
+    for g in (l0, l1, l2):
+        mln.add_layer(g)
+    mln.add_interlayer(InterLayerEdges.build("L0", "L1", _links(rng, l0, l1, 40)))
+    mln.add_interlayer(InterLayerEdges.build("L1", "L2", _links(rng, l1, l2, 30)))
+    out = tmp_path / "planted-mln"
+    save_mln(mln.freeze(), out)
+    return out

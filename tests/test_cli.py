@@ -3,7 +3,6 @@ import gc
 import hashlib
 import json
 import os
-import random
 import subprocess
 import sys
 from pathlib import Path
@@ -313,45 +312,6 @@ def test_cbg_output_bytes_pinned(three_layer_mln, tmp_path, capsysbinary,
     assert capsysbinary.readouterr().out == PINNED_CBG[(pair, metric)].encode()
 
 
-def _canonical(a, b):
-    return (a, b) if a < b else (b, a)
-
-
-def _planted_layer(lid, first, groups, size, rng):
-    """groups of size nodes, each a ring with size random chords, plus a few
-    edges between groups."""
-    nodes = list(range(first, first + groups * size))
-    edges = set()
-    for g in range(groups):
-        members = nodes[g * size:(g + 1) * size]
-        edges.update(map(_canonical, members, members[1:] + members[:1]))
-        edges.update(_canonical(*rng.sample(members, 2)) for _ in range(size))
-    edges.update(_canonical(*rng.sample(nodes, 2)) for _ in range(groups))
-    return LayerGraph.build(lid, nodes, sorted(edges))
-
-
-def _links(rng, left, right, count):
-    return sorted({(rng.choice(sorted(left.nodes)), rng.choice(sorted(right.nodes)))
-                   for _ in range(count)})
-
-
-@pytest.fixture
-def planted_mln_dir(tmp_path):
-    """Three layers of unequal size (L1 > L0 > L2), L0-L1 and L1-L2 linked."""
-    rng = random.Random(14)
-    l0 = _planted_layer("L0", 0, 4, 12, rng)
-    l1 = _planted_layer("L1", 1000, 8, 12, rng)
-    l2 = _planted_layer("L2", 2000, 2, 12, rng)
-    mln = MLN()
-    for g in (l0, l1, l2):
-        mln.add_layer(g)
-    mln.add_interlayer(InterLayerEdges.build("L0", "L1", _links(rng, l0, l1, 40)))
-    mln.add_interlayer(InterLayerEdges.build("L1", "L2", _links(rng, l1, l2, 30)))
-    out = tmp_path / "planted-mln"
-    save_mln(mln.freeze(), out)
-    return out
-
-
 # sha256 of `hemln cbg --pair L0,L1` stdout on the planted network, after
 # the line the wrapper prints before main
 PINNED_CBG_SHA256 = "1a16d1005c40bdec9daa4287d3e11b6d63def69a31f9000d99ca7554d58556e3"
@@ -376,27 +336,6 @@ def test_cbg_subprocess_prints_each_line_once(planted_mln_dir, tmp_path, capsys)
     text = out.read_text(encoding="utf-8")
     assert text == expected
     assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_CBG_SHA256
-
-
-@pytest.mark.parametrize("pair_or_spec, message", [
-    ("L0,L2", "no inter-layer edges between L0 and L2"),
-    ("L0,L0", "no inter-layer edges between L0 and L0"),
-    ("L0,ZZ", "layer ZZ not in MLN"),
-    ("ZZ,L0", "layer ZZ not in MLN"),
-    # a kcommunity spec step is checked the same way, also before detection
-    ("L0 #(L0,L2) L2", "no inter-layer edges between L0 and L2"),
-])
-def test_cbg_checks_its_pair_before_detection(planted_mln_dir, tmp_path, capsys,
-                                              monkeypatch, pair_or_spec, message):
-    detected = []
-    monkeypatch.setattr(cli, "detect_communities",
-                        lambda g, seed=0: detected.append(g.id))
-    argv = (["kcommunity", "--spec", pair_or_spec, "--out", str(tmp_path / "out")]
-            if " " in pair_or_spec else ["cbg", "--pair", pair_or_spec])
-    assert main(argv + ["--mln", str(planted_mln_dir)]) == 2
-    assert capsys.readouterr().err == f"hemln: {message}\n"
-    assert detected == []
-    assert not (tmp_path / "out").exists()
 
 
 @pytest.fixture
