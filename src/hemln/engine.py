@@ -16,7 +16,7 @@ from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 from .cbg import Buckets, build_cbg, crossing_pairs
 from .community import CommunityId, CommunitySummary, Membership
 from .errors import InvariantViolation, ParseError, UnknownCommunity, UnknownKey
-from .kspec import CASE_CYCLE, CASE_NEW_LAYER, Composition, KSpec
+from .kspec import CASE_CYCLE, CASE_NEW_LAYER, Composition, KSpec, validate_spec
 from .matching import max_flow_match
 from .model import MLN
 
@@ -89,6 +89,7 @@ def detect_k_community(mln: MLN,
     for lid in spec.layers:
         if lid not in memberships or lid not in summaries:
             raise InvariantViolation(f"layer {lid} has no membership or summaries")
+    validate_spec(spec, mln)
     tuples: Optional[List[KTuple]] = None  # None until the base step has run
     diagnostics: List[StepDiagnostics] = []
 

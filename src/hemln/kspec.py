@@ -7,12 +7,12 @@ Surface syntax (whitespace-separated tokens, left-to-right precedence):
     LAYER  := a letter, then letters, digits or '_' (``_LAYER``)
     METRIC := a name in ``cbg.METRICS``
 
-Example: ``M #(M,A) A #(A,D) D #(D,M):e M``. The right subscript of each
-'#' operator must equal the following layer token; the left subscript must
-equal the preceding layer token or any layer already visited (a serial
-chain may branch from an earlier layer). A step whose right layer was
-already visited is a cycle step. The optional ':metric' suffix overrides
-the run-level default for that composition only.
+Example: ``M #(M,A) A #(A,D) D #(D,M):e M``. ``parse_spec`` checks that the
+right subscript of each '#' equals the following layer token and differs
+from the left; ``validate_spec`` that the left subscript is the preceding
+layer or any layer already visited (a serial chain may branch from an
+earlier layer). A step whose right layer was already visited is a cycle
+step. The optional ':metric' suffix overrides the run default for that step.
 """
 from __future__ import annotations
 
@@ -79,7 +79,6 @@ def parse_spec(text: str) -> KSpec:
         return tok
 
     first = expect_layer(0)
-    visited = {first}
     steps: List[Composition] = []
     if len(tokens) < 2:
         raise SpecSyntaxError("expected a '#(L1,L2)' composition operator", 1)
@@ -91,29 +90,29 @@ def parse_spec(text: str) -> KSpec:
                 f"expected a '#(L1,L2)' composition operator, got {tok!r}", i)
         left, right, metric = m.group(1), m.group(2), m.group(3)
         if left == right:
-            raise SubscriptMismatch(
-                f"composition {tok!r} needs two distinct layers")
-        if left not in visited:  # the preceding layer is visited too
-            raise SubscriptMismatch(
-                f"left subscript {left} of {tok!r} is neither the preceding "
-                f"layer {tokens[i - 1]} nor an already-visited layer")
+            raise SubscriptMismatch(f"composition {tok!r} needs two distinct layers")
         following = expect_layer(i + 1)
         if right != following:
             raise SubscriptMismatch(
                 f"right subscript {right} of {tok!r} does not match the "
                 f"following layer {following}")
         steps.append(Composition(left, right, metric))
-        visited.add(right)
     return KSpec(first, tuple(steps))
 
 
 def validate_spec(spec: KSpec, mln: MLN) -> KSpec:
-    """Check the spec against an MLN: layers exist, every composition has a
-    registered inter-layer edge set. Returns the spec unchanged."""
+    """Check the spec against an MLN: layers exist, and every composition's
+    left layer was visited before it and has a registered inter-layer edge
+    set with its right. Returns the spec unchanged."""
     for lid in spec.layers:
         mln.layer(lid)
+    visited = {spec.first_layer}  # the preceding layer is visited too
     for step in spec.steps:
+        if step.left not in visited:
+            raise SubscriptMismatch(f"left subscript {step.left} of #({step.left},"
+                                    f"{step.right}) is no layer visited before it")
         mln.stored_interlayer(step.left, step.right)
+        visited.add(step.right)
     if not spec.steps:
         raise DisconnectedSpec("a specification needs at least one composition")
     return spec

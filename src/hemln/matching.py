@@ -2,9 +2,9 @@
 
 Among weight-maximal matchings the lexicographically smallest pair sequence
 (sorted by left then right) is returned, so results are reproducible.
-Weights are exact integers (scaled by 1e9, half-even rounding) in one table,
-a row ``{right: w}`` per left. Only phase 2 reads a row's order, and sorts:
-phase 1's heap breaks ties by right, and its prices come from the matching.
+Weights are exact integers (1e9 scale, half-even) in ``_indexed_edges``' one
+table, a row ``{right: w}`` per left. Only phase 2 reads a row's order, and
+sorts: phase 1's heap breaks ties by right, and its prices come from the matching.
 
 1. Maximum weight by successive shortest augmenting paths (Jonker & Volgenant
    1987, Crouse 2016): one Dijkstra on reduced costs per left, the lefts taken
@@ -48,13 +48,13 @@ class MatchedPairs(NamedTuple):
 
 
 def _indexed_edges(cbg: CommunityBipartiteGraph):
-    """Lefts/rights sorted, plus one row per left: ``{right idx: float w}``
-    in the CBG's edge order. As ``build_cbg`` makes them, each edge joins an
-    offered left to an offered right, once, and weighs a finite w > 0."""
+    """Lefts/rights sorted, plus the kernel's one table: a row per left,
+    ``{right idx: max(1, round(w * 1e9))}`` in the CBG's edge order, of meta
+    edges checked to join an offered left to an offered right once, finite w > 0."""
     lefts, rights = sorted(cbg.left_nodes), sorted(cbg.right_nodes)
     lpos = {c: i for i, c in enumerate(lefts)}
     rpos = {c: i for i, c in enumerate(rights)}
-    rows: List[Dict[int, float]] = [{} for _ in lefts]
+    rows: List[Dict[int, int]] = [{} for _ in lefts]
     for e in cbg.edges:
         l, r = lpos.get(e.left), rpos.get(e.right)
         if l is None or r is None:
@@ -64,7 +64,7 @@ def _indexed_edges(cbg: CommunityBipartiteGraph):
         if not 0.0 < e.weight < _INF:  # so not NaN
             raise InvariantViolation(
                 f"meta edge {e.left}-{e.right} weighs {e.weight!r}, not a finite w > 0")
-        rows[l][r] = e.weight
+        rows[l][r] = max(1, round(e.weight * WEIGHT_SCALE))
     return lefts, rights, rows
 
 
@@ -190,11 +190,11 @@ def _dead_ends(x, adj, mate, other_mate, price, fixed, seen):
 
 
 def max_flow_match(cbg: CommunityBipartiteGraph) -> MatchedPairs:
-    """Weight-maximal one-to-one matching with deterministic tie-breaking."""
+    """Weight-maximal one-to-one matching with deterministic tie-breaking;
+    ``total_weight`` sums the matched meta edges' float weights in left order."""
     lefts, rights, rows = _indexed_edges(cbg)
-    net = _Network(len(rights), [{r: max(1, round(w * WEIGHT_SCALE)) for r, w in row.items()}
-                                 for row in rows])
+    net = _Network(len(rights), rows)
     net.augment().tie_break()
-    matched = [(l, r) for l, r in enumerate(net.match_l) if r != -1]
-    return MatchedPairs(tuple((lefts[l], rights[r]) for l, r in matched),
-                        sum((rows[l][r] for l, r in matched), 0.0))
+    mate = {lefts[l]: rights[r] for l, r in enumerate(net.match_l) if r != -1}
+    weight = {e.left: e.weight for e in cbg.edges if mate.get(e.left) == e.right}
+    return MatchedPairs(tuple(mate.items()), sum((weight[l] for l in mate), 0.0))

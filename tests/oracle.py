@@ -61,7 +61,7 @@ from hemln.cbg import CommunityBipartiteGraph
 from hemln.community import CommunityId, CommunitySummary, Membership, _renumber
 from hemln.errors import EmptyGraph, ParseError
 from hemln.fileio import COMMENT, _int, _read_text
-from hemln.matching import WEIGHT_SCALE, MatchedPairs, _indexed_edges, _Network
+from hemln.matching import MatchedPairs, _indexed_edges, _Network
 from hemln.model import InterLayerEdges, LayerGraph
 
 BRUTE_FORCE_NODE_LIMIT = 16
@@ -69,23 +69,22 @@ BRUTE_FORCE_NODE_LIMIT = 16
 log = logging.getLogger("hemln.fileio")  # the logger load_layer warns on
 
 
-def _scaled(w: float) -> int:
-    """A meta-edge weight as ``max_flow_match`` scales it: half-even, >= 1."""
-    return max(1, round(w * WEIGHT_SCALE))
-
-
 def _sorted_edges(cbg: CommunityBipartiteGraph):
-    """Lefts and rights sorted, plus the rows of ``_indexed_edges`` as
-    (left idx, right idx, float w) in lexicographic order."""
+    """Lefts and rights sorted, plus each meta edge as (left idx, right idx,
+    its integer in ``_indexed_edges``' rows, its float w) in lexicographic
+    order."""
     lefts, rights, rows = _indexed_edges(cbg)
-    return lefts, rights, sorted((l, r, w) for l, row in enumerate(rows)
-                                 for r, w in row.items())
+    lpos = {c: i for i, c in enumerate(lefts)}
+    rpos = {c: i for i, c in enumerate(rights)}
+    return lefts, rights, sorted(
+        (lpos[e.left], rpos[e.right], rows[lpos[e.left]][rpos[e.right]], e.weight)
+        for e in cbg.edges)
 
 
 def _rows(n_left: int, edges) -> List[Dict[int, int]]:
-    """Edges (l, r, w) as ``_Network``'s table: a row {r: w} per left."""
+    """Edges (l, r, w, ...) as ``_Network``'s table: a row {r: w} per left."""
     rows: List[Dict[int, int]] = [{} for _ in range(n_left)]
-    for l, r, w in edges:
+    for l, r, w, *_ in edges:
         rows[l][r] = w
     return rows
 
@@ -101,9 +100,9 @@ def brute_force_match(cbg: CommunityBipartiteGraph) -> MatchedPairs:
         raise TooLarge(
             f"{len(lefts)}+{len(rights)} meta nodes exceed the oracle guard "
             f"of {BRUTE_FORCE_NODE_LIMIT}")
-    by_left: Dict[int, List[Tuple[int, float]]] = {}
-    for l, r, w in edges:
-        by_left.setdefault(l, []).append((r, w))
+    by_left: Dict[int, List[Tuple[int, int, float]]] = {}
+    for l, r, w, wf in edges:
+        by_left.setdefault(l, []).append((r, w, wf))
 
     best: List = [None]  # (int total, sorted pair tuple, float total)
 
@@ -121,12 +120,12 @@ def brute_force_match(cbg: CommunityBipartiteGraph) -> MatchedPairs:
             consider(chosen, total_int, total_f)
             return
         walk(i + 1, chosen, total_int, total_f)  # leave left i unmatched
-        for r, w in by_left.get(i, ()):
+        for r, w, wf in by_left.get(i, ()):
             if r in used_r:
                 continue
             used_r.add(r)
             chosen.append((i, r))
-            walk(i + 1, chosen, total_int + _scaled(w), total_f + w)
+            walk(i + 1, chosen, total_int + w, total_f + wf)
             chosen.pop()
             used_r.discard(r)
 
@@ -146,8 +145,8 @@ def composite_reference_match(cbg: CommunityBipartiteGraph) -> MatchedPairs:
 
     # composite integer objective: weight dominates, bonus breaks ties
     comp: Dict[Tuple[int, int], int] = {}
-    for t, (l, r, w) in enumerate(edges):
-        comp[(l, r)] = (_scaled(w) << n_edges) + (1 << (n_edges - 1 - t))
+    for t, (l, r, w, _) in enumerate(edges):
+        comp[(l, r)] = (w << n_edges) + (1 << (n_edges - 1 - t))
     adj: List[List[Tuple[int, int]]] = [[] for _ in range(n_left)]
     for (l, r), cw in comp.items():
         adj[l].append((r, cw))
@@ -200,7 +199,7 @@ def composite_reference_match(cbg: CommunityBipartiteGraph) -> MatchedPairs:
                 break
             r = prev_r
 
-    float_w = {(lefts[l], rights[r]): w for l, r, w in edges}
+    float_w = {(lefts[l], rights[r]): wf for l, r, _, wf in edges}
     pairs = sorted((lefts[l], rights[r]) for l, r in enumerate(match_l) if r != -1)
     total = sum(float_w[p] for p in pairs)
     return MatchedPairs(tuple(pairs), total)
@@ -211,14 +210,13 @@ def bit_tie_break_match(cbg: CommunityBipartiteGraph) -> MatchedPairs:
     lefts, rights, edges = _sorted_edges(cbg)
     if not edges:
         return MatchedPairs((), 0.0)
-    scaled = [(l, r, max(1, round(w * WEIGHT_SCALE))) for l, r, w in edges]
-    u, v = _Network(len(rights), _rows(len(lefts), scaled)).augment().prices()
-    tight = [(l, r, w) for l, r, w in scaled if u[l] + v[r] == w]
+    u, v = _Network(len(rights), _rows(len(lefts), edges)).augment().prices()
+    tight = [(l, r, w) for l, r, w, _ in edges if u[l] + v[r] == w]
     bits = len(tight)
     tie_break = _Network(len(rights), _rows(len(lefts), [
         (l, r, (w << bits) | (1 << (bits - 1 - t)))
         for t, (l, r, w) in enumerate(tight)])).augment()
-    matched = [(l, r, w) for l, r, w in edges if tie_break.match_l[l] == r]
+    matched = [(l, r, wf) for l, r, _, wf in edges if tie_break.match_l[l] == r]
     return MatchedPairs(tuple((lefts[l], rights[r]) for l, r, _ in matched),
                         sum(w for _, _, w in matched))
 

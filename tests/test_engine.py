@@ -11,7 +11,9 @@ from hemln import (
     validate_spec,
 )
 from hemln.engine import KTuple, from_jsonl
-from hemln.errors import InvariantViolation, ParseError, UnknownKey
+from hemln.errors import (DisconnectedSpec, InvariantViolation, ParseError, SubscriptMismatch,
+                          UnknownKey)
+from hemln.kspec import Composition, KSpec
 
 
 def run(mln_fixture, text, metric="e"):
@@ -76,7 +78,6 @@ def test_cycle_step_leaves_an_inconsistent_match_empty():
 def test_hand_built_spec_equals_parsed(three_layer_mln):
     # layers and cases come from the steps, so a spec built by hand runs
     # every step, as the parsed one does
-    from hemln.kspec import KSpec
     mln, memberships, summaries = three_layer_mln
     for text in (ACYCLIC, CYCLIC, REVERSED):
         parsed = parse_spec(text)
@@ -84,6 +85,20 @@ def test_hand_built_spec_equals_parsed(three_layer_mln):
         assert by_hand == parsed
         assert (detect_k_community(mln, memberships, summaries, by_hand).tuples
                 == run(three_layer_mln, text).tuples)
+
+
+@pytest.mark.parametrize("spec, error", [
+    (KSpec("G3", (Composition("G1", "G2"),)), SubscriptMismatch),
+    (KSpec("G2", (Composition("G1", "G2"),)), SubscriptMismatch),
+    (KSpec("G1", ()), DisconnectedSpec),
+], ids=["left-not-visited", "left-after-its-right", "no-steps"])
+def test_hand_built_spec_is_validated(three_layer_mln, spec, error):
+    # each has a membership for every layer it names, and the first two a
+    # stored pair; running them would give tuples over layers the spec does
+    # not name, or a base step taken as a cycle step, or no tuple at all
+    mln, memberships, summaries = three_layer_mln
+    with pytest.raises(error):
+        detect_k_community(mln, memberships, summaries, spec)
 
 
 def test_arity_law(three_layer_mln):
@@ -159,7 +174,6 @@ def test_determinism(three_layer_mln):
 
 def test_classify_empty():
     from hemln.engine import KCommunityResult
-    from hemln.kspec import KSpec
     empty = KCommunityResult(KSpec("A", ()), (), ())
     assert classify(empty) == ((), ())
 
@@ -185,7 +199,6 @@ def test_rank_min_size_values():
     t1 = KTuple(layers, (1, 1, 1), (frozenset({(0, 1)}), frozenset({(1, 2)})))
     t2 = KTuple(layers, (2, 2, 2), (frozenset({(3, 4)}), frozenset({(4, 5)})))
     from hemln.engine import KCommunityResult
-    from hemln.kspec import Composition, KSpec
 
     sizes = {"A": {1: 5, 2: 4}, "B": {1: 4, 2: 4}, "C": {1: 3, 2: 4}}
     steps = (Composition("A", "B"), Composition("B", "C"))
@@ -244,7 +257,6 @@ def test_jsonl_round_trip(three_layer_mln):
 
 
 def test_unknown_metric_is_a_hemln_error(three_layer_mln):
-    from hemln.kspec import Composition, KSpec
     mln, memberships, summaries = three_layer_mln
     with pytest.raises(InvariantViolation):
         run(three_layer_mln, ACYCLIC, metric="x")

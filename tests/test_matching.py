@@ -12,7 +12,7 @@ from hemln import (MLN, CommunityId, InterLayerEdges, LayerGraph, MatchedPairs,
 from hemln.cbg import METRICS, CommunityBipartiteGraph, MetaEdge, build_cbg, crossing_pairs
 from hemln.errors import InvariantViolation
 from hemln.matching import _indexed_edges, _Network
-from oracle import (TooLarge, _scaled, bit_tie_break_match, brute_force_match,
+from oracle import (TooLarge, bit_tie_break_match, brute_force_match,
                     composite_reference_match, reference_augment, reference_prices)
 
 A = lambda i: CommunityId("A", i)
@@ -213,15 +213,20 @@ def test_result_does_not_depend_on_edge_order():
 
 def test_indexed_edges_hold_each_meta_edge_once():
     # every differential oracle reads the CBG through this table, so a fault
-    # in it would pass them all
-    for seed in range(100):
-        cbg = random_wide_cbg(seed, max_side=60)
+    # in it would pass them all; each meta edge holds the kernel's integer,
+    # and this is the one statement of the rule in the tests: w * 1e9 rounded
+    # half-even, at least 1 (the last CBG pins the floor and both halves)
+    cases = [random_wide_cbg(seed, max_side=60) for seed in range(100)]
+    cases.append(make_cbg([(1, 1, 1e-10), (1, 2, 2.5e-9), (2, 1, 3.5e-9), (2, 2, 0.5)]))
+    for cbg in cases:
         lefts, rights, rows = _indexed_edges(cbg)
         assert lefts == sorted(cbg.left_nodes) and rights == sorted(cbg.right_nodes)
         assert len(rows) == len(lefts)
         held = [(lefts[l], rights[r], w) for l, row in enumerate(rows)
                 for r, w in row.items()]
-        assert sorted(held) == sorted((e.left, e.right, e.weight) for e in cbg.edges)
+        assert sorted(held) == sorted((e.left, e.right, max(1, round(e.weight * 10 ** 9)))
+                                      for e in cbg.edges)
+    assert rows == [{0: 1, 1: 2}, {0: 4, 1: 500_000_000}]
 
 
 def test_price_certificate_rejects_a_matching_short_of_maximum():
@@ -251,8 +256,7 @@ def test_price_certificate_rejects_injected_potentials(potentials):
 def _network(cbg):
     """The CBG's phase-1 network, before any search."""
     _, rights, rows = _indexed_edges(cbg)
-    return _Network(len(rights), [{r: _scaled(w) for r, w in row.items()}
-                                  for row in rows])
+    return _Network(len(rights), rows)
 
 
 def _phase_one(cbg):
@@ -282,15 +286,16 @@ def test_prices_equal_label_correcting_reference():
 
 def test_total_weight_matches_networkx():
     # a second optimum oracle past the brute-force guard: networkx's blossom
-    # matcher on the same scaled integer weights, so the totals compare exactly
+    # matcher on the kernel's integer weights, so the totals compare exactly
     nx = pytest.importorskip("networkx")
     for seed in range(30):
         cbg = random_wide_cbg(seed, max_side=100)
-        scaled = {(e.left, e.right): _scaled(e.weight) for e in cbg.edges}
+        lefts, rights, rows = _indexed_edges(cbg)
         graph = nx.Graph()
-        graph.add_weighted_edges_from((l, r, w) for (l, r), w in scaled.items())
+        graph.add_weighted_edges_from((lefts[l], rights[r], w)
+                                      for l, row in enumerate(rows) for r, w in row.items())
         best = sum(graph.edges[e]["weight"] for e in nx.max_weight_matching(graph))
-        assert sum(scaled[p] for p in max_flow_match(cbg).pairs) == best, seed
+        assert sum(graph.edges[p]["weight"] for p in max_flow_match(cbg).pairs) == best, seed
 
 
 def _phase_one_view(cbg):
@@ -304,7 +309,7 @@ def _phase_one_view(cbg):
             [lefts[l].index for l, p in enumerate(u) if p],
             [rights[r].index for r, p in enumerate(v) if p],
             sorted((lefts[l].index, rights[r].index) for l, row in enumerate(rows)
-                   for r, w in row.items() if u[l] + v[r] == _scaled(w)))
+                   for r, w in row.items() if u[l] + v[r] == w))
 
 
 @pytest.mark.parametrize("edges, phase_one, s_left, s_right, tight, expected", [
