@@ -20,6 +20,15 @@ had before the alternating-path greedy: it reruns the kernel on the tight
 edges, edge t of T weighing ``w << |T| | 2^(|T|-1-t)``, so the unique best
 objective is the maximum weight and then the smallest pair set.
 
+``reference_k_community`` composes k-communities from the definition: per
+step it scans every stored link of the pair for the crossing links, offers
+meta nodes by the rule in ``select_u``'s docstring, weighs each crossing
+community pair with ``weight_e``, ``weight_d`` or ``weight_h`` into a
+hand-built CBG, matches with ``composite_reference_match`` and extends each
+tuple by case i (a new layer) or case ii (a cycle: only a match to the
+tuple's own right community counts). ``hemln.engine.detect_k_community``
+must give the same ``to_jsonl`` and ``diagnostics_tsv`` bytes.
+
 ``reference_augment`` is phase 1's kernel as it was before it ordered its
 sources and bounded its pushes: one Dijkstra per left, in the order given,
 pushing every improved right. ``hemln.matching._Network.augment`` must leave
@@ -57,10 +66,12 @@ from heapq import heappop, heappush
 from itertools import chain
 from typing import Dict, List, Optional, Tuple
 
-from hemln.cbg import CommunityBipartiteGraph
+from hemln.cbg import CommunityBipartiteGraph, MetaEdge, weight_d, weight_e, weight_h
 from hemln.community import CommunityId, CommunitySummary, Membership, _renumber
 from hemln.errors import EmptyGraph, ParseError
 from hemln.fileio import COMMENT, _int, _read_text
+from hemln.engine import KCommunityResult, KTuple, StepDiagnostics
+from hemln.kspec import CASE_NEW_LAYER
 from hemln.matching import MatchedPairs, _indexed_edges, _Network
 from hemln.model import InterLayerEdges, LayerGraph
 
@@ -219,6 +230,63 @@ def bit_tie_break_match(cbg: CommunityBipartiteGraph) -> MatchedPairs:
     matched = [(l, r, wf) for l, r, _, wf in edges if tie_break.match_l[l] == r]
     return MatchedPairs(tuple((lefts[l], rights[r]) for l, r, _ in matched),
                         sum(w for _, _, w in matched))
+
+
+def reference_k_community(mln, memberships, summaries, spec,
+                           default_metric: str = "e") -> KCommunityResult:
+    """The k-community of ``spec``, one step at a time from the definition;
+    a tuple is a dict ``{layer: community index}`` (0 = none) plus its x slots."""
+    tuples: Optional[List[Tuple[Dict[str, int], list]]] = None
+    diagnostics = []
+    for step, case in zip(spec.steps, spec.cases):
+        left, right = step.left, step.right
+        of_left = memberships[left].assignment
+        of_right = memberships[right].assignment
+        crossing: Dict[Tuple[int, int], set] = {}
+        stored = mln.stored_interlayer(left, right)
+        for a, b in stored.links:
+            if stored.from_layer != left:
+                a, b = b, a
+            crossing.setdefault((of_left[a], of_right[b]), set()).add((a, b))
+        if tuples is None:  # every community with a crossing link
+            u_left = {cl for cl, _ in crossing}
+            u_right = {cr for _, cr in crossing}
+        else:  # a processed layer offers the communities in its slots
+            u_left = {slots[left] for slots, _ in tuples} - {0}
+            u_right = ({slots[right] for slots, _ in tuples} - {0} if case != CASE_NEW_LAYER
+                       else {cr for cl, cr in crossing if cl in u_left})
+        metric = step.metric or default_metric
+        kept = {key: pairs for key, pairs in crossing.items()
+                if key[0] in u_left and key[1] in u_right}
+        edges = []
+        for (cl, cr), pairs in sorted(kept.items()):
+            sl = summaries[left][CommunityId(left, cl)]
+            sr = summaries[right][CommunityId(right, cr)]
+            w = (weight_e(len(pairs), max(map(len, kept.values()))) if metric == "e"
+                 else weight_d(sl, sr, len(pairs)) if metric == "d"
+                 else weight_h(sl, sr, frozenset(pairs)))
+            if w > 0.0:
+                edges.append(MetaEdge(CommunityId(left, cl), CommunityId(right, cr),
+                                      frozenset(pairs), w))
+        cbg = CommunityBipartiteGraph(frozenset(CommunityId(left, c) for c in u_left),
+                                      frozenset(CommunityId(right, c) for c in u_right),
+                                      tuple(edges))
+        mate = {cl.index: cr.index for cl, cr in composite_reference_match(cbg).pairs}
+        if tuples is None:
+            tuples = [({left: cl, right: cr}, [frozenset(crossing[(cl, cr)])])
+                      for cl, cr in mate.items()]
+        else:
+            for slots, xs in tuples:
+                cr = mate.get(slots[left], 0)
+                if case == CASE_NEW_LAYER:
+                    slots[right] = cr
+                elif cr != slots[right]:  # an inconsistent match realizes nothing
+                    cr = 0
+                xs.append(frozenset(crossing[(slots[left], cr)]) if cr else None)
+        diagnostics.append(StepDiagnostics(len(u_left), len(u_right), len(edges), len(mate)))
+    result = sorted((KTuple(spec.layers, tuple(slots[l] for l in spec.layers), tuple(xs))
+                     for slots, xs in tuples or ()), key=lambda t: t.communities)
+    return KCommunityResult(spec, tuple(result), tuple(diagnostics))
 
 
 def reference_augment(net, sources):

@@ -1,15 +1,26 @@
-import pytest
+from itertools import combinations, compress
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracle
 from hemln import (
+    MLN,
+    InterLayerEdges,
+    LayerGraph,
+    Membership,
     classify,
     detect_k_community,
     diagnostics_tsv,
     parse_spec,
     rank,
+    summarize,
     to_jsonl,
     format_tuples,
     validate_spec,
 )
+from hemln.cbg import METRICS
 from hemln.engine import KTuple, from_jsonl
 from hemln.errors import (DisconnectedSpec, InvariantViolation, ParseError, SubscriptMismatch,
                           UnknownKey)
@@ -290,3 +301,52 @@ def test_rank_keeps_the_order_of_tuples_with_equal_slots():
     t2 = KTuple(layers, (1, 1), (frozenset({(0, 1)}),))
     assert rank([t1, t2], {}, "sum_raw_pairs") == [t1, t2]
     assert rank([t2, t1], {}, "sum_raw_pairs") == [t2, t1]
+
+
+@st.composite
+def composition_cases(draw):
+    """(MLN, memberships, spec): 2-4 layers of 1-3 communities of 1-3 nodes
+    (indices drawn from 1-4), every layer pair stored in a drawn orientation, and a
+    serial spec over every layer whose steps may branch from any visited
+    layer, with cycle steps between visited layers and a metric (or the
+    default) per step."""
+    names = [f"L{i}" for i in range(draw(st.integers(2, 4)))]
+    mln, memberships = MLN(), {}
+    for i, lid in enumerate(names):
+        ids = draw(st.permutations(range(1, 5)))[:draw(st.integers(1, 3))]  # gaps too
+        of = [c for c in ids for _ in range(draw(st.integers(1, 3)))]
+        nodes = range(100 * i, 100 * i + len(of))
+        pairs = list(combinations(nodes, 2))
+        edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+        mln.add_layer(LayerGraph.build(lid, nodes, edges))
+        memberships[lid] = Membership(lid, dict(zip(nodes, of)))
+    for a, b in combinations(names, 2):
+        if draw(st.booleans()):
+            a, b = b, a
+        cells = [(u, v) for u in sorted(mln.layer(a).nodes) for v in sorted(mln.layer(b).nodes)]
+        keep = draw(st.lists(st.booleans(), min_size=len(cells), max_size=len(cells)))
+        mln.add_interlayer(InterLayerEdges.build(a, b, compress(cells, keep)))
+    order = draw(st.permutations(names))
+    metric = st.sampled_from((None,) + METRICS)
+    steps, visited = [], [order[0]]
+    for right in order[1:]:
+        steps.append(Composition(draw(st.sampled_from(visited)), right, draw(metric)))
+        visited.append(right)
+        for _ in range(draw(st.integers(0, 2))):
+            left, back = draw(st.permutations(visited))[:2]
+            steps.append(Composition(left, back, draw(metric)))
+    return mln.freeze(), memberships, KSpec(order[0], tuple(steps))
+
+
+@settings(max_examples=300, deadline=None)
+@given(composition_cases(), st.sampled_from(METRICS))
+def test_equals_reference_composition(case, default_metric):
+    # the engine against the composition written from the definition, on
+    # cycles, branches, empty and inconsistent matches and every metric
+    mln, memberships, spec = case
+    summaries = {lid: summarize(mln.layer(lid), m) for lid, m in memberships.items()}
+    spec = validate_spec(spec, mln)
+    fast = detect_k_community(mln, memberships, summaries, spec, default_metric)
+    slow = oracle.reference_k_community(mln, memberships, summaries, spec, default_metric)
+    assert to_jsonl(fast) == to_jsonl(slow)
+    assert diagnostics_tsv(fast) == diagnostics_tsv(slow)
