@@ -15,13 +15,17 @@ nodes has no internal edges, which loaded memberships allow.
 """
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, NamedTuple, Tuple
+from collections.abc import Mapping
+from functools import cached_property
+from typing import Dict, Iterable, List, NamedTuple, Tuple
 
 from .community import CommunityId, CommunitySummary, Membership, check_membership
 from .errors import EmptyCbg, InvariantViolation, UnknownCommunity
 from .model import MLN
 
 METRICS = ("e", "d", "h")
+WEIGHT_SCALE = 10 ** 9
+_INF = float("inf")
 
 
 class MetaEdge(NamedTuple):
@@ -33,11 +37,72 @@ class MetaEdge(NamedTuple):
     weight: float
 
 
-class CommunityBipartiteGraph(NamedTuple):
-    left_nodes: frozenset  # CommunityIds offered on the left
-    right_nodes: frozenset
-    edges: Tuple[MetaEdge, ...]
-    dropped: Tuple[MetaEdge, ...] = ()
+class Table(NamedTuple):
+    """A CBG as the matcher reads it: lefts and rights sorted, and per left
+    the weights ``{right position: w}`` of its buckets, zeros too, beside the
+    kernel's row of integers ``max(1, round(w * 1e9))`` for each w > 0."""
+
+    lefts: List[CommunityId]
+    rights: List[CommunityId]
+    rows: List[Dict[int, int]]
+    weights: List[Dict[int, float]]
+
+    @classmethod
+    def of(cls, lefts, rights, weights: List[Dict[int, float]]) -> "Table":
+        return cls(lefts, rights, [{r: max(1, round(w * WEIGHT_SCALE)) for r, w in row.items()
+                                    if w > 0.0} for row in weights], weights)
+
+
+class CommunityBipartiteGraph:
+    """Meta nodes offered on each side, the meta edges between them sorted by
+    (left, right), and ``dropped``, those that weighed 0. ``build_cbg`` gives
+    the matcher's ``table`` and the step's buckets, and ``edges`` and
+    ``dropped`` are made from them when first read. A graph built from
+    ``MetaEdge``s holds them, and ``table`` is made from them when read."""
+
+    def __init__(self, left_nodes: frozenset, right_nodes: frozenset,
+                 edges: Iterable[MetaEdge] = (), dropped: Iterable[MetaEdge] = (), *,
+                 table: Table = None, buckets: "Buckets" = None):
+        self.left_nodes, self.right_nodes, self._buckets = left_nodes, right_nodes, buckets
+        if table is None:
+            self.edges, self.dropped = tuple(edges), tuple(dropped)
+        else:
+            self.table = table
+
+    def _meta_edges(self, kept: bool) -> Tuple[MetaEdge, ...]:
+        lefts, rights, _, weights = self.table
+        return tuple(MetaEdge(lefts[l], rights[r], frozenset(
+            self._buckets.by_index[(lefts[l].index, rights[r].index)]), w)
+                     for l, row in enumerate(weights) for r, w in sorted(row.items())
+                     if (w > 0.0) == kept)
+
+    edges = cached_property(lambda self: self._meta_edges(True))
+    dropped = cached_property(lambda self: self._meta_edges(False))
+
+    @cached_property
+    def table(self) -> Table:
+        """The table of meta edges checked to join an offered left to an
+        offered right once, finite w > 0."""
+        lefts, rights = sorted(self.left_nodes), sorted(self.right_nodes)
+        lpos = {c: i for i, c in enumerate(lefts)}
+        rpos = {c: i for i, c in enumerate(rights)}
+        weights: List[Dict[int, float]] = [{} for _ in lefts]
+        for e in self.edges:
+            l, r = lpos.get(e.left), rpos.get(e.right)
+            if l is None or r is None:
+                raise InvariantViolation(f"meta edge {e.left}-{e.right} leaves the CBG's nodes")
+            if r in weights[l]:
+                raise InvariantViolation(f"meta edge {e.left}-{e.right} given twice")
+            if not 0.0 < e.weight < _INF:  # so not NaN
+                raise InvariantViolation(
+                    f"meta edge {e.left}-{e.right} weighs {e.weight!r}, not a finite w > 0")
+            weights[l][r] = e.weight
+        return Table.of(lefts, rights, weights)
+
+    def _replace(self, **fields) -> "CommunityBipartiteGraph":
+        return CommunityBipartiteGraph(**{"left_nodes": self.left_nodes, "edges": self.edges,
+                                          "right_nodes": self.right_nodes,
+                                          "dropped": self.dropped, **fields})
 
 
 def weight_e(raw_pairs: int, cbg_max: int) -> float:
@@ -62,40 +127,61 @@ def weight_h(left: CommunitySummary, right: CommunitySummary,
     return (len(h_lr) / len(left.hubs)) * fraction * (len(h_rl) / len(right.hubs))
 
 
-Buckets = Mapping[Tuple[CommunityId, CommunityId], frozenset]
+class Buckets(Mapping):
+    """A layer pair's links by the community pair they cross: ``by_index``
+    maps (left index, right index) to the links, oriented (left node, right
+    node). As a mapping it is keyed in order by ``CommunityId`` pairs, one id
+    per community, with frozensets as values, all made when first read."""
+
+    def __init__(self, left: str, right: str, by_index: Dict[Tuple[int, int], list]):
+        self.left, self.right, self.by_index = left, right, by_index
+
+    def __getitem__(self, key: Tuple[CommunityId, CommunityId]) -> frozenset:
+        return self._by_id[key]
+
+    def __iter__(self):
+        return iter(self._by_id)
+
+    def __len__(self) -> int:
+        return len(self.by_index)
+
+    @cached_property
+    def _by_id(self) -> Dict[Tuple[CommunityId, CommunityId], frozenset]:
+        ids = {side: {c: CommunityId(layer, c) for c in {key[side] for key in self.by_index}}
+               for side, layer in enumerate((self.left, self.right))}
+        return {(ids[0][cl], ids[1][cr]): frozenset(self.by_index[(cl, cr)])
+                for cl, cr in sorted(self.by_index)}
 
 
 def crossing_pairs(mln: MLN, left: str, right: str,
                    membership_left: Membership,
                    membership_right: Membership) -> Buckets:
-    """Inter-layer links oriented (left node, right node), keyed in order by
-    the (left community, right community) pair they cross, with one id per
-    community. A composition step scans the links only here and shares them."""
+    """Inter-layer links oriented (left node, right node), bucketed by the
+    (left, right) community indices they cross. A composition step scans the
+    links only here and shares them: the buckets hold the stored tuples."""
     stored = mln.stored_interlayer(left, right)
     check_membership(mln.layer(left), membership_left)
     check_membership(mln.layer(right), membership_right)
     of_left, of_right = membership_left.assignment, membership_right.assignment
-    buckets: Dict[Tuple[int, int], list] = {}
+    by_index: Dict[Tuple[int, int], list] = {}
     links = (stored.links if stored.from_layer == left
              else ((b, a) for a, b in stored.links))  # swap, no reversed copy
     for link in links:  # the stored tuples themselves when not swapped
-        buckets.setdefault((of_left[link[0]], of_right[link[1]]), []).append(link)
-    lids = {c: CommunityId(membership_left.layer, c) for c in set(of_left.values())}
-    rids = {c: CommunityId(membership_right.layer, c) for c in set(of_right.values())}
-    return {(lids[cl], rids[cr]): frozenset(buckets[(cl, cr)])
-            for cl, cr in sorted(buckets)}
+        by_index.setdefault((of_left[link[0]], of_right[link[1]]), []).append(link)
+    return Buckets(left, right, by_index)
 
 
 def build_cbg(left: str,
               right: str,
-              buckets: Buckets,
+              buckets: Mapping,
               u_left: Iterable[CommunityId],
               u_right: Iterable[CommunityId],
               summaries_left: Mapping[CommunityId, CommunitySummary],
               summaries_right: Mapping[CommunityId, CommunitySummary],
               metric: str) -> CommunityBipartiteGraph:
-    """Keep the crossing-pair buckets between the offered community sets and
-    weight them with the chosen metric."""
+    """Weigh the buckets between the offered community sets with the chosen
+    metric, straight into the matcher's table. ``buckets`` is what
+    ``crossing_pairs`` returns, or any mapping keyed by ``CommunityId`` pairs."""
     if metric not in METRICS:
         raise InvariantViolation(f"metric must be one of {METRICS}, got {metric!r}")
     u_left = frozenset(u_left)
@@ -110,24 +196,25 @@ def build_cbg(left: str,
                 what = "nodes" if s.node_count < 1 else "hubs"
                 raise InvariantViolation(f"{c} has no {what}, which metric {metric} divides by")
 
-    # linear on crossing_pairs' ordered buckets; other callers may pass any order
-    kept = sorted(key for key in buckets if key[0] in u_left and key[1] in u_right)
-    edges, dropped = [], []
-    max_pairs = max((len(buckets[key]) for key in kept), default=0)
-    for cl, cr in kept:
-        pairs = buckets[(cl, cr)]
-        if metric == "e":
-            w = weight_e(len(pairs), max_pairs)
-        elif metric == "d":
-            w = weight_d(summaries_left[cl], summaries_right[cr], len(pairs))
-        else:
-            w = weight_h(summaries_left[cl], summaries_right[cr], pairs)
-        edge = MetaEdge(cl, cr, pairs, w)
-        if w > 0.0:
-            edges.append(edge)
-        else:
-            dropped.append(edge)
-    return CommunityBipartiteGraph(u_left, u_right, tuple(edges), tuple(dropped))
+    if not isinstance(buckets, Buckets) or (buckets.left, buckets.right) != (left, right):
+        buckets = Buckets(left, right, {(cl.index, cr.index): pairs
+                                        for (cl, cr), pairs in buckets.items()
+                                        if (cl.layer, cr.layer) == (left, right)})
+    lefts, rights = sorted(u_left), sorted(u_right)
+    lpos = {c.index: i for i, c in enumerate(lefts)}
+    rpos = {c.index: i for i, c in enumerate(rights)}
+    kept = [(lpos[cl], rpos[cr], pairs) for (cl, cr), pairs in buckets.by_index.items()
+            if cl in lpos and cr in rpos]
+    sl = [summaries_left[c] for c in lefts]
+    sr = [summaries_right[c] for c in rights]
+    top = max((len(pairs) for _, _, pairs in kept), default=0)
+    weights: List[Dict[int, float]] = [{} for _ in lefts]
+    for l, r, pairs in kept:  # a zero weight is dropped from the kernel's rows
+        weights[l][r] = (weight_e(len(pairs), top) if metric == "e" else
+                         weight_d(sl[l], sr[r], len(pairs)) if metric == "d" else
+                         weight_h(sl[l], sr[r], pairs))
+    return CommunityBipartiteGraph(u_left, u_right, table=Table.of(lefts, rights, weights),
+                                   buckets=buckets)
 
 
 def cbg_to_tsv(cbg: CommunityBipartiteGraph) -> str:

@@ -58,7 +58,8 @@ class KCommunityResult(NamedTuple):
 
 def select_u(step: Composition, case: str, tuples: Optional[List[KTuple]],
              buckets: Buckets) -> Tuple[List[CommunityId], List[CommunityId]]:
-    """Choose the meta-node sets for a composition step.
+    """Choose the meta-node sets for a composition step, from the step's
+    ``crossing_pairs``.
 
     ``tuples`` is None on the base step, where each layer offers every
     community with a crossing link. Otherwise a processed layer offers
@@ -66,18 +67,17 @@ def select_u(step: Composition, case: str, tuples: Optional[List[KTuple]],
     current tuples, and a new layer offers every community with at least
     one crossing link to the left offer.
     """
+    def ids(layer: str, indices) -> List[CommunityId]:
+        return [CommunityId(layer, i) for i in sorted(indices)]
+
     if tuples is None:
-        return sorted({cl for cl, _ in buckets}), sorted({cr for _, cr in buckets})
-
-    def processed(layer: str) -> List[CommunityId]:
-        ids = {t.slot(layer) for t in tuples} - {0}
-        return [CommunityId(layer, i) for i in sorted(ids)]
-
-    u_left = processed(step.left)
+        return (ids(step.left, {cl for cl, _ in buckets.by_index}),
+                ids(step.right, {cr for _, cr in buckets.by_index}))
+    u_left = {t.slot(step.left) for t in tuples} - {0}
     if case == CASE_CYCLE:
-        return u_left, processed(step.right)
-    left_set = set(u_left)
-    return u_left, sorted({cr for cl, cr in buckets if cl in left_set})
+        return ids(step.left, u_left), ids(step.right, {t.slot(step.right) for t in tuples} - {0})
+    return ids(step.left, u_left), ids(step.right, {cr for cl, cr in buckets.by_index
+                                                    if cl in u_left})
 
 
 def detect_k_community(mln: MLN,
@@ -101,38 +101,33 @@ def detect_k_community(mln: MLN,
                         summaries[step.left], summaries[step.right],
                         step.metric or default_metric)
         mp = max_flow_match(cbg)
-        matched = dict(mp.pairs)
-
+        matched = {cl.index: cr.index for cl, cr in mp.pairs}
         if tuples is None:
-            tuples = [KTuple((step.left, step.right), (cl.index, cr.index),
-                             (buckets[(cl, cr)],))
-                      for cl, cr in mp.pairs]
+            tuples = [KTuple((step.left, step.right), pair, (frozenset(buckets.by_index[pair]),))
+                      for pair in matched.items()]
         else:
-            tuples = [_advance(t, step, case, matched, buckets) for t in tuples]
+            tuples = [_advance(t, step, case, matched, buckets.by_index) for t in tuples]
 
         diagnostics.append(StepDiagnostics(len(u_left), len(u_right),
-                                           len(cbg.edges), len(mp.pairs)))
+                                           sum(map(len, cbg.table.rows)), len(mp.pairs)))
         del buckets, cbg, mp, matched  # freed before the next step builds its own
 
     tuples = sorted(tuples or (), key=lambda t: t.communities)  # no two share slots
     return KCommunityResult(spec, tuple(tuples), tuple(diagnostics))
 
 
-def _advance(t: KTuple, step: Composition, case: str,
-             matched: Dict[CommunityId, CommunityId],
-             buckets: Buckets) -> KTuple:
+def _advance(t: KTuple, step: Composition, case: str, matched: Dict[int, int],
+             by_index: Dict[Tuple[int, int], list]) -> KTuple:
     """Append the step's x slot, and under case i the new layer's slot. The x
     slot is None unless the tuple's left community is matched, under case ii
     to the tuple's own right community (a consistent match)."""
-    left = t.slot(step.left)
-    cl = CommunityId(step.left, left) if left else None
-    cr = matched.get(cl)
+    cl = t.slot(step.left)
+    cr = matched.get(cl, 0)  # no community has index 0
     if case == CASE_NEW_LAYER:
-        t = KTuple(t.layers + (step.right,),
-                   t.communities + (cr.index if cr else 0,), t.x_slots)
-    elif cr and cr.index != t.slot(step.right):
-        cr = None
-    return t._replace(x_slots=t.x_slots + (buckets[(cl, cr)] if cr else None,))
+        t = KTuple(t.layers + (step.right,), t.communities + (cr,), t.x_slots)
+    elif cr != t.slot(step.right):
+        cr = 0
+    return t._replace(x_slots=t.x_slots + (frozenset(by_index[(cl, cr)]) if cr else None,))
 
 
 def classify(result: KCommunityResult):

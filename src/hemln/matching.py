@@ -38,34 +38,12 @@ from .cbg import CommunityBipartiteGraph
 from .community import CommunityId
 from .errors import InvariantViolation
 
-WEIGHT_SCALE = 10 ** 9
 _INF = float("inf")
 
 
 class MatchedPairs(NamedTuple):
     pairs: Tuple[Tuple[CommunityId, CommunityId], ...]  # sorted
     total_weight: float
-
-
-def _indexed_edges(cbg: CommunityBipartiteGraph):
-    """Lefts/rights sorted, plus the kernel's one table: a row per left,
-    ``{right idx: max(1, round(w * 1e9))}`` in the CBG's edge order, of meta
-    edges checked to join an offered left to an offered right once, finite w > 0."""
-    lefts, rights = sorted(cbg.left_nodes), sorted(cbg.right_nodes)
-    lpos = {c: i for i, c in enumerate(lefts)}
-    rpos = {c: i for i, c in enumerate(rights)}
-    rows: List[Dict[int, int]] = [{} for _ in lefts]
-    for e in cbg.edges:
-        l, r = lpos.get(e.left), rpos.get(e.right)
-        if l is None or r is None:
-            raise InvariantViolation(f"meta edge {e.left}-{e.right} leaves the CBG's nodes")
-        if r in rows[l]:
-            raise InvariantViolation(f"meta edge {e.left}-{e.right} given twice")
-        if not 0.0 < e.weight < _INF:  # so not NaN
-            raise InvariantViolation(
-                f"meta edge {e.left}-{e.right} weighs {e.weight!r}, not a finite w > 0")
-        rows[l][r] = max(1, round(e.weight * WEIGHT_SCALE))
-    return lefts, rights, rows
 
 
 class _Network:
@@ -191,10 +169,10 @@ def _dead_ends(x, adj, mate, other_mate, price, fixed, seen):
 
 def max_flow_match(cbg: CommunityBipartiteGraph) -> MatchedPairs:
     """Weight-maximal one-to-one matching with deterministic tie-breaking;
-    ``total_weight`` sums the matched meta edges' float weights in left order."""
-    lefts, rights, rows = _indexed_edges(cbg)
+    ``total_weight`` sums the matched pairs' float weights in left order."""
+    lefts, rights, rows, weights = cbg.table
     net = _Network(len(rights), rows)
     net.augment().tie_break()
-    mate = {lefts[l]: rights[r] for l, r in enumerate(net.match_l) if r != -1}
-    weight = {e.left: e.weight for e in cbg.edges if mate.get(e.left) == e.right}
-    return MatchedPairs(tuple(mate.items()), sum((weight[l] for l in mate), 0.0))
+    matched = [(l, r) for l, r in enumerate(net.match_l) if r != -1]
+    return MatchedPairs(tuple((lefts[l], rights[r]) for l, r in matched),
+                        sum((weights[l][r] for l, r in matched), 0.0))

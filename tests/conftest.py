@@ -1,6 +1,7 @@
 """Shared fixtures: a hand-built 3-layer network whose per-step matchings
-are known exactly (verified by the brute-force oracle in the tests), and a
-saved network of three planted layers of unequal size."""
+are known exactly (verified by the brute-force oracle in the tests), a
+saved network of three planted layers of unequal size, and a network shaped
+like the benchmark's composition workload."""
 from __future__ import annotations
 
 import random
@@ -11,6 +12,7 @@ from hemln import (
     MLN,
     InterLayerEdges,
     LayerGraph,
+    Membership,
     load_membership,
     summarize,
 )
@@ -101,3 +103,34 @@ def planted_mln_dir(tmp_path):
     out = tmp_path / "planted-mln"
     save_mln(mln.freeze(), out)
     return out
+
+
+@pytest.fixture(scope="module")
+def dense_mln():
+    """(MLN, memberships) shaped like ``match-dense``: three layers of 250
+    groups of 10 nodes, each group a ring plus 5 chords and one community.
+    Each left group of a layer pair is linked to 20 right groups by 1-3 links
+    (~9.9k links and 5000 buckets a pair)."""
+    rng = random.Random(7)
+    size, groups = 10, 250
+    span = {lid: range(base, base + size * groups)
+            for lid, base in (("L", 2000), ("R", 5000), ("S", 8000))}
+
+    def links(a, b):
+        left, right = span[a], span[b]
+        return {(left[g * size + rng.randrange(size)], right[h * size + rng.randrange(size)])
+                for g in range(groups) for h in rng.sample(range(groups), 20)
+                for _ in range(rng.randint(1, 3))}
+    pairs = {pair: links(*pair) for pair in (("L", "R"), ("R", "S"), ("L", "S"))}
+    mln, members = MLN(), {}
+    for lid, nodes in span.items():
+        edges = set()
+        for g in range(groups):
+            group = nodes[g * size:(g + 1) * size]
+            edges.update((group[k], group[(k + 1) % size]) for k in range(size))
+            edges.update(tuple(rng.sample(group, 2)) for _ in range(size // 2))
+        mln.add_layer(LayerGraph.build(lid, nodes, edges))
+        members[lid] = Membership(lid, {n: (n - nodes[0]) // size + 1 for n in nodes})
+    for (a, b), both in pairs.items():
+        mln.add_interlayer(InterLayerEdges.build(a, b, both))
+    return mln.freeze(), members

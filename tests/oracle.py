@@ -72,7 +72,7 @@ from hemln.errors import EmptyGraph, ParseError
 from hemln.fileio import COMMENT, _int, _read_text
 from hemln.engine import KCommunityResult, KTuple, StepDiagnostics
 from hemln.kspec import CASE_NEW_LAYER
-from hemln.matching import MatchedPairs, _indexed_edges, _Network
+from hemln.matching import MatchedPairs, _Network
 from hemln.model import InterLayerEdges, LayerGraph
 
 BRUTE_FORCE_NODE_LIMIT = 16
@@ -82,9 +82,9 @@ log = logging.getLogger("hemln.fileio")  # the logger load_layer warns on
 
 def _sorted_edges(cbg: CommunityBipartiteGraph):
     """Lefts and rights sorted, plus each meta edge as (left idx, right idx,
-    its integer in ``_indexed_edges``' rows, its float w) in lexicographic
-    order."""
-    lefts, rights, rows = _indexed_edges(cbg)
+    its integer in the rows of the CBG's ``table``, its float w) in
+    lexicographic order."""
+    lefts, rights, rows, _ = cbg.table
     lpos = {c: i for i, c in enumerate(lefts)}
     rpos = {c: i for i, c in enumerate(rights)}
     return lefts, rights, sorted(

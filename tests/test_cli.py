@@ -20,7 +20,7 @@ from hemln import (
     summarize,
     validate_spec,
 )
-from hemln import cli
+from hemln import cli, engine
 from hemln.cli import main
 from hemln.fileio import load_mln, save_layer, save_membership_tsv, save_mln
 
@@ -677,3 +677,21 @@ def test_command_restores_gc_state(mln_dir, tmp_path, monkeypatch, case, enabled
     finally:
         (gc.enable if before else gc.disable)()
     assert seen == ([False] if code == 0 else [])
+
+
+def test_kcommunity_calls_each_stage_through_the_engine_once_per_step(
+        planted_mln_dir, tmp_path, monkeypatch):
+    # the benchmark times select_u, build_cbg and max_flow_match by replacing
+    # them at the names hemln.engine looks up; a step that went around one
+    # would leave its span empty
+    calls = dict.fromkeys(("select_u", "build_cbg", "max_flow_match"), 0)
+    for name in calls:
+        def counted(*args, _stage=getattr(engine, name), _name=name):
+            calls[_name] += 1
+            return _stage(*args)
+        monkeypatch.setattr(engine, name, counted)
+    spec = "L0 #(L0,L1) L1 #(L1,L2) L2 #(L2,L1):h L1"
+    assert main(["kcommunity", "--mln", str(planted_mln_dir), "--spec", spec,
+                 "--out", str(tmp_path / "out")]) == 0
+    steps = (tmp_path / "out" / "diagnostics.tsv").read_text().count("\n") - 1
+    assert steps == 3 and calls == dict.fromkeys(calls, steps)

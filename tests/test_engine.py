@@ -7,10 +7,14 @@ from hypothesis import strategies as st
 import oracle
 from hemln import (
     MLN,
+    CommunityBipartiteGraph,
     InterLayerEdges,
     LayerGraph,
     Membership,
+    build_cbg,
+    cbg_to_tsv,
     classify,
+    crossing_pairs,
     detect_k_community,
     diagnostics_tsv,
     parse_spec,
@@ -350,3 +354,29 @@ def test_equals_reference_composition(case, default_metric):
     slow = oracle.reference_k_community(mln, memberships, summaries, spec, default_metric)
     assert to_jsonl(fast) == to_jsonl(slow)
     assert diagnostics_tsv(fast) == diagnostics_tsv(slow)
+
+
+def _underived(self):
+    raise AssertionError("meta edges derived in a composition step")
+
+
+@pytest.mark.parametrize("metric", METRICS)
+def test_no_step_derives_meta_edges(dense_mln, metric, monkeypatch):
+    # a step reads the matcher's rows and the buckets by community index;
+    # MetaEdges are a view that no step reads, and its count is the rows'
+    mln, members = dense_mln
+    summaries = {lid: summarize(mln.layer(lid), m) for lid, m in members.items()}
+    spec = validate_spec(parse_spec("L #(L,R) R #(R,S) S #(S,L) L"), mln)
+    usual = detect_k_community(mln, members, summaries, spec, metric)
+    with monkeypatch.context() as patched:
+        for name in ("edges", "dropped"):
+            patched.setattr(CommunityBipartiteGraph, name, property(_underived))
+        guarded = detect_k_community(mln, members, summaries, spec, metric)
+    assert guarded == usual and len(usual.tuples) >= 246
+    # hemln cbg prints the derived view of the base step's CBG: one line per
+    # meta edge the step counted, the dropped ones apart
+    buckets = crossing_pairs(mln, "L", "R", members["L"], members["R"])
+    cbg = build_cbg("L", "R", buckets, sorted(summaries["L"]), sorted(summaries["R"]),
+                    summaries["L"], summaries["R"], metric)
+    assert cbg_to_tsv(cbg).count("\n") == len(cbg.edges) == usual.diagnostics[0].cbg_edge_count
+    assert len(cbg.edges) + len(cbg.dropped) == len(buckets) == 5000

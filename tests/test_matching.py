@@ -11,7 +11,7 @@ from hemln import (MLN, CommunityId, InterLayerEdges, LayerGraph, MatchedPairs,
                    Membership, matching, max_flow_match, summarize)
 from hemln.cbg import METRICS, CommunityBipartiteGraph, MetaEdge, build_cbg, crossing_pairs
 from hemln.errors import InvariantViolation
-from hemln.matching import _indexed_edges, _Network
+from hemln.matching import _Network
 from oracle import (TooLarge, bit_tie_break_match, brute_force_match,
                     composite_reference_match, reference_augment, reference_prices)
 
@@ -219,7 +219,7 @@ def test_indexed_edges_hold_each_meta_edge_once():
     cases = [random_wide_cbg(seed, max_side=60) for seed in range(100)]
     cases.append(make_cbg([(1, 1, 1e-10), (1, 2, 2.5e-9), (2, 1, 3.5e-9), (2, 2, 0.5)]))
     for cbg in cases:
-        lefts, rights, rows = _indexed_edges(cbg)
+        lefts, rights, rows, _ = cbg.table
         assert lefts == sorted(cbg.left_nodes) and rights == sorted(cbg.right_nodes)
         assert len(rows) == len(lefts)
         held = [(lefts[l], rights[r], w) for l, row in enumerate(rows)
@@ -255,7 +255,7 @@ def test_price_certificate_rejects_injected_potentials(potentials):
 
 def _network(cbg):
     """The CBG's phase-1 network, before any search."""
-    _, rights, rows = _indexed_edges(cbg)
+    _, rights, rows, _ = cbg.table
     return _Network(len(rights), rows)
 
 
@@ -290,7 +290,7 @@ def test_total_weight_matches_networkx():
     nx = pytest.importorskip("networkx")
     for seed in range(30):
         cbg = random_wide_cbg(seed, max_side=100)
-        lefts, rights, rows = _indexed_edges(cbg)
+        lefts, rights, rows, _ = cbg.table
         graph = nx.Graph()
         graph.add_weighted_edges_from((lefts[l], rights[r], w)
                                       for l, row in enumerate(rows) for r, w in row.items())
@@ -301,7 +301,7 @@ def test_total_weight_matches_networkx():
 def _phase_one_view(cbg):
     """Phase 1's pairs, S_L = {l : u_l > 0}, S_R = {r : v_r > 0} and the
     tight edges, by meta-node index."""
-    lefts, rights, rows = _indexed_edges(cbg)
+    lefts, rights, rows, _ = cbg.table
     net = _phase_one(cbg)
     u, v = net.prices()
     return (sorted((lefts[l].index, rights[r].index)
@@ -396,6 +396,18 @@ def test_tie_break_equals_the_bit_weight_kernel_on_dense_cbgs(seed):
     for metric, cbg in dense_cbgs(seed).items():
         assert len(cbg.edges) + len(cbg.dropped) == 250 * 20, metric
         assert max_flow_match(cbg) == bit_tie_break_match(cbg), metric
+
+
+def test_built_table_equals_the_table_of_its_meta_edges():
+    # build_cbg weighs into the matcher's table; the same CBG given as its
+    # MetaEdges (the view) is converted into the same rows and matched alike
+    for seed in (0, 1):
+        for metric, cbg in dense_cbgs(seed).items():
+            hand = CommunityBipartiteGraph(cbg.left_nodes, cbg.right_nodes, cbg.edges)
+            assert hand.table[:3] == cbg.table[:3], metric
+            assert [{r: w for r, w in row.items() if w > 0.0} for row in cbg.table.weights] == \
+                hand.table.weights, metric
+            assert max_flow_match(hand) == max_flow_match(cbg), metric
 
 
 def _heaviest_first(net):

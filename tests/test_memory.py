@@ -17,9 +17,8 @@ from itertools import combinations
 
 import pytest
 
-from hemln import (MLN, InterLayerEdges, LayerGraph, Membership, crossing_pairs,
-                   detect_communities, detect_k_community, max_flow_match, parse_spec,
-                   summarize)
+from hemln import (Membership, crossing_pairs, detect_communities, detect_k_community,
+                   max_flow_match, parse_spec, summarize)
 from hemln.cbg import build_cbg
 from hemln.fileio import load_interlayer, load_layer, save_interlayer
 
@@ -117,41 +116,11 @@ def test_detection_peak_below_3_mib(clique_layer):
     assert peak <= 3 * MIB, peak / MIB
 
 
-@pytest.fixture(scope="module")
-def dense_mln():
-    """(MLN, memberships) shaped like ``match-dense``: three layers of 250
-    groups of 10 nodes, each group a ring plus 5 chords and one community.
-    Each left group of a layer pair is linked to 20 right groups by 1-3 links
-    (~9.9k links and 5000 buckets a pair)."""
-    rng = random.Random(7)
-    size, groups = 10, 250
-    span = {lid: range(base, base + size * groups)
-            for lid, base in (("L", 2000), ("R", 5000), ("S", 8000))}
-
-    def links(a, b):
-        left, right = span[a], span[b]
-        return {(left[g * size + rng.randrange(size)], right[h * size + rng.randrange(size)])
-                for g in range(groups) for h in rng.sample(range(groups), 20)
-                for _ in range(rng.randint(1, 3))}
-    pairs = {pair: links(*pair) for pair in (("L", "R"), ("R", "S"), ("L", "S"))}
-    mln, members = MLN(), {}
-    for lid, nodes in span.items():
-        edges = set()
-        for g in range(groups):
-            group = nodes[g * size:(g + 1) * size]
-            edges.update((group[k], group[(k + 1) % size]) for k in range(size))
-            edges.update(tuple(rng.sample(group, 2)) for _ in range(size // 2))
-        mln.add_layer(LayerGraph.build(lid, nodes, edges))
-        members[lid] = Membership(lid, {n: (n - nodes[0]) // size + 1 for n in nodes})
-    for (a, b), both in pairs.items():
-        mln.add_interlayer(InterLayerEdges.build(a, b, both))
-    return mln.freeze(), members
-
-
 def test_crossing_pairs_buckets_share_the_stored_links(dense_mln):
     """In the stored orientation every bucket holds the stored tuples
-    themselves. Re-made tuples read a 3.49 MiB peak on this step; shared
-    ones read 2.35 MiB."""
+    themselves. Re-made tuples read a 3.49 MiB peak on this step, shared ones
+    in a frozenset per bucket 2.35 MiB; lists by community index, with no
+    frozenset until one is read, read 0.83 MiB on Python 3.10-3.13."""
     mln, members = dense_mln
     ml, mr = members["L"], members["R"]
     buckets, _, peak = _traced(lambda: crossing_pairs(mln, "L", "R", ml, mr))
@@ -176,9 +145,10 @@ def test_interlayer_load_holds_one_int_per_endpoint(dense_mln, tmp_path):
 
 def test_composition_holds_one_step_at_a_time(dense_mln):
     """Each step's 5000 buckets, its CBG and its matching are freed before the
-    next step's ``crossing_pairs``: the three steps peak 2.98-3.00 MiB above
-    what the result keeps on Python 3.10-3.13, against 4.78-4.79 MiB when a
-    step's buckets and CBG live on while the next step builds its own."""
+    next step's ``crossing_pairs``: the three steps peak 2.05-2.06 MiB above
+    what the result keeps on Python 3.10-3.13 (2.86-2.88 MiB with a frozenset
+    and a MetaEdge per bucket), against 4.78-4.79 MiB when a step's buckets
+    and CBG lived on while the next step built its own."""
     mln, members = dense_mln
     summaries = {lid: summarize(mln.layers[lid], m) for lid, m in members.items()}
     spec = parse_spec("L #(L,R):e R #(R,S):d S #(S,L):h L")
@@ -190,11 +160,13 @@ def test_composition_holds_one_step_at_a_time(dense_mln):
 
 @pytest.mark.parametrize("metric", ["e", "d", "h"])
 def test_one_matching_holds_one_weight_table(dense_mln, metric):
-    """The kernel reads the integer rows that ``_indexed_edges`` fills as it
-    checks each meta edge. On this step's 250 x 250 CBG one matching peaks at
-    439-449 KiB under e, 423-444 under d and 294-306 under h on Python
-    3.10-3.13; float rows plus a scaled copy of them read 598-605, 582-601
-    and 421-431 KiB. Each bound is 0.8x the least of the latter."""
+    """The kernel reads the integer rows that ``build_cbg`` filled, so a
+    matching makes no table of its own. On this step's 250 x 250 CBG one
+    matching peaks at 131-138 KiB under e, 124-127 under d and 91-94 under h
+    on Python 3.10-3.13; one integer table made from the meta edges read
+    439-449, 423-444 and 294-306 KiB, and float rows plus a scaled copy of
+    them 598-605, 582-601 and 421-431 KiB. Each bound is 0.8x the least of
+    the last."""
     mln, members = dense_mln
     sl, sr = (summarize(mln.layers[lid], members[lid]) for lid in "LR")
     buckets = crossing_pairs(mln, "L", "R", members["L"], members["R"])
