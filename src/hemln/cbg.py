@@ -12,6 +12,12 @@ Meta edges whose weight is exactly zero are dropped from the graph and kept
 in ``dropped`` for diagnostics. Under ``h`` that happens when no hub
 participates on some side; under ``d`` when a community of two or more
 nodes has no internal edges, which loaded memberships allow.
+
+A composition step runs on community indices: ``crossing_pairs`` buckets the
+links once by (left index, right index), and ``build_cbg`` weighs the kept
+buckets straight into the matcher's ``Table``. The ``CommunityId`` keys and
+frozensets of the buckets, and the ``MetaEdge``s of ``edges`` and
+``dropped``, are views made only when read.
 """
 from __future__ import annotations
 
@@ -25,7 +31,6 @@ from .model import MLN
 
 METRICS = ("e", "d", "h")
 WEIGHT_SCALE = 10 ** 9
-_INF = float("inf")
 
 
 class MetaEdge(NamedTuple):
@@ -71,8 +76,7 @@ class CommunityBipartiteGraph:
 
     def _meta_edges(self, kept: bool) -> Tuple[MetaEdge, ...]:
         lefts, rights, _, weights = self.table
-        return tuple(MetaEdge(lefts[l], rights[r], frozenset(
-            self._buckets.by_index[(lefts[l].index, rights[r].index)]), w)
+        return tuple(MetaEdge(lefts[l], rights[r], self._buckets[lefts[l], rights[r]], w)
                      for l, row in enumerate(weights) for r, w in sorted(row.items())
                      if (w > 0.0) == kept)
 
@@ -93,15 +97,15 @@ class CommunityBipartiteGraph:
                 raise InvariantViolation(f"meta edge {e.left}-{e.right} leaves the CBG's nodes")
             if r in weights[l]:
                 raise InvariantViolation(f"meta edge {e.left}-{e.right} given twice")
-            if not 0.0 < e.weight < _INF:  # so not NaN
+            if not 0.0 < e.weight < float("inf"):  # so not NaN
                 raise InvariantViolation(
                     f"meta edge {e.left}-{e.right} weighs {e.weight!r}, not a finite w > 0")
             weights[l][r] = e.weight
         return Table.of(lefts, rights, weights)
 
     def _replace(self, **fields) -> "CommunityBipartiteGraph":
-        return CommunityBipartiteGraph(**{"left_nodes": self.left_nodes, "edges": self.edges,
-                                          "right_nodes": self.right_nodes,
+        return CommunityBipartiteGraph(**{"left_nodes": self.left_nodes,
+                                          "right_nodes": self.right_nodes, "edges": self.edges,
                                           "dropped": self.dropped, **fields})
 
 

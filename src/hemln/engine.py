@@ -6,7 +6,9 @@ community bipartite graph, matches communities one-to-one by maximal flow,
 and advances each result tuple by one rule, ``_advance``. Each tuple pairs
 one community id per visited layer (0 = none) with one expanded edge set
 per composition step (None = empty placeholder), which is enough to
-reconstruct the matched sub-network exactly.
+reconstruct the matched sub-network exactly. A step works on community
+indices: it reads the buckets and the matcher's rows, makes a frozenset only
+for the buckets its tuples keep, and no ``MetaEdge`` at all.
 """
 from __future__ import annotations
 
@@ -67,17 +69,15 @@ def select_u(step: Composition, case: str, tuples: Optional[List[KTuple]],
     current tuples, and a new layer offers every community with at least
     one crossing link to the left offer.
     """
-    def ids(layer: str, indices) -> List[CommunityId]:
-        return [CommunityId(layer, i) for i in sorted(indices)]
-
     if tuples is None:
-        return (ids(step.left, {cl for cl, _ in buckets.by_index}),
-                ids(step.right, {cr for _, cr in buckets.by_index}))
-    u_left = {t.slot(step.left) for t in tuples} - {0}
-    if case == CASE_CYCLE:
-        return ids(step.left, u_left), ids(step.right, {t.slot(step.right) for t in tuples} - {0})
-    return ids(step.left, u_left), ids(step.right, {cr for cl, cr in buckets.by_index
-                                                    if cl in u_left})
+        u_left = {cl for cl, _ in buckets.by_index}
+        u_right = {cr for _, cr in buckets.by_index}
+    else:
+        u_left = {t.slot(step.left) for t in tuples} - {0}
+        u_right = ({t.slot(step.right) for t in tuples} - {0} if case == CASE_CYCLE
+                   else {cr for cl, cr in buckets.by_index if cl in u_left})
+    return ([CommunityId(step.left, c) for c in sorted(u_left)],
+            [CommunityId(step.right, c) for c in sorted(u_right)])
 
 
 def detect_k_community(mln: MLN,

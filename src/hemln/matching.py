@@ -2,9 +2,11 @@
 
 Among weight-maximal matchings the lexicographically smallest pair sequence
 (sorted by left then right) is returned, so results are reproducible.
-Weights are exact integers (1e9 scale, half-even) in ``_indexed_edges``' one
-table, a row ``{right: w}`` per left. Only phase 2 reads a row's order, and
-sorts: phase 1's heap breaks ties by right, and its prices come from the matching.
+The kernel runs on the CBG's ``table`` as it is: a row ``{right: w}`` per
+left of exact integers (1e9 scale, half-even), which ``build_cbg`` fills, or
+the CBG converts from hand-built meta edges. Only phase 2 reads a row's order,
+and sorts: phase 1's heap breaks ties by right, and its prices come from the
+matching.
 
 1. Maximum weight by successive shortest augmenting paths (Jonker & Volgenant
    1987, Crouse 2016): one Dijkstra on reduced costs per left, the lefts taken
