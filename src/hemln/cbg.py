@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from functools import cached_property
-from typing import Dict, Iterable, List, NamedTuple, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .community import CommunityId, CommunitySummary, Membership, check_membership
 from .errors import EmptyCbg, InvariantViolation, UnknownCommunity
@@ -67,7 +67,7 @@ class CommunityBipartiteGraph:
 
     def __init__(self, left_nodes: frozenset, right_nodes: frozenset,
                  edges: Iterable[MetaEdge] = (), dropped: Iterable[MetaEdge] = (), *,
-                 table: Table = None, buckets: "Buckets" = None):
+                 table: Optional[Table] = None, buckets: Optional[Buckets] = None):
         self.left_nodes, self.right_nodes, self._buckets = left_nodes, right_nodes, buckets
         if table is None:
             self.edges, self.dropped = tuple(edges), tuple(dropped)
@@ -140,6 +140,15 @@ class Buckets(Mapping):
     def __init__(self, left: str, right: str, by_index: Dict[Tuple[int, int], list]):
         self.left, self.right, self.by_index = left, right, by_index
 
+    @classmethod
+    def of(cls, left: str, right: str, buckets: Mapping) -> "Buckets":
+        """``buckets`` if they are the pair's, else those of a mapping keyed by
+        ``CommunityId`` pairs, where only the pair's communities count."""
+        if isinstance(buckets, Buckets) and (buckets.left, buckets.right) == (left, right):
+            return buckets
+        return cls(left, right, {(cl.index, cr.index): pairs for (cl, cr), pairs in buckets.items()
+                                 if (cl.layer, cr.layer) == (left, right)})
+
     def __getitem__(self, key: Tuple[CommunityId, CommunityId]) -> frozenset:
         return self._by_id[key]
 
@@ -185,7 +194,7 @@ def build_cbg(left: str,
               metric: str) -> CommunityBipartiteGraph:
     """Weigh the buckets between the offered community sets with the chosen
     metric, straight into the matcher's table. ``buckets`` is what
-    ``crossing_pairs`` returns, or any mapping keyed by ``CommunityId`` pairs."""
+    ``crossing_pairs`` returns, or a mapping keyed by ``CommunityId`` pairs."""
     if metric not in METRICS:
         raise InvariantViolation(f"metric must be one of {METRICS}, got {metric!r}")
     u_left = frozenset(u_left)
@@ -200,10 +209,7 @@ def build_cbg(left: str,
                 what = "nodes" if s.node_count < 1 else "hubs"
                 raise InvariantViolation(f"{c} has no {what}, which metric {metric} divides by")
 
-    if not isinstance(buckets, Buckets) or (buckets.left, buckets.right) != (left, right):
-        buckets = Buckets(left, right, {(cl.index, cr.index): pairs
-                                        for (cl, cr), pairs in buckets.items()
-                                        if (cl.layer, cr.layer) == (left, right)})
+    buckets = Buckets.of(left, right, buckets)
     lefts, rights = sorted(u_left), sorted(u_right)
     lpos = {c.index: i for i, c in enumerate(lefts)}
     rpos = {c.index: i for i, c in enumerate(rights)}

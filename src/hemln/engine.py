@@ -60,8 +60,8 @@ class KCommunityResult(NamedTuple):
 
 def select_u(step: Composition, case: str, tuples: Optional[List[KTuple]],
              buckets: Buckets) -> Tuple[List[CommunityId], List[CommunityId]]:
-    """Choose the meta-node sets for a composition step, from the step's
-    ``crossing_pairs``.
+    """Choose the meta-node sets for a composition step from its buckets, as
+    ``crossing_pairs`` returns them or keyed by ``CommunityId`` pairs.
 
     ``tuples`` is None on the base step, where each layer offers every
     community with a crossing link. Otherwise a processed layer offers
@@ -69,13 +69,14 @@ def select_u(step: Composition, case: str, tuples: Optional[List[KTuple]],
     current tuples, and a new layer offers every community with at least
     one crossing link to the left offer.
     """
+    by_index = Buckets.of(step.left, step.right, buckets).by_index
     if tuples is None:
-        u_left = {cl for cl, _ in buckets.by_index}
-        u_right = {cr for _, cr in buckets.by_index}
+        u_left = {cl for cl, _ in by_index}
+        u_right = {cr for _, cr in by_index}
     else:
         u_left = {t.slot(step.left) for t in tuples} - {0}
         u_right = ({t.slot(step.right) for t in tuples} - {0} if case == CASE_CYCLE
-                   else {cr for cl, cr in buckets.by_index if cl in u_left})
+                   else {cr for cl, cr in by_index if cl in u_left})
     return ([CommunityId(step.left, c) for c in sorted(u_left)],
             [CommunityId(step.right, c) for c in sorted(u_right)])
 

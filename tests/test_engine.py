@@ -8,6 +8,7 @@ import oracle
 from hemln import (
     MLN,
     CommunityBipartiteGraph,
+    CommunityId,
     InterLayerEdges,
     LayerGraph,
     Membership,
@@ -19,6 +20,7 @@ from hemln import (
     diagnostics_tsv,
     parse_spec,
     rank,
+    select_u,
     summarize,
     to_jsonl,
     format_tuples,
@@ -354,6 +356,22 @@ def test_equals_reference_composition(case, default_metric):
     slow = oracle.reference_k_community(mln, memberships, summaries, spec, default_metric)
     assert to_jsonl(fast) == to_jsonl(slow)
     assert diagnostics_tsv(fast) == diagnostics_tsv(slow)
+
+
+def test_select_u_reads_the_buckets_view_or_a_plain_dict(three_layer_mln):
+    # the engine passes crossing_pairs' view; a library caller may pass a
+    # dict keyed by CommunityId pairs, as build_cbg takes, for the same offer
+    mln, memberships, _ = three_layer_mln
+    tuples = list(run(three_layer_mln, "G1 #(G1,G2) G2").tuples)
+    for step, case, done in ((Composition("G1", "G2"), "i", None),
+                             (Composition("G2", "G3"), "i", tuples),
+                             (Composition("G2", "G1"), "ii", tuples)):
+        view = crossing_pairs(mln, step.left, step.right,
+                              memberships[step.left], memberships[step.right])
+        offer = select_u(step, case, done, view)
+        assert offer == select_u(step, case, done, dict(view)) and all(offer), step
+    assert offer == ([CommunityId("G2", i) for i in (1, 3, 5)],
+                     [CommunityId("G1", i) for i in (1, 2, 3)])
 
 
 def _underived(self):
