@@ -1,3 +1,4 @@
+import json
 from itertools import combinations, compress
 
 import pytest
@@ -252,7 +253,6 @@ def test_rank_unknown_key(three_layer_mln):
 
 
 def test_jsonl_schema(three_layer_mln):
-    import json
     result = run(three_layer_mln, ACYCLIC)
     records = [json.loads(line) for line in to_jsonl(result).splitlines()]
     assert len(records) == 3
@@ -356,6 +356,20 @@ def test_equals_reference_composition(case, default_metric):
     slow = oracle.reference_k_community(mln, memberships, summaries, spec, default_metric)
     assert to_jsonl(fast) == to_jsonl(slow)
     assert diagnostics_tsv(fast) == diagnostics_tsv(slow)
+    # the invariants perfbench/check.py reads off a job's files, on the same draws
+    for lid in spec.layers:  # no community sits in two tuples
+        used = [t.slot(lid) for t in fast.tuples if t.slot(lid)]
+        assert len(used) == len(set(used)), lid
+    for t in fast.tuples:  # an x slot is the links between its tuple's communities
+        for step, x in zip(spec.steps, t.x_slots):
+            stored = mln.stored_interlayer(step.left, step.right)
+            links = (stored.links if stored.from_layer == step.left
+                     else {(b, a) for a, b in stored.links})
+            of_left, of_right = (memberships[lid].assignment for lid in (step.left, step.right))
+            assert x is None or x == {(a, b) for a, b in links if (of_left[a], of_right[b])
+                                      == (t.slot(step.left), t.slot(step.right))}, step
+    for record in map(json.loads, to_jsonl(fast).splitlines()):
+        assert record["total"] == (None not in record["x"])
 
 
 def test_select_u_reads_the_buckets_view_or_a_plain_dict(three_layer_mln):
