@@ -312,10 +312,10 @@ def test_rank_keeps_the_order_of_tuples_with_equal_slots():
 @st.composite
 def composition_cases(draw):
     """(MLN, memberships, spec): 2-4 layers of 1-3 communities of 1-3 nodes
-    (indices drawn from 1-4), every layer pair stored in a drawn orientation, and a
-    serial spec over every layer whose steps may branch from any visited
-    layer, with cycle steps between visited layers and a metric (or the
-    default) per step."""
+    (indices drawn from 1-4), every layer pair stored in a drawn orientation
+    with a drawn subset of its links, and a serial spec over every layer
+    whose steps may branch from any visited layer, with cycle steps between
+    visited layers and a metric (or the default) per step."""
     names = [f"L{i}" for i in range(draw(st.integers(2, 4)))]
     mln, memberships = MLN(), {}
     for i, lid in enumerate(names):
