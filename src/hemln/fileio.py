@@ -147,9 +147,10 @@ def _log_duplicates(path: os.PathLike, text: str, ends: set,
 
 
 def save_layer(g: LayerGraph, path: os.PathLike) -> None:
-    order = sorted(g.nodes)
-    lines = [f"layer\t{g.id}", *map(str, order)]
-    lines += [f"edge\t{u}\t{order[j]}" for i, (u, row) in enumerate(zip(order, g.nbrs))
+    """Sorted node lines, then each edge once by rows; each id is formatted once."""
+    names = list(map(str, sorted(g.nodes)))
+    lines = [f"layer\t{g.id}", *names]
+    lines += [f"edge\t{u}\t{names[j]}" for i, (u, row) in enumerate(zip(names, g.nbrs))
               for j in row if i < j]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 

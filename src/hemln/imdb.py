@@ -3,12 +3,12 @@
 Layers built from movie/people/credit records:
 
 * ``A`` (actors): edge between two actors who acted together in at least
-  one movie;
+  one movie, built as one clique per cast;
 * ``D`` (directors): edge between two directors whose aggregated genre
   sets overlap by at least the threshold (default 0.5, intersection over
-  the smaller set; Jaccard optional);
-* ``M`` (movies): edge between two movies in the same rating class,
-  classes [0,2) [2,4) [4,6) [6,8) [8,10]; unrated movies stay isolated.
+  the smaller set; Jaccard optional), tested once per two distinct sets;
+* ``M`` (movies): one clique per rating class, classes
+  [0,2) [2,4) [4,6) [6,8) [8,10]; unrated movies stay isolated.
 
 Inter-layer links: director-actor (directed that actor in some movie),
 director-movie, actor-movie. Node ids are dense integers assigned in a
@@ -18,9 +18,9 @@ ingestion is deterministic; ``ingest_imdb`` returns the key -> id map.
 from __future__ import annotations
 
 import csv
-from itertools import combinations, count
+from itertools import chain, combinations_with_replacement, count, product
 from pathlib import Path
-from typing import Dict, FrozenSet, NamedTuple, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple
 
 from .errors import (EmptyInput, InvariantViolation, IoError, ParseError,
                      ReferentialIntegrity)
@@ -108,32 +108,31 @@ def ingest_imdb(records: ImdbRecords,
     ids = {f"{role}:{key}": i for role, of in (("A", aid), ("D", did), ("M", mid))
            for key, i in of.items()}
 
-    # layer A: co-acting
+    # layer A: one clique per cast
     cast: Dict[str, Set[str]] = {}
     for person, movie in records.acts_in:
         cast.setdefault(movie, set()).add(person)
     layer_a = LayerGraph.of("A", frozenset(aid.values()), (
-        (aid[u], aid[v]) for members in cast.values()
-        for u, v in combinations(members, 2)))
+        map(aid.__getitem__, members) for members in cast.values()))
 
-    # layer D: aggregated genre overlap
-    genres: Dict[str, FrozenSet[str]] = {
-        d: frozenset(g for m in ms for g in records.movies[m].genres)
-        for d, ms in movies_of_director.items()}
-    layer_d = LayerGraph.of("D", frozenset(did.values()), (
-        (did[u], did[v]) for u, v in combinations(directors, 2)
-        if genre_overlap(genres[u], genres[v], overlap_mode)
-        >= genre_overlap_threshold))
+    # layer D: aggregated genre overlap, tested once per two distinct genre sets
+    by_genres: Dict[FrozenSet[str], List[int]] = {}
+    for d in directors:
+        by_genres.setdefault(frozenset(
+            g for m in movies_of_director[d] for g in records.movies[m].genres),
+            []).append(did[d])
+    layer_d = LayerGraph.of("D", frozenset(did.values()), chain.from_iterable(
+        [by_genres[a]] if a is b else product(by_genres[a], by_genres[b])
+        for a, b in combinations_with_replacement(by_genres, 2)
+        if genre_overlap(a, b, overlap_mode) >= genre_overlap_threshold))
 
-    # layer M: shared rating class
-    by_class: Dict[int, list] = {}
+    # layer M: one clique per rating class
+    by_class: Dict[int, List[int]] = {}
     for m in movies:
         rating = records.movies[m].rating
         if rating is not None:
-            by_class.setdefault(rating_class(rating), []).append(m)
-    layer_m = LayerGraph.of("M", frozenset(mid.values()), (
-        (mid[u], mid[v]) for group in by_class.values()
-        for u, v in combinations(group, 2)))
+            by_class.setdefault(rating_class(rating), []).append(mid[m])
+    layer_m = LayerGraph.of("M", frozenset(mid.values()), by_class.values())
 
     mln = MLN()
     mln.add_layer(layer_a).add_layer(layer_d).add_layer(layer_m)

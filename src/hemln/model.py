@@ -64,14 +64,17 @@ class LayerGraph(NamedTuple):
             raise MalformedGraph(f"an edge of layer {layer_id} is not a pair") from None
 
     @staticmethod
-    def of(layer_id: str, nodes: frozenset, edges: Iterable[Edge]) -> "LayerGraph":
-        """The layer on ``nodes`` with ``edges`` (a repeat is one edge), unchecked:
-        each edge is appended to two list rows, which ``sorted_rows`` makes tuples."""
+    def of(layer_id: str, nodes: frozenset, cliques: Iterable[Iterable[NodeId]]) -> "LayerGraph":
+        """The layer on ``nodes`` joining every two members of each clique of distinct
+        nodes (an edge is a clique of two; a repeat is one edge), unchecked: each
+        member's list row takes the others as two slices, which ``sorted_rows`` sorts."""
         at = dict(zip(sorted(nodes), range(len(nodes))))  # node -> its position
         rows: List[List[int]] = [[] for _ in at]
-        for u, v in edges:
-            rows[at[u]].append(at[v])
-            rows[at[v]].append(at[u])
+        for clique in cliques:
+            ps = list(map(at.__getitem__, clique))
+            for i, p in enumerate(ps):
+                rows[p] += ps[:i]
+                rows[p] += ps[i + 1:]
         sorted_rows(rows)
         return LayerGraph(layer_id, nodes, tuple(rows))
 

@@ -55,6 +55,13 @@ Both raise each fault, a self-loop or a negative node included, at its line.
 link sets and errors. Both reference loaders split the whole decoded text
 with ``str.splitlines`` at once (``_reference_lines``); ``hemln.fileio``
 splits it one block at a time.
+
+``reference_ingest_edges`` builds each IMDb layer's edges from the rules of
+the ``hemln.imdb`` docstring, one pair at a time: two actors who share a
+movie, every two directors whose genre sets ``genre_overlap`` passes, and
+two rated movies in the same rating class. ``hemln.imdb.ingest_imdb`` fills
+its rows by cliques and tests each two distinct genre sets once, and must
+give the same edges.
 """
 from __future__ import annotations
 
@@ -63,13 +70,14 @@ import math
 import random
 from collections import Counter, deque
 from heapq import heappop, heappush
-from itertools import chain
-from typing import Dict, List, Optional, Tuple
+from itertools import chain, combinations
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from hemln.cbg import CommunityBipartiteGraph, MetaEdge, weight_d, weight_e, weight_h
 from hemln.community import CommunityId, CommunitySummary, Membership, _renumber
 from hemln.errors import EmptyGraph, ParseError
 from hemln.fileio import COMMENT, _int, _read_text
+from hemln.imdb import ImdbRecords, genre_overlap, rating_class
 from hemln.engine import KCommunityResult, KTuple, StepDiagnostics
 from hemln.kspec import CASE_NEW_LAYER
 from hemln.matching import MatchedPairs, _Network
@@ -524,3 +532,27 @@ def reference_load_interlayer(path) -> InterLayerEdges:
     if header is None:
         raise ParseError("missing interlayer header", 1)
     return InterLayerEdges.build(header[0], header[1], links)
+
+
+def reference_ingest_edges(records: ImdbRecords, threshold: float = 0.5,
+                           mode: str = "min") -> Dict[str, Set[FrozenSet[str]]]:
+    """Each layer's edges as two-key sets, keyed as ``ingest_imdb``'s id map
+    (``A:p1``, ``D:p2``, ``M:t1``), every pair of the layer's nodes tested."""
+    cast: Dict[str, Set[str]] = {}
+    for person, movie in records.acts_in:
+        cast.setdefault(movie, set()).add(person)
+    genres: Dict[str, Set[str]] = {}
+    for person, movie in records.directs:
+        genres.setdefault(person, set()).update(records.movies[movie].genres)
+    rated = {m: rating_class(movie.rating) for m, movie in records.movies.items()
+             if movie.rating is not None}
+    actors = {person for person, _ in records.acts_in}
+    tests = {
+        "A": (actors, lambda u, v: any(u in c and v in c for c in cast.values())),
+        "D": (genres, lambda u, v: genre_overlap(frozenset(genres[u]), frozenset(genres[v]),
+                                                 mode) >= threshold),
+        "M": (rated, lambda u, v: rated[u] == rated[v]),
+    }
+    return {layer: {frozenset((f"{layer}:{u}", f"{layer}:{v}"))
+                    for u, v in combinations(sorted(nodes), 2) if joined(u, v)}
+            for layer, (nodes, joined) in tests.items()}

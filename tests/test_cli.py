@@ -3,6 +3,7 @@ import gc
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -180,6 +181,48 @@ def test_ingest_imdb_command(tmp_path):
                  "inter_A_D.tsv", "inter_A_M.tsv", "inter_D_M.tsv",
                  "node_ids.tsv"):
         assert (out / name).exists()
+
+
+def _seeded_imdb_tsvs(directory, seed):
+    """IMDb TSVs drawn from ``seed``: ratings in every class, unrated movies,
+    movies with no genre, casts that overlap, and directors who share a genre
+    set."""
+    rng = random.Random(seed)
+    genres = ("Drama", "Crime", "Comedy", "Horror", "Action")
+    people = [f"nm{i:03d}" for i in range(70)]
+    rows = {"movies": ["tconst\tprimaryTitle\tgenres\taverageRating"],
+            "people": ["nconst\tprimaryName", *(f"{p}\tP{p}" for p in people)],
+            "acts": ["nconst\ttconst"], "directs": ["nconst\ttconst"]}
+    for m in range(90):
+        tconst = f"tt{m:03d}"
+        rating = r"\N" if m % 9 == 0 else f"{rng.uniform(0, 10):.1f}"
+        genre = ",".join(rng.sample(genres, rng.randint(0, 2))) or r"\N"
+        rows["movies"].append(f"{tconst}\tMovie {m}\t{genre}\t{rating}")
+        rows["acts"] += [f"{p}\t{tconst}" for p in rng.sample(people[:55], 5)]
+        rows["directs"].append(f"{rng.choice(people[55:])}\t{tconst}")
+    for name, lines in rows.items():
+        (directory / f"{name}.tsv").write_text("\n".join(lines) + "\n")
+    return [arg for name in rows for arg in (f"--{name}", str(directory / f"{name}.tsv"))]
+
+
+# sha256 of every ingest-imdb output file on _seeded_imdb_tsvs(seed 5)
+PINNED_IMDB_DIGESTS = {
+    "inter_A_D.tsv": "a9c0cc3983b5f05dcbebdd9f5dd12e69283ec1aa06567bcfc98c08e801eca785",
+    "inter_A_M.tsv": "6ec006a73d6f2b46c39f4aa04fca46167566e68fa6aaf18e078c4725df64ac09",
+    "inter_D_M.tsv": "b4e25cf43cb17d9a950a731c0f34ec047e998c25bca986f30b17795cb395ef58",
+    "layer_A.tsv": "0cee5bc1b829294eb0050fe4bbb6d03b539a0b3bf83af486208fbb2fc4399948",
+    "layer_D.tsv": "96317ff3a7e247915e572227be4058580ae150f9e86053b0cda8cf45f8df6a97",
+    "layer_M.tsv": "93896e57c591d418bc41483d1716048ab8c9b55988b268bac325a95c1459e8d6",
+    "node_ids.tsv": "281a3339b0bf568b097c5854f011a259c34ab013cfa8309992c7f203672cb0fe",
+}
+
+
+def test_ingest_imdb_output_bytes_pinned(tmp_path):
+    out = tmp_path / "imdb-mln"
+    assert main(["ingest-imdb", *_seeded_imdb_tsvs(tmp_path, 5), "--out", str(out)]) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in sorted(out.iterdir())}
+    assert digests == PINNED_IMDB_DIGESTS
 
 
 def cliques(*groups):

@@ -13,6 +13,7 @@ from hemln.imdb import (
     load_imdb_tsvs,
     rating_class,
 )
+from oracle import reference_ingest_edges
 
 
 def test_rating_classes():
@@ -102,6 +103,31 @@ def test_ingested_records_equal_their_build_form(seed, mode):
     for pair in mln.interlayer_pairs():
         x = mln.stored_interlayer(*pair)
         assert x.links and x == InterLayerEdges.build(x.from_layer, x.to_layer, x.links)
+
+
+def _with_grouped_directors(r):
+    """``r`` plus a director whose movie has no genre, two directors with
+    equal genre sets listed in different orders, and an unrated movie."""
+    r.movies.update(x1=Movie("X1", (), 5.0), x2=Movie("X2", ("War", "Drama"), None),
+                    x3=Movie("X3", ("Drama", "War"), 4.4))
+    r.people.update(q1="Q1", q2="Q2", q3="Q3")
+    r.directs |= {("q1", "x1"), ("q2", "x2"), ("q3", "x3"), ("q3", "x2")}
+    return r
+
+
+@pytest.mark.parametrize("threshold", [0.3, 0.5, 1.0])
+@pytest.mark.parametrize("mode", ["min", "jaccard"])
+@pytest.mark.parametrize("seed", range(6))
+def test_ingest_edges_equal_the_pairwise_definition(seed, mode, threshold):
+    records = _with_grouped_directors(random_records(seed))
+    mln, ids = ingest_imdb(records, threshold, mode)
+    key_of = {i: key for key, i in ids.items()}
+    edges = {lid: {frozenset((key_of[u], key_of[v])) for u, v in g.edges}
+             for lid, g in mln.layers.items()}
+    assert edges == reference_ingest_edges(records, threshold, mode)
+    assert frozenset(("D:q2", "D:q3")) in edges["D"]  # one group, joined at 1.0 too
+    assert not any("D:q1" in e for e in edges["D"])
+    assert edges["A"] and frozenset(("M:x1", "M:x3")) in edges["M"]
 
 
 def test_ingest_drops_creditless_people():

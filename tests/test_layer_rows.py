@@ -7,6 +7,7 @@ the lines of a layer file, so permuted input files give the same bytes.
 """
 import os
 import random
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -81,6 +82,29 @@ def test_permuted_input_files_give_the_same_bytes(mln_dir, tmp_path):
         outputs.append(_files(out))
     assert outputs[0] == outputs[1]
     assert len(set(outputs[0]["membership_L1.tsv"].split(b"\n")[1:-1])) > 1
+
+
+def _random_cliques(rng):
+    """40 nodes with gaps between their ids, 8 of them in no clique, and
+    cliques of 1 to 9 members that overlap, one repeated in reverse order and
+    one repeated as a set."""
+    nodes = frozenset(rng.sample(range(200), 40))
+    pool = sorted(nodes)[:32]
+    cliques = [rng.sample(pool, rng.choice((1, 2, 2, 3, 5, 9))) for _ in range(12)]
+    return nodes, cliques + [cliques[0][::-1], set(cliques[5])]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_clique_rows_equal_the_build_of_their_pairs(seed):
+    nodes, cliques = _random_cliques(random.Random(seed))
+    pairs = [pair for clique in cliques for pair in combinations(clique, 2)]
+    g = LayerGraph.of("C", nodes, cliques)
+    assert g == LayerGraph.build("C", nodes, pairs)
+    assert g == LayerGraph.of("C", nodes, pairs)  # an edge is a clique of two
+    order, joined = sorted(nodes), set(map(frozenset, pairs))
+    assert g.nbrs == tuple(tuple(j for j, v in enumerate(order)
+                                 if frozenset((u, v)) in joined) for u in order)
+    assert not any(g.nbrs[32:])  # the nodes in no clique stay isolated
 
 
 @pytest.fixture
