@@ -1,10 +1,12 @@
 """Shared fixtures: a hand-built 3-layer network whose per-step matchings
 are known exactly (verified by the brute-force oracle in the tests), a
-saved network of three planted layers of unequal size, and a network shaped
-like the benchmark's composition workload."""
+saved network of three planted layers of unequal size, a network shaped
+like the benchmark's composition workload, and a ~80k-edge layer file shaped
+like the movie layer of an IMDb-style network."""
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -134,3 +136,23 @@ def dense_mln():
     for (a, b), both in pairs.items():
         mln.add_interlayer(InterLayerEdges.build(a, b, both))
     return mln.freeze(), members
+
+
+@pytest.fixture(scope="module")
+def clique_layer(tmp_path_factory):
+    """(path, node -> clique index) of a seeded ~80k-edge layer file."""
+    rng = random.Random(5)
+    nodes = list(range(2000, 2750))
+    rng.shuffle(nodes)
+    cliques = [nodes[i:i + 180] for i in range(0, 750, 180)]  # 4 of 180, 1 of 30
+    edges = {e for group in cliques for e in combinations(sorted(group), 2)}
+    while len(edges) < 80_000:
+        u, v = sorted(rng.sample(nodes, 2))
+        edges.add((u, v))
+    rows = [f"edge\t{v}\t{u}" if rng.random() < 0.5 else f"edge\t{u}\t{v}"
+            for u, v in sorted(edges)]
+    rng.shuffle(rows)
+    path = tmp_path_factory.mktemp("memory") / "layer_M.tsv"
+    path.write_text("\n".join(["layer\tM", *map(str, sorted(nodes)), *rows]) + "\n")
+    clique_of = {n: i for i, group in enumerate(cliques, start=1) for n in group}
+    return path, clique_of

@@ -51,10 +51,12 @@ token and keeps an edge list plus a seen-set; ``hemln.fileio.load_layer``
 resolves node tokens once and must return equal graphs, warnings and errors.
 Both raise each fault, a self-loop or a negative node included, at its line.
 ``reference_load_interlayer`` parses each link token with ``_int``;
-``hemln.fileio.load_interlayer`` calls ``int`` inline and must return equal
-link sets and errors. Both reference loaders split the whole decoded text
-with ``str.splitlines`` at once (``_reference_lines``); ``hemln.fileio``
-splits it one block at a time.
+``hemln.fileio.load_interlayer`` parses each distinct token once and must
+return equal link sets and errors; ``reference_load_membership_tsv`` and
+``hemln.fileio.load_membership_tsv`` likewise. The reference loaders split
+the whole decoded text with ``str.splitlines`` at once (``_reference_lines``)
+and parse each line; ``hemln.fileio`` takes it one block at a time and
+splits a block that is a plain run at once.
 
 ``reference_ingest_edges`` builds each IMDb layer's edges from the rules of
 the ``hemln.imdb`` docstring, one pair at a time: two actors who share a
@@ -74,7 +76,8 @@ from itertools import chain, combinations
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from hemln.cbg import CommunityBipartiteGraph, MetaEdge, weight_d, weight_e, weight_h
-from hemln.community import CommunityId, CommunitySummary, Membership, _renumber
+from hemln.community import (CommunityId, CommunitySummary, Membership, _renumber,
+                             load_membership)
 from hemln.errors import EmptyGraph, ParseError
 from hemln.fileio import COMMENT, _int, _read_text
 from hemln.imdb import ImdbRecords, genre_overlap, rating_class
@@ -532,6 +535,16 @@ def reference_load_interlayer(path) -> InterLayerEdges:
     if header is None:
         raise ParseError("missing interlayer header", 1)
     return InterLayerEdges.build(header[0], header[1], links)
+
+
+def reference_load_membership_tsv(g: LayerGraph, path) -> Membership:
+    rows: List[Tuple[int, int]] = []
+    for lineno, line in _reference_lines(path, "#"):
+        fields = line.split("\t")
+        if len(fields) != 2:
+            raise ParseError("expected 'node <TAB> community'", lineno)
+        rows.append((_int(fields[0], lineno), _int(fields[1], lineno)))
+    return load_membership(g, rows)
 
 
 def reference_ingest_edges(records: ImdbRecords, threshold: float = 0.5,

@@ -5,15 +5,14 @@ parses each node token to one int, a composition step's buckets share the
 stored link tuples, a composition holds one step at a time, and a matching
 holds its CBG's weights in one table.
 
-The layer is shaped like the movie layer of an IMDb-style network: a few
-large rating-class cliques plus sparse noise, ~80k edges, written in
-shuffled order with half the edges reversed. Node ids start at 2000, above
-the small ints CPython shares, so object identity is meaningful.
+The layer (``clique_layer`` in conftest.py) is shaped like the movie layer
+of an IMDb-style network: a few large rating-class cliques plus sparse
+noise, ~80k edges, written in shuffled order with half the edges reversed.
+Node ids start at 2000, above the small ints CPython shares, so object
+identity is meaningful.
 """
 import gc
-import random
 import tracemalloc
-from itertools import combinations
 
 import pytest
 
@@ -23,26 +22,6 @@ from hemln.cbg import build_cbg
 from hemln.fileio import load_interlayer, load_layer, save_interlayer
 
 MIB = 1 << 20
-
-
-@pytest.fixture(scope="module")
-def clique_layer(tmp_path_factory):
-    """(path, node -> clique index) of a seeded ~80k-edge layer file."""
-    rng = random.Random(5)
-    nodes = list(range(2000, 2750))
-    rng.shuffle(nodes)
-    cliques = [nodes[i:i + 180] for i in range(0, 750, 180)]  # 4 of 180, 1 of 30
-    edges = {e for group in cliques for e in combinations(sorted(group), 2)}
-    while len(edges) < 80_000:
-        u, v = sorted(rng.sample(nodes, 2))
-        edges.add((u, v))
-    rows = [f"edge\t{v}\t{u}" if rng.random() < 0.5 else f"edge\t{u}\t{v}"
-            for u, v in sorted(edges)]
-    rng.shuffle(rows)
-    path = tmp_path_factory.mktemp("memory") / "layer_M.tsv"
-    path.write_text("\n".join(["layer\tM", *map(str, sorted(nodes)), *rows]) + "\n")
-    clique_of = {n: i for i, group in enumerate(cliques, start=1) for n in group}
-    return path, clique_of
 
 
 def _traced(fn):
@@ -77,7 +56,7 @@ def test_load_keeps_at_most_2_mib(clique_layer):
 
 def test_load_peak_at_most_9_mib(clique_layer):
     """Lines are split one block at a time, next to the 1.15 MiB of decoded
-    text and the list rows: 2.9 MiB here on Python 3.10-3.13. A list of every
+    text and the list rows: 2.84 MiB here on Python 3.11. A list of every
     line read 10.9-11.6 MiB, an edge dict beside its frozenset 10.9 MiB, and
     row sets 7.5 MiB."""
     path, _ = clique_layer
@@ -86,14 +65,16 @@ def test_load_peak_at_most_9_mib(clique_layer):
     assert peak <= 9 * MIB, peak / MIB
 
 
-def test_load_peak_at_most_4_mib(clique_layer):
-    """Rows are filled as lists (1.34 MiB here), not as sets (5.93 MiB), and
-    each list is freed as its tuple is made: the peak is 2.88-2.93 MiB on
-    Python 3.10-3.13, against 7.49-7.55 MiB with row sets."""
+def test_load_peak_at_most_3_2_mib(clique_layer):
+    """Rows are filled as lists (1.34 MiB here), not as sets (5.93 MiB), each
+    list is freed as its tuple is made, and a run's bulk split holds one
+    16 Ki-character block: the peak is 2.84 MiB on Python 3.11 (2.88-2.93 MiB
+    on 3.10-3.13 when every line went through the line loop), against 3.40 MiB
+    with 64 Ki blocks and 7.49-7.55 MiB with row sets."""
     path, _ = clique_layer
     g, _, peak = _traced(lambda: load_layer(path))
     assert len(g.nbrs) == 750
-    assert peak <= 4 * MIB, peak / MIB
+    assert peak <= 3.2 * MIB, peak / MIB
 
 
 def test_summarize_builds_no_adjacency(clique_layer):
