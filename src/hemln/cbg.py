@@ -14,10 +14,10 @@ participates on some side; under ``d`` when a community of two or more
 nodes has no internal edges, which loaded memberships allow.
 
 A composition step runs on community indices: ``crossing_pairs`` buckets the
-links once by (left index, right index), and ``build_cbg`` weighs the kept
-buckets straight into the matcher's ``Table``. The ``CommunityId`` keys and
-frozensets of the buckets, and the ``MetaEdge``s of ``edges`` and
-``dropped``, are views made only when read.
+links once in a dict keyed by (left index, right index), and ``build_cbg``
+weighs the kept buckets straight into the matcher's ``Table``. The
+``MetaEdge``s of ``edges`` and ``dropped`` are made only when read, each
+with the frozenset of its bucket.
 """
 from __future__ import annotations
 
@@ -61,13 +61,15 @@ class Table(NamedTuple):
 class CommunityBipartiteGraph:
     """Meta nodes offered on each side, the meta edges between them sorted by
     (left, right), and ``dropped``, those that weighed 0. ``build_cbg`` gives
-    the matcher's ``table`` and the step's buckets, and ``edges`` and
-    ``dropped`` are made from them when first read. A graph built from
-    ``MetaEdge``s holds them, and ``table`` is made from them when read."""
+    the matcher's ``table`` and the step's ``buckets``, the links keyed by
+    (left index, right index), and ``edges`` and ``dropped`` are made from
+    them when first read. A graph built from ``MetaEdge``s holds them, and
+    ``table`` is made from them when read."""
 
     def __init__(self, left_nodes: frozenset, right_nodes: frozenset,
                  edges: Iterable[MetaEdge] = (), dropped: Iterable[MetaEdge] = (), *,
-                 table: Optional[Table] = None, buckets: Optional[Buckets] = None):
+                 table: Optional[Table] = None,
+                 buckets: Optional[Dict[Tuple[int, int], list]] = None):
         self.left_nodes, self.right_nodes, self._buckets = left_nodes, right_nodes, buckets
         if table is None:
             self.edges, self.dropped = tuple(edges), tuple(dropped)
@@ -76,7 +78,8 @@ class CommunityBipartiteGraph:
 
     def _meta_edges(self, kept: bool) -> Tuple[MetaEdge, ...]:
         lefts, rights, _, weights = self.table
-        return tuple(MetaEdge(lefts[l], rights[r], self._buckets[lefts[l], rights[r]], w)
+        return tuple(MetaEdge(lefts[l], rights[r],
+                              frozenset(self._buckets[lefts[l].index, rights[r].index]), w)
                      for l, row in enumerate(weights) for r, w in sorted(row.items())
                      if (w > 0.0) == kept)
 
@@ -103,11 +106,6 @@ class CommunityBipartiteGraph:
             weights[l][r] = e.weight
         return Table.of(lefts, rights, weights)
 
-    def _replace(self, **fields) -> "CommunityBipartiteGraph":
-        return CommunityBipartiteGraph(**{"left_nodes": self.left_nodes,
-                                          "right_nodes": self.right_nodes, "edges": self.edges,
-                                          "dropped": self.dropped, **fields})
-
 
 def weight_e(raw_pairs: int, cbg_max: int) -> float:
     """Crossing-link count normalized by the largest count in this graph."""
@@ -131,47 +129,13 @@ def weight_h(left: CommunitySummary, right: CommunitySummary,
     return (len(h_lr) / len(left.hubs)) * fraction * (len(h_rl) / len(right.hubs))
 
 
-class Buckets(Mapping):
-    """A layer pair's links by the community pair they cross: ``by_index``
-    maps (left index, right index) to the links, oriented (left node, right
-    node). As a mapping it is keyed in order by ``CommunityId`` pairs, one id
-    per community, with frozensets as values, all made when first read."""
-
-    def __init__(self, left: str, right: str, by_index: Dict[Tuple[int, int], list]):
-        self.left, self.right, self.by_index = left, right, by_index
-
-    @classmethod
-    def of(cls, left: str, right: str, buckets: Mapping) -> "Buckets":
-        """``buckets`` if they are the pair's, else those of a mapping keyed by
-        ``CommunityId`` pairs, where only the pair's communities count."""
-        if isinstance(buckets, Buckets) and (buckets.left, buckets.right) == (left, right):
-            return buckets
-        return cls(left, right, {(cl.index, cr.index): pairs for (cl, cr), pairs in buckets.items()
-                                 if (cl.layer, cr.layer) == (left, right)})
-
-    def __getitem__(self, key: Tuple[CommunityId, CommunityId]) -> frozenset:
-        return self._by_id[key]
-
-    def __iter__(self):
-        return iter(self._by_id)
-
-    def __len__(self) -> int:
-        return len(self.by_index)
-
-    @cached_property
-    def _by_id(self) -> Dict[Tuple[CommunityId, CommunityId], frozenset]:
-        ids = {side: {c: CommunityId(layer, c) for c in {key[side] for key in self.by_index}}
-               for side, layer in enumerate((self.left, self.right))}
-        return {(ids[0][cl], ids[1][cr]): frozenset(self.by_index[(cl, cr)])
-                for cl, cr in sorted(self.by_index)}
-
-
 def crossing_pairs(mln: MLN, left: str, right: str,
                    membership_left: Membership,
-                   membership_right: Membership) -> Buckets:
-    """Inter-layer links oriented (left node, right node), bucketed by the
-    (left, right) community indices they cross. A composition step scans the
-    links only here and shares them: the buckets hold the stored tuples."""
+                   membership_right: Membership) -> Dict[Tuple[int, int], list]:
+    """Inter-layer links oriented (left node, right node), bucketed in a dict
+    keyed by the (left index, right index) of the communities they cross. A
+    composition step scans the links only here and shares them: the buckets
+    are lists of the stored tuples."""
     stored = mln.stored_interlayer(left, right)
     check_membership(mln.layer(left), membership_left)
     check_membership(mln.layer(right), membership_right)
@@ -181,12 +145,12 @@ def crossing_pairs(mln: MLN, left: str, right: str,
              else ((b, a) for a, b in stored.links))  # swap, no reversed copy
     for link in links:  # the stored tuples themselves when not swapped
         by_index.setdefault((of_left[link[0]], of_right[link[1]]), []).append(link)
-    return Buckets(left, right, by_index)
+    return by_index
 
 
 def build_cbg(left: str,
               right: str,
-              buckets: Mapping,
+              buckets: Dict[Tuple[int, int], list],
               u_left: Iterable[CommunityId],
               u_right: Iterable[CommunityId],
               summaries_left: Mapping[CommunityId, CommunitySummary],
@@ -194,7 +158,8 @@ def build_cbg(left: str,
               metric: str) -> CommunityBipartiteGraph:
     """Weigh the buckets between the offered community sets with the chosen
     metric, straight into the matcher's table. ``buckets`` is what
-    ``crossing_pairs`` returns, or a mapping keyed by ``CommunityId`` pairs."""
+    ``crossing_pairs`` returns, the links keyed by (left index, right index);
+    only the keys of offered communities count."""
     if metric not in METRICS:
         raise InvariantViolation(f"metric must be one of {METRICS}, got {metric!r}")
     u_left = frozenset(u_left)
@@ -209,11 +174,10 @@ def build_cbg(left: str,
                 what = "nodes" if s.node_count < 1 else "hubs"
                 raise InvariantViolation(f"{c} has no {what}, which metric {metric} divides by")
 
-    buckets = Buckets.of(left, right, buckets)
     lefts, rights = sorted(u_left), sorted(u_right)
     lpos = {c.index: i for i, c in enumerate(lefts)}
     rpos = {c.index: i for i, c in enumerate(rights)}
-    kept = [(lpos[cl], rpos[cr], pairs) for (cl, cr), pairs in buckets.by_index.items()
+    kept = [(lpos[cl], rpos[cr], pairs) for (cl, cr), pairs in buckets.items()
             if cl in lpos and cr in rpos]
     sl = [summaries_left[c] for c in lefts]
     sr = [summaries_right[c] for c in rights]

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from .cbg import Buckets, build_cbg, crossing_pairs
+from .cbg import build_cbg, crossing_pairs
 from .community import CommunityId, CommunitySummary, Membership
 from .errors import InvariantViolation, ParseError, UnknownCommunity, UnknownKey
 from .kspec import CASE_CYCLE, CASE_NEW_LAYER, Composition, KSpec, validate_spec
@@ -59,9 +59,10 @@ class KCommunityResult(NamedTuple):
 
 
 def select_u(step: Composition, case: str, tuples: Optional[List[KTuple]],
-             buckets: Buckets) -> Tuple[List[CommunityId], List[CommunityId]]:
+             buckets: Dict[Tuple[int, int], list]
+             ) -> Tuple[List[CommunityId], List[CommunityId]]:
     """Choose the meta-node sets for a composition step from its buckets, as
-    ``crossing_pairs`` returns them or keyed by ``CommunityId`` pairs.
+    ``crossing_pairs`` returns them: keyed by (left index, right index).
 
     ``tuples`` is None on the base step, where each layer offers every
     community with a crossing link. Otherwise a processed layer offers
@@ -69,14 +70,13 @@ def select_u(step: Composition, case: str, tuples: Optional[List[KTuple]],
     current tuples, and a new layer offers every community with at least
     one crossing link to the left offer.
     """
-    by_index = Buckets.of(step.left, step.right, buckets).by_index
     if tuples is None:
-        u_left = {cl for cl, _ in by_index}
-        u_right = {cr for _, cr in by_index}
+        u_left = {cl for cl, _ in buckets}
+        u_right = {cr for _, cr in buckets}
     else:
         u_left = {t.slot(step.left) for t in tuples} - {0}
         u_right = ({t.slot(step.right) for t in tuples} - {0} if case == CASE_CYCLE
-                   else {cr for cl, cr in by_index if cl in u_left})
+                   else {cr for cl, cr in buckets if cl in u_left})
     return ([CommunityId(step.left, c) for c in sorted(u_left)],
             [CommunityId(step.right, c) for c in sorted(u_right)])
 
@@ -104,10 +104,10 @@ def detect_k_community(mln: MLN,
         mp = max_flow_match(cbg)
         matched = {cl.index: cr.index for cl, cr in mp.pairs}
         if tuples is None:
-            tuples = [KTuple((step.left, step.right), pair, (frozenset(buckets.by_index[pair]),))
+            tuples = [KTuple((step.left, step.right), pair, (frozenset(buckets[pair]),))
                       for pair in matched.items()]
         else:
-            tuples = [_advance(t, step, case, matched, buckets.by_index) for t in tuples]
+            tuples = [_advance(t, step, case, matched, buckets) for t in tuples]
 
         diagnostics.append(StepDiagnostics(len(u_left), len(u_right),
                                            sum(map(len, cbg.table.rows)), len(mp.pairs)))
@@ -225,7 +225,7 @@ def from_jsonl(text: str) -> List[KTuple]:
                 frozenset(map(tuple, x["pairs"])) if x is not None else None
                 for x in rec["x"])
             steps = [x["step"] for x in rec["x"] if x is not None]
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, RecursionError) as exc:
             raise ParseError(f"malformed result record: {exc}", lineno) from None
         if not (all(type(l) is str for l in layers)  # exact types: true is no 1
                 and all(type(c) is int and c >= 0 for c in communities)

@@ -91,23 +91,22 @@ def test_crossing_pairs_against_stored_orientation():
                                       [(1, 2), (3,)], [(10,), (11,)])
     forward = crossing_pairs(mln, "A", "D", ma, md)
     backward = crossing_pairs(mln, "D", "A", md, ma)
-    assert backward == {(cr, cl): frozenset((b, a) for a, b in pairs)
-                        for (cl, cr), pairs in forward.items()}
-    assert backward[(CommunityId("D", 2), CommunityId("A", 1))] == {(11, 2)}
+    assert ({key: set(pairs) for key, pairs in backward.items()}
+            == {(cr, cl): {(b, a) for a, b in pairs} for (cl, cr), pairs in forward.items()})
+    assert backward[(2, 1)] == [(11, 2)]
 
 
-def test_crossing_pairs_in_key_order_with_one_id_per_community():
-    # build_cbg's sort is then one linear pass of identity-equal ids
-    links = [(a, d) for a in (3, 1, 2) for d in (12, 10, 11)]
-    mln, ma, md, _, _ = two_layer_mln(links, [(1,), (2,), (3,)],
+def test_crossing_pairs_buckets_each_link_by_its_community_pair():
+    links = [(a, d) for a in (3, 1, 2, 4) for d in (12, 10, 11) if a + d != 14]
+    mln, ma, md, _, _ = two_layer_mln(links, [(1, 4), (2,), (3,)],
                                       [(10,), (11,), (12,)])
-    for buckets in (crossing_pairs(mln, "A", "D", ma, md),
-                    crossing_pairs(mln, "D", "A", md, ma)):
-        assert list(buckets) == sorted(buckets)
-        for side in (0, 1):
-            first = {}
-            assert all(first.setdefault(key[side], key[side]) is key[side]
-                       for key in buckets)
+    for ml, mr, oriented in ((ma, md, links), (md, ma, [(d, a) for a, d in links])):
+        buckets = crossing_pairs(mln, ml.layer, mr.layer, ml, mr)
+        left, right = ml.assignment, mr.assignment
+        assert set(buckets) == {(left[x], right[y]) for x, y in oriented}
+        for key, pairs in buckets.items():
+            assert sorted(pairs) == sorted(p for p in oriented
+                                           if (left[p[0]], right[p[1]]) == key), key
 
 
 @pytest.mark.parametrize("node, layer", [(2, "A"), (11, "D")])
@@ -147,7 +146,7 @@ def test_hand_built_summary_a_metric_divides_by_zero(metric, summary, message):
     # summarize never makes these; each raised a raw ZeroDivisionError
     from hemln import CommunitySummary
     a1, d1 = CommunityId("A", 1), CommunityId("D", 1)
-    args = ("A", "D", {(a1, d1): frozenset({(1, 10)})}, [a1], [d1],
+    args = ("A", "D", {(1, 1): [(1, 10)]}, [a1], [d1],
             {a1: CommunitySummary(*summary)}, {d1: CommunitySummary(1, 1.0, frozenset({10}))})
     with pytest.raises(InvariantViolation, match=f"^{re.escape(message)}$"):
         build_cbg(*args, metric)

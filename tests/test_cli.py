@@ -535,6 +535,9 @@ BAD_INPUTS = {
        for name, pair in (("one-layer", "G1"), ("three-layers", "G1,G2,G1"))},
     "rank-not-json": (lambda d, t: _rank(t, "{not json\n"), "line 1"),
     "rank-bad-record": (lambda d, t: _rank(t, '\n{"slots": 3, "x": []}\n'), "line 2"),
+    # json.loads raised a RecursionError, a traceback and exit 1
+    "rank-deeply-nested": (lambda d, t: _rank(t, "[" * 100000 + "\n"),
+                           "hemln: line 1: malformed result record: "),
     # only what to_jsonl writes: a string layer, an int community, int pairs
     "rank-community-float": (lambda d, t: _rank(t, _record(community="1.9")), "line 1"),
     "rank-community-bool": (lambda d, t: _rank(t, _record(community="true")),

@@ -271,6 +271,8 @@ def test_jsonl_round_trip(three_layer_mln):
         assert from_jsonl(to_jsonl(result)) == list(result.tuples)
     with pytest.raises(ParseError, match="line 2"):
         from_jsonl("\n[]\n")
+    with pytest.raises(ParseError, match="^line 1: malformed result record: "):
+        from_jsonl("[" * 100000)  # json.loads raises a RecursionError
 
 
 def test_unknown_metric_is_a_hemln_error(three_layer_mln):
@@ -372,18 +374,16 @@ def test_equals_reference_composition(case, default_metric):
         assert record["total"] == (None not in record["x"])
 
 
-def test_select_u_reads_the_buckets_view_or_a_plain_dict(three_layer_mln):
-    # the engine passes crossing_pairs' view; a library caller may pass a
-    # dict keyed by CommunityId pairs, as build_cbg takes, for the same offer
+def test_select_u_offers_on_the_base_new_layer_and_cycle_steps(three_layer_mln):
     mln, memberships, _ = three_layer_mln
     tuples = list(run(three_layer_mln, "G1 #(G1,G2) G2").tuples)
     for step, case, done in ((Composition("G1", "G2"), "i", None),
                              (Composition("G2", "G3"), "i", tuples),
                              (Composition("G2", "G1"), "ii", tuples)):
-        view = crossing_pairs(mln, step.left, step.right,
-                              memberships[step.left], memberships[step.right])
-        offer = select_u(step, case, done, view)
-        assert offer == select_u(step, case, done, dict(view)) and all(offer), step
+        buckets = crossing_pairs(mln, step.left, step.right,
+                                 memberships[step.left], memberships[step.right])
+        offer = select_u(step, case, done, buckets)
+        assert all(offer), step
     assert offer == ([CommunityId("G2", i) for i in (1, 3, 5)],
                      [CommunityId("G1", i) for i in (1, 2, 3)])
 
