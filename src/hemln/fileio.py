@@ -29,8 +29,8 @@ from __future__ import annotations
 
 import os
 from functools import cache
-from itertools import chain, islice
-from operator import eq
+from itertools import chain, compress, islice
+from operator import eq, ne
 from pathlib import Path
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
@@ -181,11 +181,14 @@ def save_layer(g: LayerGraph, path: os.PathLike) -> None:
 
 
 def load_interlayer(path: os.PathLike) -> InterLayerEdges:
-    """The links in ``path``, read by ``_int_pairs``: a plain run a block at a time."""
+    """The links in ``path``, read by ``_int_pairs``: a plain run a block at a time.
+    They are sorted in place and each kept if it differs from the one before, so no
+    set is made; a saved file is already sorted, which the sort finds in one pass."""
     ids, links = _int_pairs(path, COMMENT, "u <TAB> v", "interlayer")
     if ids is None:
         raise ParseError("missing interlayer header", 1)
-    return InterLayerEdges(*ids, frozenset(links))  # int() made exact ints
+    links.sort()  # int() made exact ints
+    return InterLayerEdges(*ids, tuple(compress(links, map(ne, links, [None, *links]))))
 
 
 def _int_pairs(path: os.PathLike, comment: str, form: str, header: str = ""):
@@ -218,6 +221,7 @@ def _int_pairs(path: os.PathLike, comment: str, form: str, header: str = ""):
 
 
 def save_interlayer(x: InterLayerEdges, path: os.PathLike) -> None:
+    """Sorted link lines: linear on the sorted links, canonical on hand-built ones."""
     lines = [f"interlayer\t{x.from_layer}\t{x.to_layer}"]
     lines += [f"{a}\t{b}" for a, b in sorted(x.links)]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -11,9 +11,11 @@ Layers built from movie/people/credit records:
   [0,2) [2,4) [4,6) [6,8) [8,10]; unrated movies stay isolated.
 
 Inter-layer links: director-actor (directed that actor in some movie),
-director-movie, actor-movie. Node ids are dense integers assigned in a
-fixed order (actors, directors, movies; each sorted by external key), so
-ingestion is deterministic; ``ingest_imdb`` returns the key -> id map.
+director-movie, actor-movie, each the sorted tuple of its distinct id
+pairs (a credit set's pairs are already distinct). Node ids are dense
+integers assigned in a fixed order (actors, directors, movies; each
+sorted by external key), so ingestion is deterministic; ``ingest_imdb``
+returns the key -> id map.
 """
 from __future__ import annotations
 
@@ -136,13 +138,13 @@ def ingest_imdb(records: ImdbRecords,
 
     mln = MLN()
     mln.add_layer(layer_a).add_layer(layer_d).add_layer(layer_m)
-    mln.add_interlayer(InterLayerEdges("A", "D", frozenset(
+    mln.add_interlayer(InterLayerEdges("A", "D", tuple(sorted({
         (aid[a], did[d]) for d, ms in movies_of_director.items()
-        for m in ms for a in cast.get(m, ()))))
-    mln.add_interlayer(InterLayerEdges("D", "M", frozenset(
-        (did[d], mid[m]) for d, m in records.directs)))
-    mln.add_interlayer(InterLayerEdges("A", "M", frozenset(
-        (aid[a], mid[m]) for a, m in records.acts_in)))
+        for m in ms for a in cast.get(m, ())}))))
+    mln.add_interlayer(InterLayerEdges("D", "M", tuple(sorted(
+        (did[d], mid[m]) for d, m in records.directs))))
+    mln.add_interlayer(InterLayerEdges("A", "M", tuple(sorted(
+        (aid[a], mid[m]) for a, m in records.acts_in))))
     return mln.freeze(), ids
 
 

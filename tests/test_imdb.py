@@ -1,3 +1,4 @@
+import operator
 import random
 
 import pytest
@@ -95,14 +96,16 @@ def random_records(seed):
 @pytest.mark.parametrize("mode", ["min", "jaccard"])
 @pytest.mark.parametrize("seed", range(4))
 def test_ingested_records_equal_their_build_form(seed, mode):
-    # ingest builds LayerGraph and InterLayerEdges directly, with no check
+    # ingest builds LayerGraph and InterLayerEdges directly, with no check; each
+    # link set is sorted, distinct, from sets of str keys whatever their order
     mln, _ = ingest_imdb(random_records(seed), 0.3, mode)
     assert sum(len(g.edges) for g in mln.layers.values()) > 0
     for g in mln.layers.values():
         assert g == LayerGraph.build(g.id, g.nodes, g.edges)
     for pair in mln.interlayer_pairs():
         x = mln.stored_interlayer(*pair)
-        assert x.links and x == InterLayerEdges.build(x.from_layer, x.to_layer, x.links)
+        assert x.links and all(map(operator.lt, x.links, x.links[1:]))
+        assert x == InterLayerEdges.build(x.from_layer, x.to_layer, x.links)
 
 
 def _with_grouped_directors(r):

@@ -1,7 +1,7 @@
 import pytest
 
 from hemln import MLN, InterLayerEdges, LayerGraph, detect_communities
-from hemln.errors import IoError, ParseError
+from hemln.errors import EndpointNotInLayer, IoError, ParseError
 from hemln.fileio import (
     load_interlayer,
     load_layer,
@@ -72,7 +72,20 @@ def test_interlayer_file(tmp_path):
     path = tmp_path / "inter_A_D.tsv"
     path.write_text("interlayer\tA\tD\n1\t10\n")
     x = load_interlayer(path)
-    assert x.from_layer == "A" and x.links == {(1, 10)}
+    assert x.from_layer == "A" and x.links == ((1, 10),)
+
+
+@pytest.mark.parametrize("lines, message", [
+    ("9\t11\n7\t12\n", r"^link \(7,12\): 7 not in layer A$"),
+    ("1\t10\n2\t99\n2\t98\n", r"^link \(2,98\): 98 not in layer D$"),
+], ids=["from-side", "to-side"])
+def test_bad_endpoint_error_names_the_smallest_bad_link(tmp_path, lines, message):
+    """The links are checked in sorted order, not in file or hash order."""
+    (tmp_path / "layer_A.tsv").write_text("layer\tA\n1\n2\n3\n")
+    (tmp_path / "layer_D.tsv").write_text("layer\tD\n10\n11\n12\n")
+    (tmp_path / "inter_A_D.tsv").write_text("interlayer\tA\tD\n" + lines)
+    with pytest.raises(EndpointNotInLayer, match=message):
+        load_mln(tmp_path)
 
 
 def sample_mln():

@@ -29,6 +29,7 @@ which reads as LF), no run (a tab after each line) and a ';' line in every
 block give the same result.
 """
 import logging
+import operator
 import random
 from functools import cache
 
@@ -536,7 +537,21 @@ def test_bench_sized_interlayer_loads_alike_in_bulk_and_by_line(tmp_path, caplog
     save_interlayer(InterLayerEdges.build("M", "A", links), path)
     text, runs = _copies(path.read_text())[copy]
     path.write_bytes(text.encode())
-    assert load_interlayer(path).links == frozenset(links)
+    assert load_interlayer(path).links == tuple(sorted(links))
     blocks = len(list(fileio._blocks(path.read_text())))
     assert runs_taken == [runs] * (blocks - 1) and blocks > 3
     _assert_same(path, caplog, load_interlayer, reference_load_interlayer)
+
+
+def test_shuffled_repeated_links_load_sorted_and_distinct(tmp_path, runs_taken):
+    """Every link line twice, in shuffled order, over runs: the sort in place and
+    the drop of adjacent repeats give the links ascending, each once."""
+    rng = random.Random(5)
+    links = {(rng.randrange(2000, 2750), rng.randrange(5000, 6000)) for _ in range(7600)}
+    lines = [f"{a}\t{b}\n" for a, b in links] * 2
+    rng.shuffle(lines)
+    path = tmp_path / "inter_M_A.tsv"
+    path.write_text("interlayer\tM\tA\n" + "".join(lines))
+    x = load_interlayer(path)
+    assert all(map(operator.lt, x.links, x.links[1:])) and len(x.links) == len(links)
+    assert x == InterLayerEdges.build("M", "A", links) and runs_taken and all(runs_taken)

@@ -1,9 +1,10 @@
 """Memory guards for a loaded layer: a layer is held once, as rows of
 neighbour positions filled as lists, a load holds one block of lines at a
 time, and detection on it builds no per-edge dicts. An inter-layer load
-parses each node token to one int, a composition step's buckets share the
-stored link tuples, a composition holds one step at a time, and a matching
-holds its CBG's weights in one table.
+parses each node token to one int and keeps its links as one sorted tuple,
+a composition step's buckets share the stored link tuples, a composition
+holds one step at a time, and a matching holds its CBG's weights in one
+table.
 
 The layer (``clique_layer`` in conftest.py) is shaped like the movie layer
 of an IMDb-style network: a few large rating-class cliques plus sparse
@@ -122,6 +123,18 @@ def test_interlayer_load_holds_one_int_per_endpoint(dense_mln, tmp_path):
     ends = [n for link in x.links for n in link]
     assert x == mln.stored_interlayer("L", "R") and len(x.links) >= 9_000
     assert len(set(map(id, ends))) == len(set(ends)) < len(ends) // 2
+
+
+def test_loaded_links_keep_at_most_95_bytes_each(dense_mln, tmp_path):
+    """A loaded file's links are one sorted tuple of pairs over shared ints:
+    78.1-78.4 B a link here on Python 3.10-3.13. A frozenset of the pairs
+    kept 123.0-123.4 B, ~45 B of it a hash table that nothing probes."""
+    mln, _ = dense_mln
+    path = tmp_path / "inter_L_R.tsv"
+    save_interlayer(mln.stored_interlayer("L", "R"), path)
+    x, kept, _ = _traced(lambda: load_interlayer(path))
+    assert len(x.links) >= 9_000
+    assert kept <= 95 * len(x.links), kept / len(x.links)
 
 
 def test_composition_holds_one_step_at_a_time(dense_mln):

@@ -1,3 +1,6 @@
+import operator
+import random
+
 import pytest
 
 from hemln import MLN, InterLayerEdges, LayerGraph
@@ -91,7 +94,23 @@ def test_interlayer_registration_and_symmetry():
         assert mln.stored_interlayer("D", "A") is mln.stored_interlayer("A", "D")
         stored.append(mln.stored_interlayer("D", "A"))
     # either orientation is stored as (A, D); the (D, A) links are swapped
-    assert stored == [InterLayerEdges("A", "D", frozenset({(1, 10)}))] * 2
+    assert stored == [InterLayerEdges("A", "D", ((1, 10),))] * 2
+
+
+def test_reversed_copy_is_sorted_and_distinct():
+    """Links given as (D, A) are stored as (A, D), swapped and sorted again,
+    whether built or hand-built as a frozenset."""
+    rng = random.Random(2)
+    pairs = {(rng.randrange(100, 140), rng.randrange(40)) for _ in range(600)}
+    swapped = InterLayerEdges.build("A", "D", [(a, d) for d, a in pairs])
+    for x in (InterLayerEdges.build("D", "A", [*pairs, *pairs]),
+              InterLayerEdges("D", "A", frozenset(pairs))):
+        mln = MLN()
+        mln.add_layer(LayerGraph.build("A", range(40), []))
+        mln.add_layer(LayerGraph.build("D", range(100, 140), []))
+        links = mln.add_interlayer(x).stored_interlayer("A", "D").links
+        assert all(map(operator.lt, links, links[1:])) and len(links) == len(pairs)
+        assert mln.stored_interlayer("D", "A") == swapped
 
 
 def test_stored_interlayer_names_a_missing_pair_in_the_callers_order():
